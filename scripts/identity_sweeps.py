@@ -1,4 +1,4 @@
-"""Run all five identity sweeps at configurable ranges.
+"""Run all six identity sweeps at configurable ranges.
 
 Usage:
     python3 scripts/identity_sweeps.py [--max-n 10] [--json]
@@ -25,9 +25,11 @@ from compositae import (
     check_funceq_identity,
     check_inverse_identity,
     check_lambert_identity,
+    check_reciprocal_identity,
     composita_from_series,
     inverse_series,
     make_spec,
+    reciprocal_composita,
 )
 
 
@@ -49,6 +51,11 @@ def _funceq_table(m: int, max_n: int, max_r: int):
     return composita_from_series(g.times_x(), needed)
 
 
+def _reciprocal_inputs(order: int):
+    b = catalog_series(make_spec("sin_over_x"), order - 1)
+    return b, reciprocal_composita(b, order)
+
+
 def sweeps(config: SweepConfig) -> list[IdentityReport]:
     n = config.max_n
     assoc = check_associativity(
@@ -68,7 +75,8 @@ def sweeps(config: SweepConfig) -> list[IdentityReport]:
         config.funceq_max_n,
         config.funceq_max_n,
     )
-    return [assoc, deriv, inverse, lambert, funceq]
+    reciprocal = check_reciprocal_identity(*_reciprocal_inputs(n))
+    return [assoc, deriv, inverse, lambert, funceq, reciprocal]
 
 
 def fault_demonstrations(config: SweepConfig) -> list[IdentityReport]:
@@ -87,7 +95,10 @@ def fault_demonstrations(config: SweepConfig) -> list[IdentityReport]:
     funceq = check_funceq_identity(
         g_table.with_entry(3, 2, g_table[3, 2] + 1), 1, 6, 2
     )
-    return [assoc, deriv, inverse, lambert, funceq]
+    reciprocal = check_reciprocal_identity(
+        *_reciprocal_inputs(order), fault=(5, 3, Fraction(1))
+    )
+    return [assoc, deriv, inverse, lambert, funceq, reciprocal]
 
 
 def render(reports: list[IdentityReport], as_json: bool) -> int:

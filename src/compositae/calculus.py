@@ -3,7 +3,9 @@ reciprocals and compositional inversion.
 
 Every operation here mirrors an identity between generating-function
 algebra and triangle algebra, and each one is exercised in the test suite
-against the literal series route it shortcuts.
+against the literal series route it shortcuts.  The reciprocal triangle is
+built from the series 1/B by the composita recurrence; the paper's slower
+formula for it lives in ``identities.py`` as a check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     OrderMismatch,
 )
 from .series import CoeffLike, PowerSeries, as_rational
-from .triangle import CompositaTable
+from .triangle import CompositaTable, composita_from_series
 
 
 def scale_value(table: CompositaTable, alpha: CoeffLike) -> CompositaTable:
@@ -134,68 +136,21 @@ def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
 def reciprocal_composita(b: PowerSeries, order: int, source: str = "") -> CompositaTable:
     """Triangle of x * A(x) where A(x) B(x) = 1 and b(0) != 0.
 
-    Entry (n, n) is b(0)^(-n); below the diagonal, expanding
-    [x/(b0 + (B - b0))]^m by the negative binomial series gives
-
-        (1/b0^m) * sum_{k=1}^{n-m} (-1)^k C(m+k-1, m-1)
-                   * sum_{j=0}^{k} b0^(-j) (-1)^(j-k) C(k, j) D(n-m+j, j)
-
-    where D(p, j) is the composita of x*B(x) at (p, j), with the j = 0
-    column read as the Kronecker delta.  (The b0 exponent really is -j:
-    each k-term carries 1/b0^k from the geometric expansion and b0^(k-j)
-    from the binomial, which collapse; writing b0^(k-j) alone is only
-    right when b0 = 1.)  Because [x^p] (x B)^j equals [x^(p-j)] B^j,
-    those entries are evaluated from plain powers of B, which keeps the
-    working order at ``order - 1``.
+    A is computed by series division, with B truncated to ``order - 1``,
+    and the triangle of x * A by the composita recurrence; the cost is
+    that of one triangle build.  The paper's closed form for these
+    entries (a negative binomial sum over the composita of x * B, O(N^4))
+    is kept as a check: ``identities.check_reciprocal_identity``.
     """
-    b0 = b.coeffs[0]
-    if b0 == 0:
+    if b.coeffs[0] == 0:
         raise DivisionByNonUnit("reciprocal needs a series with nonzero constant term")
     if order < 1:
         raise ValueError("a composita table needs order >= 1")
     if b.order < order - 1:
         raise InsufficientOrder(f"b is needed to order {order - 1}, got {b.order}")
-
     depth = order - 1
-    power_coeffs: list[tuple[Fraction, ...]] = []
-    if depth >= 1:
-        base = b if b.order == depth else b.truncate(depth)
-        p = base
-        power_coeffs.append(p.coeffs)
-        for _ in range(depth - 1):
-            p = p * base
-            power_coeffs.append(p.coeffs)
-
-    def b_power(d: int, j: int) -> Fraction:
-        # [x^d] B(x)^j, with B^0 = 1
-        if j == 0:
-            return Fraction(1 if d == 0 else 0)
-        return power_coeffs[j - 1][d]
-
-    rows = []
-    for n in range(1, order + 1):
-        row = []
-        for m in range(1, n + 1):
-            if n == m:
-                row.append(b0 ** -m)
-                continue
-            d = n - m
-            acc = Fraction(0)
-            for k in range(1, d + 1):
-                outer = binomial(m + k - 1, m - 1)
-                if not outer:
-                    continue
-                inner = Fraction(0)
-                for j in range(0, k + 1):
-                    bp = b_power(d, j)
-                    if bp:
-                        sign = -1 if (k - j) % 2 else 1
-                        inner += sign * b0**-j * binomial(k, j) * bp
-                sign_k = -1 if k % 2 else 1
-                acc += sign_k * outer * inner
-            row.append(acc / b0 ** m)
-        rows.append(tuple(row))
-    return CompositaTable(tuple(rows), source=source)
+    a = PowerSeries.one(depth) / b.truncate(depth)
+    return composita_from_series(a.times_x(), order, source=source)
 
 
 def inverse_series(f: PowerSeries, tf: CompositaTable) -> PowerSeries:

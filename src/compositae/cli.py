@@ -31,7 +31,7 @@ from .formats import (
     triangle_records,
     triangle_text,
 )
-from .funceq import solve_functional_equation, solve_required_order
+from .funceq import solve_functional_equation
 from .identities import (
     IdentityReport,
     check_associativity,
@@ -39,12 +39,13 @@ from .identities import (
     check_funceq_identity,
     check_inverse_identity,
     check_lambert_identity,
+    check_reciprocal_identity,
 )
 from .riordan import riordan_apply, riordan_build
 from .series import PowerSeries
 from .triangle import composita_from_series, composita_oracle
 
-IDENTITY_NAMES = ("associativity", "derivative", "inverse", "lambert", "funceq")
+IDENTITY_NAMES = ("associativity", "derivative", "inverse", "lambert", "funceq", "reciprocal")
 
 
 class UsageError(Exception):
@@ -57,6 +58,7 @@ _DEFAULT_MAX_N = {
     "inverse": 10,
     "lambert": 10,
     "funceq": 6,
+    "reciprocal": 10,
 }
 
 
@@ -158,6 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-r", type=int, dest="max_r", help="funceq only")
     p.add_argument("--m", type=int, default=1, help="funceq only")
     p.add_argument("--g", help="funceq: function G (default 1,1)")
+    p.add_argument("--b", help="reciprocal: function B (default sin_over_x)")
     p.add_argument(
         "--fn",
         action="append",
@@ -265,7 +268,7 @@ def _cmd_reciprocal(cfg: CliConfig) -> tuple[str, int]:
 
 def _cmd_solve(cfg: CliConfig) -> tuple[str, int]:
     order = _require_order(cfg.order, "--order")
-    g = _series(cfg.g, solve_required_order(cfg.m, order))
+    g = _series(cfg.g, order)
     solution = solve_functional_equation(g, cfg.m, order)
     if cfg.table:
         return _render_triangle(solution.a_table, cfg.format), 0
@@ -334,10 +337,33 @@ def _verify_funceq(cfg: CliConfig, max_n: int) -> IdentityReport:
     return check_funceq_identity(table, cfg.m, max_n, max_r)
 
 
+def _verify_reciprocal(cfg: CliConfig, max_n: int) -> IdentityReport:
+    b = _series(cfg.b or "sin_over_x", max_n - 1)
+    table = reciprocal_composita(b, max_n)
+    return check_reciprocal_identity(b, table, fault=cfg.perturb)
+
+
+def _perturb_limit(cfg: CliConfig, max_n: int) -> int:
+    """Order of the triangle that --perturb indexes into for this sweep."""
+    if cfg.identity == "funceq":
+        if cfg.m < 1:
+            raise ValueError("the identity is stated for m >= 1")
+        max_r = cfg.max_r if cfg.max_r is not None else max_n
+        return (cfg.m + 1) * max_n + max_r
+    return max_n
+
+
 def _cmd_verify(cfg: CliConfig) -> tuple[str, int]:
     identity = cfg.identity or ""
     max_n = cfg.max_n if cfg.max_n is not None else _DEFAULT_MAX_N[identity]
     max_n = _require_order(max_n, "--max-n")
+    if cfg.perturb is not None:
+        limit = _perturb_limit(cfg, max_n)
+        n, k, _ = cfg.perturb
+        if not 1 <= k <= n <= limit:
+            raise UsageError(
+                f"--perturb N,K,DELTA needs 1 <= K <= N <= {limit} for this {identity} sweep"
+            )
     if identity == "associativity":
         report = _verify_associativity(cfg, max_n)
     elif identity == "derivative":
@@ -346,6 +372,8 @@ def _cmd_verify(cfg: CliConfig) -> tuple[str, int]:
         report = _verify_inverse(cfg, max_n)
     elif identity == "lambert":
         report = check_lambert_identity(max_n, fault=cfg.perturb)
+    elif identity == "reciprocal":
+        report = _verify_reciprocal(cfg, max_n)
     else:
         report = _verify_funceq(cfg, max_n)
 

@@ -1,11 +1,16 @@
 """Solving A(x) = G(x A(x)^m) through triangle transforms.
 
-The workhorse is the index map (n, k) -> ((m+1)n - mk, mn - (m-1)k) on the
-triangle of x*G(x), which hands back the triangle of x*A(x) directly.  The
-m = 1 case is classical Lagrange inversion, exposed separately as
-``right_composita``; ``left_composita`` is its partial inverse.  Negative m
-is routed through reciprocals: solve F = R(xF^w) with w = -m and
-R = 1/G, then flip the answer back with the reciprocal-triangle transform.
+The paper's workhorse is the index map (n, k) -> ((m+1)n - mk, mn - (m-1)k)
+on the triangle of x*G(x), which hands back the triangle of x*A(x)
+directly.  Entry (n, k) only reads [x^(n-k)] of a power of G, so for
+m >= 0 ``solve_functional_equation`` builds just that band of the powers
+of G and needs G only to the requested order.  The m = 1 case is
+classical Lagrange inversion, exposed separately as ``right_composita``;
+``left_composita`` is its partial inverse.  Negative m is routed through
+reciprocals: solve F = R(xF^w) with w = -m and R = 1/G, then flip the
+answer back with the reciprocal-triangle transform.  The paper's
+functional-equation identity on the triangle of x*G is swept by
+``identities.check_funceq_identity``.
 
 Two applications with non-obvious setups live here as well: triangles for
 1 - (1-x)^(1/m) and for arcsin(x), both obtained by feeding a rational or
@@ -75,11 +80,6 @@ def left_composita(g: CompositaTable, order: int | None = None) -> CompositaTabl
     return CompositaTable(tuple(rows))
 
 
-def solve_required_order(m: int, order: int) -> int:
-    """Truncation order of G needed to solve A = G(xA^m) to ``order``."""
-    return (abs(m) + 1) * order
-
-
 @dataclass(frozen=True)
 class FuncEqSolution:
     """Solution bundle for A(x) = G(x A(x)^m)."""
@@ -90,49 +90,76 @@ class FuncEqSolution:
     a_series: PowerSeries  # coefficients a(0)..a(order)
 
 
+def _power_table(g: PowerSeries, count: int) -> list[list[Fraction]]:
+    """rows[j][d] = [x^d] G(x)^j for 0 <= j <= count and 0 <= d <= g.order.
+
+    Each row is the previous one times G, truncated at G's order; the
+    product runs over the nonzero coefficients of G only.
+    """
+    depth = g.order
+    terms = [(i, c) for i, c in enumerate(g.coeffs) if c]
+    row = [Fraction(1)] + [Fraction(0)] * depth
+    rows = [row]
+    for _ in range(count):
+        prev = row
+        row = []
+        for d in range(depth + 1):
+            acc = Fraction(0)
+            for i, c in terms:
+                if i > d:
+                    break
+                p = prev[d - i]
+                if p:
+                    acc += c * p
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
 def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolution:
     """Solve A(x) = G(x A(x)^m) for any integer m, exactly.
 
     ``g`` holds the coefficients of G with g(0) != 0, truncated to at
-    least ``solve_required_order(m, order)``; the returned series carries
-    a(0)..a(order).  For m >= 0 the triangle of x*A(x) is read off the
-    triangle of x*G(x) at remapped indices; for m < 0 the reciprocal
-    equation F = R(xF^w) with w = -m, R = 1/G is solved first and the
-    answer flipped back, mirroring how the negative case is reduced to
-    the positive one.
+    least ``order``; the returned series carries a(0)..a(order).
+
+    For m >= 0, entry (n, k) of the triangle of x*A(x) is
+    k/j * [x^d] G^j with d = n - k and j = k + m*d (the paper's index map
+    on the triangle of x*G), so only the band d <= order of the powers of
+    G is built: a table of [x^d] G^j for j <= max(m*order, order) + 1.
+    The triangle of x*G is read off the same table.  For m < 0 the
+    reciprocal equation F = R(xF^w) with w = -m, R = 1/G is solved first
+    and the answer flipped back with ``reciprocal_composita``, mirroring
+    how the paper reduces the negative case to the positive one.
     """
     if g.coeffs[0] == 0:
         raise ZeroConstantTerm("G must have a nonzero constant term")
     if order < 1:
         raise ValueError("order must be >= 1")
-    required = solve_required_order(m, order)
-    if g.order < required:
-        raise InsufficientOrder(f"g is needed to order {required}, got {g.order}")
+    if g.order < order:
+        raise InsufficientOrder(f"g is needed to order {order}, got {g.order}")
+    g = g.truncate(order)
 
     table_order = order + 1  # triangle of x*A(x); column 1 holds a(0)..a(order)
     if m >= 0:
-        big_order = (m + 1) * order + 1
-        g_big = composita_from_series(
-            g.truncate(big_order - 1).times_x(), big_order, source="xG"
-        )
-        rows = []
+        powers = _power_table(g, max(m * order, order) + 1)
+        a_rows = []
+        g_rows = []
         for n in range(1, table_order + 1):
-            row = []
+            a_row = []
+            g_row = []
             for k in range(1, n + 1):
-                im = (m + 1) * n - m * k
-                im1 = m * n - (m - 1) * k
-                row.append(Fraction(k, im1) * g_big[im, im1])
-            rows.append(tuple(row))
-        a_table = CompositaTable(tuple(rows))
-        g_table = g_big.truncated(table_order)
+                d = n - k
+                j = k + m * d
+                a_row.append(Fraction(k, j) * powers[j][d])
+                g_row.append(powers[k][d])
+            a_rows.append(tuple(a_row))
+            g_rows.append(tuple(g_row))
+        a_table = CompositaTable(tuple(a_rows))
+        g_table = CompositaTable(tuple(g_rows), source="xG")
     else:
-        w = -m
-        r = PowerSeries.one(g.order) / g
-        inner = solve_functional_equation(r, w, order)
+        inner = solve_functional_equation(PowerSeries.one(order) / g, -m, order)
         a_table = reciprocal_composita(inner.a_series, table_order)
-        g_table = composita_from_series(
-            g.truncate(table_order - 1).times_x(), table_order, source="xG"
-        )
+        g_table = composita_from_series(g.times_x(), table_order, source="xG")
 
     a_series = PowerSeries(tuple(a_table[n, 1] for n in range(1, table_order + 1)))
     return FuncEqSolution(m=m, g_table=g_table, a_table=a_table, a_series=a_series)

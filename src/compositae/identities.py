@@ -7,6 +7,10 @@ triple product are computed from the same three tables, so corrupting a
 table corrupts both sides equally); those checkers accept an explicit
 ``fault`` that injects an error into one side's intermediate, which is
 how the test suite proves the comparisons are live.
+
+Some checkers hold the paper's own formula for an object the library
+computes by a faster route (``check_reciprocal_identity``); there the
+sweep compares the production result with the paper.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Optional
 
 from .calculus import composita_compose
 from .combinatorics import binomial, kronecker_delta
-from .errors import InsufficientOrder, OrderMismatch
+from .errors import DivisionByNonUnit, InsufficientOrder, OrderMismatch
 from .series import PowerSeries
 from .triangle import CompositaTable
 
@@ -173,4 +177,71 @@ def check_funceq_identity(
                     rhs += Fraction(k, n) * left_factor * g[r + k, r]
             if lhs != rhs:
                 return _failed(name, rng, (n, r), lhs, rhs)
+    return _verified(name, rng)
+
+
+def check_reciprocal_identity(
+    b: PowerSeries, table: CompositaTable, fault: Optional[Fault] = None
+) -> IdentityReport:
+    """The paper's formula for the triangle of x*A(x), A(x) B(x) = 1.
+
+    Entry (n, n) is b0^(-n); below the diagonal, expanding
+    [x/(b0 + (B - b0))]^m by the negative binomial series gives
+
+        (1/b0^m) * sum_{k=1}^{n-m} (-1)^k C(m+k-1, m-1)
+                   * sum_{j=0}^{k} b0^(-j) (-1)^(j-k) C(k, j) D(n-m+j, j)
+
+    where D(p, j) is the composita of x*B(x) at (p, j), with the j = 0
+    column read as the Kronecker delta.  (The b0 exponent really is -j:
+    each k-term carries 1/b0^k from the geometric expansion and b0^(k-j)
+    from the binomial, which collapse; writing b0^(k-j) alone is only
+    right when b0 = 1.)  Because [x^p] (x B)^j equals [x^(p-j)] B^j,
+    those entries are evaluated from plain powers of B, so B is needed
+    to order ``table.order - 1``.  The sum is O(N^4) over the table.
+
+    Every entry of ``table`` is compared with the formula.  ``fault`` =
+    (n, m, delta) adds delta to the formula's value at (n, m).
+    """
+    b0 = b.coeffs[0]
+    if b0 == 0:
+        raise DivisionByNonUnit("reciprocal needs a series with nonzero constant term")
+    order = table.order
+    depth = order - 1
+    if b.order < depth:
+        raise InsufficientOrder(f"b is needed to order {depth}, got {b.order}")
+    name = "reciprocal"
+    rng = f"1 <= m <= n <= {order}"
+
+    power_coeffs: list[tuple[Fraction, ...]] = []
+    if depth >= 1:
+        base = b.truncate(depth)
+        p = base
+        power_coeffs.append(p.coeffs)
+        for _ in range(depth - 1):
+            p = p * base
+            power_coeffs.append(p.coeffs)
+
+    def b_power(d: int, j: int) -> Fraction:
+        # [x^d] B(x)^j, with B^0 = 1
+        if j == 0:
+            return Fraction(1 if d == 0 else 0)
+        return power_coeffs[j - 1][d]
+
+    for n, m, lhs in table.entries():
+        d = n - m
+        rhs = Fraction(0)
+        for k in range(1, d + 1):
+            inner = Fraction(0)
+            for j in range(0, k + 1):
+                bp = b_power(d, j)
+                if bp:
+                    sign = -1 if (k - j) % 2 else 1
+                    inner += sign * b0**-j * binomial(k, j) * bp
+            sign_k = -1 if k % 2 else 1
+            rhs += sign_k * binomial(m + k - 1, m - 1) * inner
+        rhs = b0**-m if d == 0 else rhs / b0**m
+        if fault is not None and fault[:2] == (n, m):
+            rhs += fault[2]
+        if lhs != rhs:
+            return _failed(name, rng, (n, m), lhs, rhs)
     return _verified(name, rng)

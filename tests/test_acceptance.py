@@ -35,7 +35,6 @@ from compositae import (
     riordan_composita_check,
     series_div,
     solve_functional_equation,
-    solve_required_order,
 )
 from compositae.combinatorics import (
     binomial,
@@ -89,7 +88,7 @@ def test_criterion_03_one_plus_x_family():
     }
     solutions = {}
     for m in (-1, 0, 1, 2, 3):
-        g = one_plus_x(solve_required_order(m, order))
+        g = one_plus_x(order)
         solutions[m] = solve_functional_equation(g, m, order)
         table = solutions[m].a_table
         for n in range(1, table.order + 1):

@@ -22,6 +22,7 @@ from compositae import (
     inverse_series,
     make_spec,
     catalog_series,
+    check_reciprocal_identity,
     reciprocal_composita,
     scale_argument,
     scale_value,
@@ -30,7 +31,7 @@ from compositae import (
     series_mul,
 )
 from compositae.combinatorics import binomial, kronecker_delta
-from helpers import fibonacci_list, series_strategy
+from helpers import fibonacci_list, series_strategy, small_fraction
 
 X = PowerSeries.of([0, 1], order=8)
 
@@ -217,6 +218,18 @@ class TestReciprocal:
         t = reciprocal_composita(b, b.order + 1)
         a = PowerSeries(series_from_composita(t).coeffs[1:])  # strip the x factor
         assert series_mul(a, b) == PowerSeries.one(b.order)
+
+    @given(b=series_strategy(min_order=0, max_order=7, coeffs=small_fraction))
+    def test_matches_the_paper_formula(self, b):
+        # the negative binomial sum shares no code with division + recurrence
+        if b.coeffs[0] == 0:
+            b = b + PowerSeries.one(b.order)
+        report = check_reciprocal_identity(b, reciprocal_composita(b, b.order + 1))
+        assert report.verified, report.first_failure
+
+    def test_rejects_short_series(self):
+        with pytest.raises(InsufficientOrder):
+            reciprocal_composita(PowerSeries.of([1, 1], order=3), 5)
 
 
 class TestInverseSeries:

@@ -237,3 +237,40 @@ class TestVerify:
     def test_unknown_identity_exits_1(self, capsys):
         code, _, _ = run(capsys, "verify", "--identity", "bogus")
         assert code == 1
+
+    def test_reciprocal_sweep(self, capsys):
+        for extra in ((), ("--b", "1,-1", "--max-n", "7")):
+            code, out, _ = run(capsys, "verify", "--identity", "reciprocal", *extra)
+            assert code == 0
+            assert out == "verified\n"
+
+    def test_reciprocal_perturbed_counterexample(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--identity", "reciprocal", "--perturb", "4,2,1"
+        )
+        assert code == 3
+        assert out == "counterexample at (4,2): lhs=1/3 rhs=4/3\n"
+
+    @pytest.mark.parametrize(
+        "identity, extra, limit",
+        [
+            ("associativity", ("--max-n", "6"), 6),
+            ("derivative", (), 10),
+            ("inverse", ("--max-n", "5"), 5),
+            ("lambert", (), 10),
+            ("funceq", ("--m", "2", "--max-n", "3", "--max-r", "2"), 11),
+            ("reciprocal", ("--max-n", "8"), 8),
+        ],
+    )
+    def test_perturb_outside_the_sweep_exits_1(self, capsys, identity, extra, limit):
+        for perturb in (f"{limit + 1},1,1", "3,4,1", "0,0,1"):
+            code, out, err = run(
+                capsys, "verify", "--identity", identity, *extra, "--perturb", perturb
+            )
+            assert code == 1
+            assert out == ""
+            assert f"1 <= K <= N <= {limit}" in err
+        code, _, _ = run(
+            capsys, "verify", "--identity", identity, *extra, "--perturb", f"{limit},1,1"
+        )
+        assert code in (0, 3)

@@ -14,6 +14,7 @@ from compositae import (
     arcsin_composita,
     catalog_series,
     compose_series,
+    composita_from_powers,
     composita_from_series,
     left_composita,
     make_spec,
@@ -21,7 +22,6 @@ from compositae import (
     right_composita,
     series_div,
     solve_functional_equation,
-    solve_required_order,
 )
 from compositae.combinatorics import binomial
 from helpers import catalan, gb, series_strategy
@@ -102,13 +102,15 @@ class TestSolver:
             solve_functional_equation(PowerSeries.of([0, 1], order=8), 2, 2)
 
     def test_rejects_short_series(self):
-        with pytest.raises(InsufficientOrder):
-            solve_functional_equation(PowerSeries.of([1, 1], order=5), 2, 4)
+        for m in (-2, 0, 2):
+            with pytest.raises(InsufficientOrder):
+                solve_functional_equation(PowerSeries.of([1, 1], order=3), m, 4)
 
     def test_required_order(self):
-        assert solve_required_order(0, 7) == 7
-        assert solve_required_order(2, 6) == 18
-        assert solve_required_order(-2, 6) == 18
+        # G is needed to the solution's order and no further, for every m.
+        for m in (-3, -1, 0, 1, 3):
+            sol = solve_functional_equation(PowerSeries.of([1, 1], order=6), m, 6)
+            assert sol.a_series.order == 6
 
     def test_m_zero_returns_g(self):
         g = PowerSeries.of([1, 1, Fraction(1, 2)], order=6)
@@ -133,14 +135,14 @@ class TestSolver:
         assert sol.a_table[2, 1] == 1
 
     @given(
-        g=series_strategy(min_order=16, max_order=16),
-        m=st.integers(min_value=-2, max_value=3),
+        g=series_strategy(min_order=8, max_order=8),
+        m=st.integers(min_value=-3, max_value=3),
+        order=st.integers(min_value=1, max_value=8),
     )
-    def test_fixed_point_property(self, g, m):
-        order = 4
-        coeffs = list(g.coeffs)
+    def test_fixed_point_property(self, g, m, order):
+        coeffs = list(g.coeffs[: order + 1])
         coeffs[0] = coeffs[0] or Fraction(1)
-        g = PowerSeries(tuple(coeffs))
+        g = PowerSeries(tuple(coeffs))  # truncated to exactly the order
         sol = solve_functional_equation(g, m, order)
         a = sol.a_series
         if m >= 0:
@@ -148,8 +150,11 @@ class TestSolver:
         else:
             a_pow = series_div(PowerSeries.one(order), a ** (-m))
         inner = PowerSeries.of([0, 1], order=order) * a_pow
-        evaluated = compose_series(g.truncate(order), composita_from_series(inner, order))
+        evaluated = compose_series(g, composita_from_series(inner, order))
         assert evaluated == a
+        # the triangle agrees with powers of x*A, a route sharing no code
+        # with the banded power table or the reciprocal transform
+        assert sol.a_table == composita_from_powers(a.times_x(), order + 1)
 
     @given(
         g=series_strategy(min_order=16, max_order=16),

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from compositae import (
+    DivisionByNonUnit,
     IdentityReport,
     InsufficientOrder,
     OrderMismatch,
@@ -19,10 +20,12 @@ from compositae import (
     check_funceq_identity,
     check_inverse_identity,
     check_lambert_identity,
+    check_reciprocal_identity,
     composita_from_series,
     inverse_series,
     make_spec,
     parse_function_spec,
+    reciprocal_composita,
 )
 
 
@@ -179,3 +182,43 @@ class TestFuncEq:
         g = xg_table(self.G_COEFFS["geometric"], 10)
         with pytest.raises(InsufficientOrder):
             check_funceq_identity(g, 1, 6, 6)
+
+
+class TestReciprocal:
+    @staticmethod
+    def checked(b: PowerSeries, order: int, fault=None) -> IdentityReport:
+        return check_reciprocal_identity(b, reciprocal_composita(b, order), fault=fault)
+
+    def test_sin_over_x_verifies(self):
+        report = self.checked(catalog_series(make_spec("sin_over_x"), 11), 12)
+        assert report.verified
+        assert report.parameter_range == "1 <= m <= n <= 12"
+
+    def test_one_minus_x_verifies(self):
+        assert self.checked(PowerSeries.of([1, -1], order=9), 10).verified
+
+    def test_rational_series_verifies(self):
+        # unrelated denominators, so no entry of the table reduces to an integer
+        b = PowerSeries.of(["3/7", "-1/11", "2/13", "-5/17", "1/19", "4/23"], order=7)
+        assert self.checked(b, 8).verified
+
+    def test_fault_is_caught_at_its_site(self):
+        b = catalog_series(make_spec("sin_over_x"), 9)
+        report = self.checked(b, 10, fault=(6, 2, Fraction(1, 5)))
+        assert report.status == "counterexample"
+        assert report.first_failure[0] == (6, 2)
+
+    def test_wrong_table_is_caught(self):
+        b = PowerSeries.of([1, -1], order=7)
+        table = reciprocal_composita(b, 8)
+        report = check_reciprocal_identity(b, table.with_entry(5, 3, table[5, 3] + 1))
+        assert report.first_failure[0] == (5, 3)
+
+    def test_rejects_zero_constant_term(self):
+        with pytest.raises(DivisionByNonUnit):
+            check_reciprocal_identity(PowerSeries.of([0, 1], order=4), table_for("geometric", 4))
+
+    def test_short_series_rejected(self):
+        b = PowerSeries.of([1, -1], order=7)
+        with pytest.raises(InsufficientOrder):
+            check_reciprocal_identity(b.truncate(5), reciprocal_composita(b, 8))
