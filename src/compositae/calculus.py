@@ -11,8 +11,9 @@ formula for it lives in ``identities.py`` as a check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .combinatorics import binomial
+from ._rows import Row, combine, dot, fractions_of, scalars, to_row
 from .errors import (
     DivisionByNonUnit,
     InsufficientOrder,
@@ -49,50 +50,61 @@ def composita_product_series(table: CompositaTable, b: PowerSeries) -> Composita
     Entry (n, k) is sum_{i=k}^{n} T(i, k) * [x^(n-i)] B(x)^k; when B itself
     vanishes at 0 the high end of the range is dead weight because the
     power coefficients vanish, which matches the narrower composita form.
+    Column k of the result is therefore the sum of T(i, k) times B^k
+    shifted by i - k, one row combination per column.
     """
     n_max = table.order
     if b.order < n_max:
         raise InsufficientOrder(f"b is needed to order {n_max}, got {b.order}")
-    base = b if b.order == n_max else b.truncate(n_max)
-    # powers[k][d] = [x^d] B(x)^k for k = 1..n_max
-    powers: list[PowerSeries] = [base]
-    for _ in range(n_max - 1):
-        powers.append(powers[-1] * base)
-    rows = []
-    for n in range(1, n_max + 1):
-        row = []
-        for k in range(1, n + 1):
-            pk = powers[k - 1].coeffs
-            acc = Fraction(0)
-            for i in range(k, n + 1):
-                t = table[i, k]
-                if t:
-                    acc += t * pk[n - i]
-            row.append(acc)
-        rows.append(tuple(row))
-    return CompositaTable(tuple(rows))
+    b_terms = scalars(b.coeffs[:n_max])
+    power = to_row(b.coeffs[:n_max])  # [x^d] B(x)^k for d <= n_max - k
+    columns: list[Row] = []
+    for k in range(1, n_max + 1):
+        width = n_max - k + 1
+        if k > 1:
+            power = combine(((num, den, power, i) for i, num, den in b_terms), width)
+        terms = (
+            (t.numerator, t.denominator, power, i - k)
+            for i, t in enumerate(table.column(k), start=k)
+        )
+        columns.append(combine(terms, width))
+    rows = tuple(
+        tuple(Fraction(nums[n - k], den) for k, (nums, den) in enumerate(columns[:n], start=1))
+        for n in range(1, n_max + 1)
+    )
+    return CompositaTable(rows)
+
+
+def _scaled_rows(table: CompositaTable) -> list[list[Fraction]]:
+    """Row 0 is [1]; row n is [0, T(n, 1)/1!, ..., T(n, n)/n!]."""
+    return [[Fraction(1)]] + [
+        [Fraction(0)] + [v / factorial(k) for k, v in enumerate(row, start=1)]
+        for row in table.rows
+    ]
 
 
 def composita_sum(tf: CompositaTable, tg: CompositaTable) -> CompositaTable:
-    """Triangle of F(x) + G(x) via the binomial cross terms of (F + G)^k."""
+    """Triangle of F(x) + G(x) via the binomial cross terms of (F + G)^k.
+
+    With every column k scaled by 1/k!, the binomial expansion
+    (F + G)^k / k! = sum_j (F^j / j!) (G^(k-j) / (k-j)!) makes row n of
+    the scaled triangle the sum of scaled F(i, j) times scaled row n - i
+    of G shifted by j columns (row 0 of both being the unit row).
+    """
     if tf.order != tg.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tg.order}")
     n_max = tf.order
+    f_scaled = _scaled_rows(tf)
+    g_scaled = [to_row(row) for row in _scaled_rows(tg)]
     rows = []
     for n in range(1, n_max + 1):
-        row = []
-        for k in range(1, n + 1):
-            acc = tf[n, k] + tg[n, k]
-            for j in range(1, k):
-                c = binomial(k, j)
-                inner = Fraction(0)
-                for i in range(j, n - k + j + 1):
-                    t = tf[i, j]
-                    if t:
-                        inner += t * tg[n - i, k - j]
-                acc += c * inner
-            row.append(acc)
-        rows.append(tuple(row))
+        terms = (
+            (s.numerator, s.denominator, g_scaled[n - i], j)
+            for i in range(n + 1)
+            for j, s in enumerate(f_scaled[i])
+        )
+        nums, den = combine(terms, n + 1)
+        rows.append(tuple(Fraction(factorial(k) * nums[k], den) for k in range(1, n + 1)))
     return CompositaTable(tuple(rows))
 
 
@@ -103,33 +115,25 @@ def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
     truncated to the smaller of the two operand orders.
     """
     n_max = min(tf.order, r.order)
+    tail = r.coeffs[1:]
     out = [r.coeffs[0]]
     for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            t = tf[n, k]
-            if t:
-                acc += t * r.coeffs[k]
-        out.append(acc)
+        out.append(dot(tf.rows[n - 1], tail))
     return PowerSeries(tuple(out))
 
 
 def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
-    """Triangle of R(F(x)) from the triangles of F (inner) and R (outer)."""
+    """Triangle of R(F(x)) from the triangles of F (inner) and R (outer).
+
+    Row n of the result is the sum of T_F(n, k) times row k of T_R.
+    """
     if tf.order != tr.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tr.order}")
-    n_max = tf.order
+    r_rows = [to_row(row) for row in tr.rows]
     rows = []
-    for n in range(1, n_max + 1):
-        row = []
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(m, n + 1):
-                t = tf[n, k]
-                if t:
-                    acc += t * tr[k, m]
-            row.append(acc)
-        rows.append(tuple(row))
+    for n, f_row in enumerate(tf.rows, start=1):
+        terms = ((t.numerator, t.denominator, r_row, 0) for t, r_row in zip(f_row, r_rows))
+        rows.append(fractions_of(combine(terms, n)))
     return CompositaTable(tuple(rows))
 
 
@@ -166,10 +170,5 @@ def inverse_series(f: PowerSeries, tf: CompositaTable) -> PowerSeries:
     n_max = tf.order
     out = [Fraction(0), Fraction(1) / f1]
     for n in range(2, n_max + 1):
-        acc = Fraction(0)
-        for k in range(1, n):
-            t = tf[n, k]
-            if t:
-                acc += t * out[k]
-        out.append(-acc / f1 ** n)
+        out.append(-dot(tf.rows[n - 1], out[1:]) / f1 ** n)
     return PowerSeries(tuple(out))

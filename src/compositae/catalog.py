@@ -27,7 +27,7 @@ from .combinatorics import (
     stirling_second,
 )
 from .errors import NoClosedForm, UnknownFunction
-from .series import PowerSeries, as_rational
+from .series import PowerSeries, as_rational, parse_rational
 from .triangle import CompositaTable, composita_from_series
 
 ClosedForm = Callable[[int, int], Fraction]
@@ -463,16 +463,18 @@ def parse_function_spec(text: str) -> FunctionSpec:
         name, _, arg_text = text.partition(":")
         name = name.strip()
         try:
-            params = [Fraction(p.strip()) for p in arg_text.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UnknownFunction(f"malformed parameters in {text!r}") from exc
+            params = [parse_rational(p) for p in arg_text.split(",")]
+        except ValueError as exc:
+            raise UnknownFunction(f"malformed parameters in {text!r} ({exc})") from exc
         return make_spec(name, params)
     if set(text) <= _NAME_CHARS and not text[0].isdigit():
         return make_spec(text)
     try:
-        coeffs = [Fraction(p.strip()) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UnknownFunction(f"not a catalog name or coefficient list: {text!r}") from exc
+        coeffs = [parse_rational(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise UnknownFunction(
+            f"not a catalog name or coefficient list: {text!r} ({exc})"
+        ) from exc
     return raw_spec(coeffs)
 
 

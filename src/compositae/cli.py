@@ -42,7 +42,7 @@ from .identities import (
     check_reciprocal_identity,
 )
 from .riordan import riordan_apply, riordan_build
-from .series import PowerSeries
+from .series import PowerSeries, parse_rational
 from .triangle import composita_from_series, composita_oracle
 
 IDENTITY_NAMES = ("associativity", "derivative", "inverse", "lambert", "funceq", "reciprocal")
@@ -97,8 +97,8 @@ def _parse_perturb(text: str) -> tuple[int, int, Fraction]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected N,K,DELTA")
     try:
-        return int(parts[0]), int(parts[1]), Fraction(parts[2])
-    except (ValueError, ZeroDivisionError) as exc:
+        return int(parts[0]), int(parts[1]), parse_rational(parts[2])
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad perturbation {text!r}") from exc
 
 
@@ -357,6 +357,8 @@ def _cmd_verify(cfg: CliConfig) -> tuple[str, int]:
     identity = cfg.identity or ""
     max_n = cfg.max_n if cfg.max_n is not None else _DEFAULT_MAX_N[identity]
     max_n = _require_order(max_n, "--max-n")
+    if identity == "funceq" and cfg.max_r is not None:
+        _require_order(cfg.max_r, "--max-r")
     if cfg.perturb is not None:
         limit = _perturb_limit(cfg, max_n)
         n, k, _ = cfg.perturb

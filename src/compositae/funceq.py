@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._rows import Row, combine, scalars
 from .calculus import reciprocal_composita
 from .catalog import make_spec
 from .combinatorics import binomial
@@ -90,29 +91,18 @@ class FuncEqSolution:
     a_series: PowerSeries  # coefficients a(0)..a(order)
 
 
-def _power_table(g: PowerSeries, count: int) -> list[list[Fraction]]:
-    """rows[j][d] = [x^d] G(x)^j for 0 <= j <= count and 0 <= d <= g.order.
+def _power_table(g: PowerSeries, count: int) -> list[Row]:
+    """rows[j] holds [x^d] G(x)^j for 0 <= d <= g.order, 0 <= j <= count.
 
-    Each row is the previous one times G, truncated at G's order; the
-    product runs over the nonzero coefficients of G only.
+    Each row is the sum of g(i) times the previous row shifted by i,
+    truncated at G's order, over the nonzero coefficients of G only.
     """
-    depth = g.order
-    terms = [(i, c) for i, c in enumerate(g.coeffs) if c]
-    row = [Fraction(1)] + [Fraction(0)] * depth
-    rows = [row]
+    width = g.order + 1
+    g_terms = scalars(g.coeffs)
+    rows: list[Row] = [([1] + [0] * (width - 1), 1)]
     for _ in range(count):
-        prev = row
-        row = []
-        for d in range(depth + 1):
-            acc = Fraction(0)
-            for i, c in terms:
-                if i > d:
-                    break
-                p = prev[d - i]
-                if p:
-                    acc += c * p
-            row.append(acc)
-        rows.append(row)
+        prev = rows[-1]
+        rows.append(combine(((num, den, prev, i) for i, num, den in g_terms), width))
     return rows
 
 
@@ -150,8 +140,10 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
             for k in range(1, n + 1):
                 d = n - k
                 j = k + m * d
-                a_row.append(Fraction(k, j) * powers[j][d])
-                g_row.append(powers[k][d])
+                nums, den = powers[j]
+                a_row.append(Fraction(k * nums[d], j * den))
+                nums, den = powers[k]
+                g_row.append(Fraction(nums[d], den))
             a_rows.append(tuple(a_row))
             g_rows.append(tuple(g_row))
         a_table = CompositaTable(tuple(a_rows))

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from ._rows import UNIT, combine, fractions_of, scalars, to_row
 from .calculus import compose_series
 from .errors import InsufficientOrder, OrderMismatch
 from .series import PowerSeries, as_rational
@@ -69,21 +70,18 @@ def riordan_build(g: PowerSeries, tf: CompositaTable) -> RiordanTable:
     """Array of the pair (G, F) from G's coefficients and F's triangle.
 
     R(n, 0) = g(n); R(n, k) = sum_{i=0}^{n-k} g(i) * F(n-i, k) for k >= 1.
+    Row n is the sum of g(i) times row n - i of F's triangle, taken with
+    its column 0 (the unit row T(0, 0) = 1 and zeros below it).
     """
     n_max = tf.order
     if g.order < n_max:
         raise OrderMismatch(f"g is needed to order {n_max}, got {g.order}")
+    g_terms = scalars(g.coeffs[: n_max + 1])
+    f_rows = [UNIT] + [to_row((Fraction(0),) + row) for row in tf.rows]
     rows = []
     for n in range(0, n_max + 1):
-        row = [g.coeffs[n]]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(0, n - k + 1):
-                gi = g.coeffs[i]
-                if gi:
-                    acc += gi * tf[n - i, k]
-            row.append(acc)
-        rows.append(tuple(row))
+        row = combine(((num, den, f_rows[n - i], 0) for i, num, den in g_terms if i <= n), n + 1)
+        rows.append(fractions_of(row))
     return RiordanTable(tuple(rows))
 
 

@@ -196,10 +196,25 @@ def _divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse one coefficient: 'p/q', a bare integer or a decimal.
+
+    Exponent notation ('1e5') is refused before any value is built, so
+    that text such as '1e100000000' cannot make a huge integer.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator: {text!r}") from exc
+
+
 def parse_series(text: str, order: int | None = None) -> PowerSeries:
     """Parse the comma-separated coefficient format, index 0 first.
 
-    Entries are rationals written as 'p/q' with bare integers allowed.
+    Entries are rationals written as 'p/q' with bare integers allowed;
+    exponent notation is rejected (see ``parse_rational``).
     When ``order`` exceeds the listed coefficients the series is zero
     padded, i.e. the text denotes a polynomial.
     """
@@ -207,9 +222,9 @@ def parse_series(text: str, order: int | None = None) -> PowerSeries:
     if not parts or any(p == "" for p in parts):
         raise ValueError(f"malformed coefficient list: {text!r}")
     try:
-        coeffs = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed coefficient list: {text!r}") from exc
+        coeffs = [parse_rational(p) for p in parts]
+    except ValueError as exc:
+        raise ValueError(f"malformed coefficient list: {text!r} ({exc})") from exc
     return PowerSeries.of(coeffs, order=order)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
+from ._rows import UNIT, Row, combine, fractions_of, scalars
 from .errors import InsufficientOrder, NonzeroConstantTerm
 from .series import PowerSeries, as_rational
 
@@ -137,19 +138,17 @@ def composita_from_series(
         raise InsufficientOrder(
             f"series only known to order {f.order}, table of order {n_max} requested"
         )
-    coeffs = f.coeffs
-    rows: list[tuple[Fraction, ...]] = []
+    # rows[n] holds T(n, k) for k = 0..n, from the unit row T(0, 0) = 1:
+    # row n is the sum of f(i) * row(n - i) shifted one column right.
+    f_terms = scalars(f.coeffs[: n_max + 1])
+    rows: list[Row] = [UNIT]
     for n in range(1, n_max + 1):
-        row = [coeffs[n]]
-        for k in range(2, n + 1):
-            acc = Fraction(0)
-            for i in range(1, n - k + 2):
-                c = coeffs[i]
-                if c:
-                    acc += c * rows[n - i - 1][k - 2]
-            row.append(acc)
-        rows.append(tuple(row))
-    return CompositaTable(tuple(rows), source=source)
+        rows.append(
+            combine(((num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n), n + 1)
+        )
+    return CompositaTable(
+        tuple(fractions_of((nums[1:], den)) for nums, den in rows[1:]), source=source
+    )
 
 
 def composita_from_powers(

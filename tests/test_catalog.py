@@ -44,6 +44,11 @@ class TestSpecParsing:
         with pytest.raises(UnknownFunction):
             parse_function_spec(text)
 
+    @pytest.mark.parametrize("text", ["0,1e3,2E-1", "1e3", "poly2:1e5,1", "monomial:1E1"])
+    def test_rejects_exponent_notation(self, text):
+        with pytest.raises(UnknownFunction, match="exponent notation"):
+            parse_function_spec(text)
+
     def test_label_shows_parameters(self):
         assert make_spec("poly2", [1, Fraction(-1, 2)]).label() == "poly2:1,-1/2"
         assert make_spec("sin").label() == "sin"

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,22 @@ class TestComposita:
         code, _, err = run(capsys, "composita", "--fn", "geometric", "--n", "0")
         assert code == 1
         assert "--n" in err
+
+    @pytest.mark.parametrize("fn", ["0,1e3,2E-1", "poly2:1e5,1"])
+    def test_exponent_notation_exits_1(self, capsys, fn):
+        code, out, err = run(capsys, "composita", "--fn", fn, "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert "exponent notation" in err
+
+    def test_huge_exponent_is_rejected_before_any_value_is_built(self, capsys):
+        # 10**100000000 would take minutes to build; the check comes first.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "composita", "--fn", "0,1e100000000", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert "exponent notation" in err
+        assert time.perf_counter() - start < 5
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -233,6 +250,19 @@ class TestVerify:
             "range": "1 <= m <= n <= 6",
             "status": "verified",
         }
+
+    @pytest.mark.parametrize("max_r", ["0", "-3"])
+    def test_funceq_needs_a_positive_max_r(self, capsys, max_r):
+        code, out, err = run(capsys, "verify", "--identity", "funceq", "--max-r", max_r)
+        assert code == 1
+        assert out == ""
+        assert "--max-r must be >= 1" in err
+
+    def test_perturb_rejects_exponent_notation(self, capsys):
+        code, out, err = run(capsys, "verify", "--identity", "lambert", "--perturb", "2,1,1e9")
+        assert code == 1
+        assert out == ""
+        assert "--perturb" in err
 
     def test_unknown_identity_exits_1(self, capsys):
         code, _, _ = run(capsys, "verify", "--identity", "bogus")

@@ -163,6 +163,11 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_series(text)
 
+    @pytest.mark.parametrize("text", ["1e3", "0,2E-1", "0,1.5e2", "0,1e100000000"])
+    def test_rejects_exponent_notation(self, text):
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_series(text)
+
 
 @given(a=series_strategy(), b=series_strategy(), c=series_strategy())
 def test_ring_axioms(a, b, c):
