@@ -15,10 +15,10 @@ be checked against each other entry by entry.  Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ._record import Record
 from .combinatorics import (
     binomial,
     factorial,
@@ -33,15 +33,26 @@ from .triangle import CompositaTable, composita_from_series
 ClosedForm = Callable[[int, int], Fraction]
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(Record):
     """A named generating function: how to expand it and, optionally, the
-    closed form of its composita triangle."""
+    closed form of its composita triangle.  Specs compare by name and
+    parameters only."""
 
+    __slots__ = ("name", "parameters", "series_generator", "closed_form")
+    _key = ("name", "parameters")
     name: str
     parameters: tuple[Fraction, ...]
-    series_generator: Callable[[int], PowerSeries] = field(compare=False)
-    closed_form: Optional[ClosedForm] = field(default=None, compare=False)
+    series_generator: Callable[[int], PowerSeries]
+    closed_form: Optional[ClosedForm]
+
+    def __init__(
+        self,
+        name: str,
+        parameters: tuple[Fraction, ...],
+        series_generator: Callable[[int], PowerSeries],
+        closed_form: Optional[ClosedForm] = None,
+    ) -> None:
+        self._fill(name, parameters, series_generator, closed_form)
 
     def label(self) -> str:
         """Designator text for this spec, in the same form the parser accepts."""
@@ -530,14 +541,23 @@ def catalog_closed_form(spec: FunctionSpec, n: int, k: int) -> Fraction:
     return spec.closed_form(n, k)
 
 
-@dataclass(frozen=True)
-class CatalogVerification:
+class CatalogVerification(Record):
     """Outcome of checking a closed form against the triangle recurrence."""
 
+    __slots__ = ("label", "order", "matched", "first_mismatch")
     label: str
     order: int
     matched: bool
-    first_mismatch: Optional[tuple[int, int, Fraction, Fraction]] = None
+    first_mismatch: Optional[tuple[int, int, Fraction, Fraction]]
+
+    def __init__(
+        self,
+        label: str,
+        order: int,
+        matched: bool,
+        first_mismatch: Optional[tuple[int, int, Fraction, Fraction]] = None,
+    ) -> None:
+        self._fill(label, order, matched, first_mismatch)
 
 
 def catalog_verify(spec: FunctionSpec, order: int) -> CatalogVerification:

@@ -7,16 +7,23 @@ Eight subcommands cover the whole surface: triangle construction
 catalog designators ("geometric", "poly2:1,1") or raw coefficient lists
 ("0,1,1"); output is byte-deterministic.
 
+Handlers take the argparse namespace as parsed; each reads only its own
+subcommand's flags.
+
 Exit codes: 0 success, 1 usage (including unknown designators),
-2 precondition violation, 3 identity counterexample.
+2 precondition violation, 3 identity counterexample, 4 internal error
+(an unexpected exception, reported in one line without a traceback).
+
+Every call starts a fresh interpreter and, with no bytecode cache, compiles
+what it imports, so start-up is kept lean: the package's value types are
+plain slotted classes rather than dataclasses, and ``json`` is imported
+only when ``--format records`` asks for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -60,28 +67,6 @@ _DEFAULT_MAX_N = {
     "funceq": 6,
     "reciprocal": 10,
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Everything one invocation needs, decoded from argv."""
-
-    subcommand: str
-    fn: tuple[str, ...] = ()
-    r: Optional[str] = None
-    g: Optional[str] = None
-    b: Optional[str] = None
-    n: int = 0
-    k: int = 0
-    order: int = 0
-    m: int = 1
-    identity: Optional[str] = None
-    max_n: Optional[int] = None
-    max_r: Optional[int] = None
-    table: bool = False
-    perturb: Optional[tuple[int, int, Fraction]] = None
-    format: str = "triangle"
-    output: Optional[str] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,34 +167,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    fn = getattr(args, "fn", None)
-    if fn is None:
-        fn_tuple: tuple[str, ...] = ()
-    elif isinstance(fn, str):
-        fn_tuple = (fn,)
-    else:
-        fn_tuple = tuple(fn)
-    return CliConfig(
-        subcommand=args.subcommand,
-        fn=fn_tuple,
-        r=getattr(args, "r", None),
-        g=getattr(args, "g", None),
-        b=getattr(args, "b", None),
-        n=getattr(args, "n", 0) or 0,
-        k=getattr(args, "k", 0) or 0,
-        order=getattr(args, "order", 0) or 0,
-        m=getattr(args, "m", 1),
-        identity=getattr(args, "identity", None),
-        max_n=getattr(args, "max_n", None),
-        max_r=getattr(args, "max_r", None),
-        table=getattr(args, "table", False),
-        perturb=getattr(args, "perturb", None),
-        format=args.format,
-        output=args.output,
-    )
-
-
 def _series(designator: str, order: int) -> PowerSeries:
     return catalog_series(parse_function_spec(designator), order)
 
@@ -236,150 +193,152 @@ def _require_order(value: int, flag: str) -> int:
     return value
 
 
-def _cmd_composita(cfg: CliConfig) -> tuple[str, int]:
-    n = _require_order(cfg.n, "--n")
-    f = _series(cfg.fn[0], n)
-    table = composita_from_series(f, n, source=cfg.fn[0])
-    return _render_triangle(table, cfg.format), 0
+def _cmd_composita(args: argparse.Namespace) -> tuple[str, int]:
+    n = _require_order(args.n, "--n")
+    f = _series(args.fn, n)
+    table = composita_from_series(f, n, source=args.fn)
+    return _render_triangle(table, args.format), 0
 
 
-def _cmd_compose(cfg: CliConfig) -> tuple[str, int]:
-    n = _require_order(cfg.n, "--n")
-    r = _series(cfg.r, n)
-    f = _series(cfg.fn[0], n)
+def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
+    n = _require_order(args.n, "--n")
+    r = _series(args.r, n)
+    f = _series(args.fn, n)
     table = composita_from_series(f, n)
-    return _render_series(compose_series(r, table).coeffs, cfg.format), 0
+    return _render_series(compose_series(r, table).coeffs, args.format), 0
 
 
-def _cmd_inverse(cfg: CliConfig) -> tuple[str, int]:
-    order = _require_order(cfg.order, "--order")
-    f = _series(cfg.fn[0], order)
+def _cmd_inverse(args: argparse.Namespace) -> tuple[str, int]:
+    order = _require_order(args.order, "--order")
+    f = _series(args.fn, order)
     table = composita_from_series(f, order)
     inv = inverse_series(f, table)
-    return _render_series(inv.coeffs[1:], cfg.format, start=1), 0
+    return _render_series(inv.coeffs[1:], args.format, start=1), 0
 
 
-def _cmd_reciprocal(cfg: CliConfig) -> tuple[str, int]:
-    order = _require_order(cfg.order, "--order")
-    b = _series(cfg.b, order - 1)
-    table = reciprocal_composita(b, order, source=cfg.b)
-    return _render_triangle(table, cfg.format), 0
+def _cmd_reciprocal(args: argparse.Namespace) -> tuple[str, int]:
+    order = _require_order(args.order, "--order")
+    b = _series(args.b, order - 1)
+    table = reciprocal_composita(b, order, source=args.b)
+    return _render_triangle(table, args.format), 0
 
 
-def _cmd_solve(cfg: CliConfig) -> tuple[str, int]:
-    order = _require_order(cfg.order, "--order")
-    g = _series(cfg.g, order)
-    solution = solve_functional_equation(g, cfg.m, order)
-    if cfg.table:
-        return _render_triangle(solution.a_table, cfg.format), 0
-    return _render_series(solution.a_series.coeffs, cfg.format), 0
+def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
+    order = _require_order(args.order, "--order")
+    g = _series(args.g, order)
+    solution = solve_functional_equation(g, args.m, order)
+    if args.table:
+        return _render_triangle(solution.a_table, args.format), 0
+    return _render_series(solution.a_series.coeffs, args.format), 0
 
 
-def _cmd_riordan(cfg: CliConfig) -> tuple[str, int]:
-    n = _require_order(cfg.n, "--n")
-    g = _series(cfg.g, n)
-    f = _series(cfg.fn[0], n)
+def _cmd_riordan(args: argparse.Namespace) -> tuple[str, int]:
+    n = _require_order(args.n, "--n")
+    g = _series(args.g, n)
+    f = _series(args.fn, n)
     table = riordan_build(g, composita_from_series(f, n))
-    if cfg.b is not None:
-        b = _series(cfg.b, n)
-        return _render_series(riordan_apply(table, b.coeffs), cfg.format), 0
-    return _render_triangle(table, cfg.format), 0
+    if args.b is not None:
+        b = _series(args.b, n)
+        return _render_series(riordan_apply(table, b.coeffs), args.format), 0
+    return _render_triangle(table, args.format), 0
 
 
-def _cmd_oracle(cfg: CliConfig) -> tuple[str, int]:
-    n = _require_order(cfg.n, "--n")
-    if not 1 <= cfg.k <= n:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
+    n = _require_order(args.n, "--n")
+    if not 1 <= args.k <= n:
         raise UsageError("--k must satisfy 1 <= k <= n")
-    f = _series(cfg.fn[0], n)
-    return str(composita_oracle(f, n, cfg.k)), 0
+    f = _series(args.fn, n)
+    return str(composita_oracle(f, n, args.k)), 0
 
 
-def _verify_associativity(cfg: CliConfig, max_n: int) -> IdentityReport:
-    names = cfg.fn or ("poly2:1,1", "geometric", "x_exp")
+def _verify_associativity(args: argparse.Namespace, max_n: int) -> IdentityReport:
+    names = args.fn or ("poly2:1,1", "geometric", "x_exp")
     if len(names) != 3:
         raise UsageError("associativity needs exactly three --fn designators")
     tables = [
         composita_from_series(_series(name, max_n), max_n) for name in names
     ]
-    return check_associativity(*tables, fault=cfg.perturb)
+    return check_associativity(*tables, fault=args.perturb)
 
 
-def _verify_derivative(cfg: CliConfig, max_n: int) -> IdentityReport:
-    name = cfg.fn[0] if cfg.fn else "geometric"
+def _verify_derivative(args: argparse.Namespace, max_n: int) -> IdentityReport:
+    name = args.fn[0] if args.fn else "geometric"
     f = _series(name, max_n)
     table = composita_from_series(f, max_n)
-    if cfg.perturb is not None:
-        n, k, delta = cfg.perturb
+    if args.perturb is not None:
+        n, k, delta = args.perturb
         table = table.with_entry(n, k, table[n, k] + delta)
     return check_derivative_identity(f, table)
 
 
-def _verify_inverse(cfg: CliConfig, max_n: int) -> IdentityReport:
-    name = cfg.fn[0] if cfg.fn else "x_exp"
+def _verify_inverse(args: argparse.Namespace, max_n: int) -> IdentityReport:
+    name = args.fn[0] if args.fn else "x_exp"
     f = _series(name, max_n)
     table = composita_from_series(f, max_n)
     inv = inverse_series(f, table)
     inv_table = composita_from_series(inv, max_n)
-    if cfg.perturb is not None:
-        n, k, delta = cfg.perturb
+    if args.perturb is not None:
+        n, k, delta = args.perturb
         inv_table = inv_table.with_entry(n, k, inv_table[n, k] + delta)
     return check_inverse_identity(table, inv_table)
 
 
-def _verify_funceq(cfg: CliConfig, max_n: int) -> IdentityReport:
-    max_r = cfg.max_r if cfg.max_r is not None else max_n
-    needed = (cfg.m + 1) * max_n + max_r
-    g = _series(cfg.g or "1,1", needed - 1)
+def _verify_funceq(args: argparse.Namespace, max_n: int) -> IdentityReport:
+    max_r = args.max_r if args.max_r is not None else max_n
+    needed = (args.m + 1) * max_n + max_r
+    g = _series(args.g or "1,1", needed - 1)
     table = composita_from_series(g.times_x(), needed)
-    if cfg.perturb is not None:
-        n, k, delta = cfg.perturb
+    if args.perturb is not None:
+        n, k, delta = args.perturb
         table = table.with_entry(n, k, table[n, k] + delta)
-    return check_funceq_identity(table, cfg.m, max_n, max_r)
+    return check_funceq_identity(table, args.m, max_n, max_r)
 
 
-def _verify_reciprocal(cfg: CliConfig, max_n: int) -> IdentityReport:
-    b = _series(cfg.b or "sin_over_x", max_n - 1)
+def _verify_reciprocal(args: argparse.Namespace, max_n: int) -> IdentityReport:
+    b = _series(args.b or "sin_over_x", max_n - 1)
     table = reciprocal_composita(b, max_n)
-    return check_reciprocal_identity(b, table, fault=cfg.perturb)
+    return check_reciprocal_identity(b, table, fault=args.perturb)
 
 
-def _perturb_limit(cfg: CliConfig, max_n: int) -> int:
+def _perturb_limit(args: argparse.Namespace, max_n: int) -> int:
     """Order of the triangle that --perturb indexes into for this sweep."""
-    if cfg.identity == "funceq":
-        if cfg.m < 1:
+    if args.identity == "funceq":
+        if args.m < 1:
             raise ValueError("the identity is stated for m >= 1")
-        max_r = cfg.max_r if cfg.max_r is not None else max_n
-        return (cfg.m + 1) * max_n + max_r
+        max_r = args.max_r if args.max_r is not None else max_n
+        return (args.m + 1) * max_n + max_r
     return max_n
 
 
-def _cmd_verify(cfg: CliConfig) -> tuple[str, int]:
-    identity = cfg.identity or ""
-    max_n = cfg.max_n if cfg.max_n is not None else _DEFAULT_MAX_N[identity]
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    identity = args.identity
+    max_n = args.max_n if args.max_n is not None else _DEFAULT_MAX_N[identity]
     max_n = _require_order(max_n, "--max-n")
-    if identity == "funceq" and cfg.max_r is not None:
-        _require_order(cfg.max_r, "--max-r")
-    if cfg.perturb is not None:
-        limit = _perturb_limit(cfg, max_n)
-        n, k, _ = cfg.perturb
+    if identity == "funceq" and args.max_r is not None:
+        _require_order(args.max_r, "--max-r")
+    if args.perturb is not None:
+        limit = _perturb_limit(args, max_n)
+        n, k, _ = args.perturb
         if not 1 <= k <= n <= limit:
             raise UsageError(
                 f"--perturb N,K,DELTA needs 1 <= K <= N <= {limit} for this {identity} sweep"
             )
     if identity == "associativity":
-        report = _verify_associativity(cfg, max_n)
+        report = _verify_associativity(args, max_n)
     elif identity == "derivative":
-        report = _verify_derivative(cfg, max_n)
+        report = _verify_derivative(args, max_n)
     elif identity == "inverse":
-        report = _verify_inverse(cfg, max_n)
+        report = _verify_inverse(args, max_n)
     elif identity == "lambert":
-        report = check_lambert_identity(max_n, fault=cfg.perturb)
+        report = check_lambert_identity(max_n, fault=args.perturb)
     elif identity == "reciprocal":
-        report = _verify_reciprocal(cfg, max_n)
+        report = _verify_reciprocal(args, max_n)
     else:
-        report = _verify_funceq(cfg, max_n)
+        report = _verify_funceq(args, max_n)
 
-    if cfg.format == "records":
+    if args.format == "records":
+        import json  # only this format needs it; the CLI starts without it
+
         text = json.dumps(report.to_record())
     elif report.verified:
         text = "verified"
@@ -390,7 +349,7 @@ def _cmd_verify(cfg: CliConfig) -> tuple[str, int]:
     return text, 0 if report.verified else 3
 
 
-_HANDLERS: dict[str, Callable[[CliConfig], tuple[str, int]]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[str, int]]] = {
     "composita": _cmd_composita,
     "compose": _cmd_compose,
     "inverse": _cmd_inverse,
@@ -408,21 +367,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from_args(args)
     try:
-        text, code = _HANDLERS[cfg.subcommand](cfg)
+        text, code = _HANDLERS[args.subcommand](args)
     except UnknownFunction as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"known functions: {', '.join(registry_names())}", file=sys.stderr)
         return 1
-    except (UsageError, IndexError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CompositaeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
+    except Exception as exc:  # a bug, not bad input: say so without a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)

@@ -8,7 +8,6 @@ inverses of the writers so round-trips reproduce tables exactly.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Protocol, Sequence
 
@@ -40,6 +39,8 @@ def triangle_csv(table: _Triangle) -> str:
 
 
 def triangle_records(table: _Triangle) -> str:
+    import json  # only this format needs it; the CLI starts without it
+
     return "\n".join(
         json.dumps({"n": n, "k": k, "value": str(v)})
         for n, k, v in table.entries()
@@ -57,6 +58,8 @@ def series_csv(values: Sequence[Fraction], start: int = 0) -> str:
 
 
 def series_records(values: Sequence[Fraction], start: int = 0) -> str:
+    import json  # only this format needs it; the CLI starts without it
+
     return "\n".join(
         json.dumps({"n": n, "value": str(v)})
         for n, v in enumerate(values, start=start)

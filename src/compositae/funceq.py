@@ -19,9 +19,9 @@ reciprocal helper triangle to ``right_composita``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from ._rows import Row, combine, scalars
 from .calculus import reciprocal_composita
 from .catalog import make_spec
@@ -81,14 +81,19 @@ def left_composita(g: CompositaTable, order: int | None = None) -> CompositaTabl
     return CompositaTable(tuple(rows))
 
 
-@dataclass(frozen=True)
-class FuncEqSolution:
+class FuncEqSolution(Record):
     """Solution bundle for A(x) = G(x A(x)^m)."""
 
+    __slots__ = ("m", "g_table", "a_table", "a_series")
     m: int
     g_table: CompositaTable  # triangle of x*G(x)
     a_table: CompositaTable  # triangle of x*A(x)
     a_series: PowerSeries  # coefficients a(0)..a(order)
+
+    def __init__(
+        self, m: int, g_table: CompositaTable, a_table: CompositaTable, a_series: PowerSeries
+    ) -> None:
+        self._fill(m, g_table, a_table, a_series)
 
 
 def _power_table(g: PowerSeries, count: int) -> list[Row]:

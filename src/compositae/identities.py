@@ -15,10 +15,10 @@ sweep compares the production result with the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .calculus import composita_compose
 from .combinatorics import binomial, kronecker_delta
 from .errors import DivisionByNonUnit, InsufficientOrder, OrderMismatch
@@ -29,14 +29,23 @@ Fault = tuple[int, int, Fraction]
 Failure = tuple[tuple[int, ...], Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one identity sweep."""
 
+    __slots__ = ("identity_name", "parameter_range", "status", "first_failure")
     identity_name: str
     parameter_range: str
     status: str  # "verified" or "counterexample"
-    first_failure: Optional[Failure] = None
+    first_failure: Optional[Failure]
+
+    def __init__(
+        self,
+        identity_name: str,
+        parameter_range: str,
+        status: str,
+        first_failure: Optional[Failure] = None,
+    ) -> None:
+        self._fill(identity_name, parameter_range, status, first_failure)
 
     @property
     def verified(self) -> bool:

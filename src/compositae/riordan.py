@@ -7,10 +7,10 @@ the two (the (F, xF) array shifted by one is the triangle of xF).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from ._rows import UNIT, combine, fractions_of, scalars, to_row
 from .calculus import compose_series
 from .errors import InsufficientOrder, OrderMismatch
@@ -18,22 +18,26 @@ from .series import PowerSeries, as_rational
 from .triangle import CompositaTable, composita_from_series
 
 
-@dataclass(frozen=True)
-class RiordanTable:
-    """Lower-triangular array R(n, k), 0 <= k <= n <= order."""
+class RiordanTable(Record):
+    """Lower-triangular array R(n, k), 0 <= k <= n <= order.
 
+    ``source`` is a label and takes no part in equality.
+    """
+
+    __slots__ = ("rows", "source")
+    _key = ("rows",)
     rows: tuple[tuple[Fraction, ...], ...]
-    source: str = field(default="", compare=False)
+    source: str
 
     BASE_INDEX = 0
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Iterable[Sequence], source: str = "") -> None:
         coerced = []
-        for n, row in enumerate(self.rows):
+        for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
             coerced.append(tuple(as_rational(v) for v in row))
-        object.__setattr__(self, "rows", tuple(coerced))
+        self._fill(tuple(coerced), source)
 
     @property
     def order(self) -> int:

@@ -12,10 +12,10 @@ the one used by the command line interface and by test fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
+from ._record import Record
 from .errors import DivisionByNonUnit
 
 # Exact rational scalar used everywhere in this package.  Fraction already
@@ -33,16 +33,16 @@ def as_rational(value: CoeffLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """A power series truncated at ``order = len(coeffs) - 1``."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence[CoeffLike]) -> None:
+        if not coeffs:
             raise ValueError("a power series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
+        self._fill(tuple(as_rational(c) for c in coeffs))
 
     # -- construction -------------------------------------------------
 

@@ -19,33 +19,37 @@ Three independent construction routes are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from ._rows import UNIT, Row, combine, fractions_of, scalars
 from .errors import InsufficientOrder, NonzeroConstantTerm
 from .series import PowerSeries, as_rational
 
 
-@dataclass(frozen=True)
-class CompositaTable:
-    """Triangle of composita values, rows n = 1..order, columns k = 1..n."""
+class CompositaTable(Record):
+    """Triangle of composita values, rows n = 1..order, columns k = 1..n.
 
+    ``source`` is a label and takes no part in equality.
+    """
+
+    __slots__ = ("rows", "source")
+    _key = ("rows",)
     rows: tuple[tuple[Fraction, ...], ...]
-    source: str = field(default="", compare=False)
+    source: str
 
     BASE_INDEX = 1
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Iterable[Sequence], source: str = "") -> None:
         normalized = []
-        for offset, row in enumerate(self.rows):
+        for offset, row in enumerate(rows):
             if len(row) != offset + 1:
                 raise ValueError(f"row {offset + 1} must carry exactly {offset + 1} entries")
             normalized.append(tuple(as_rational(v) for v in row))
         if not normalized:
             raise ValueError("a composita table needs at least one row")
-        object.__setattr__(self, "rows", tuple(normalized))
+        self._fill(tuple(normalized), source)
 
     @property
     def order(self) -> int:

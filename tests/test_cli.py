@@ -1,14 +1,21 @@
 """End-to-end CLI checks: byte-exact output and the exit-code contract
-(0 ok, 1 usage, 2 precondition, 3 counterexample)."""
+(0 ok, 1 usage, 2 precondition, 3 counterexample, 4 internal error)."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from compositae import cli
 from compositae.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 PASCAL_SIX = "1\n1 1\n1 2 1\n1 3 3 1\n1 4 6 4 1\n1 5 10 10 5 1"
 
@@ -304,3 +311,49 @@ class TestVerify:
             capsys, "verify", "--identity", identity, *extra, "--perturb", f"{limit},1,1"
         )
         assert code in (0, 3)
+
+
+class TestContract:
+    def test_unexpected_error_exits_4_without_traceback(self, capsys, monkeypatch):
+        def broken(args):
+            raise IndexError("row 7 outside table of order 6")
+
+        monkeypatch.setitem(cli._HANDLERS, "composita", broken)
+        code, out, err = run(capsys, "composita", "--fn", "geometric", "--n", "6")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: IndexError: row 7 outside table of order 6\n"
+
+
+def _modules_loaded(code: str) -> set[str]:
+    """Modules in sys.modules after running ``code`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nsys.stderr.write(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return set(done.stderr.split())
+
+
+class TestStartup:
+    """One CLI call loads neither dataclasses (which pulls in inspect) nor,
+    unless it writes records, json: every call pays for what it imports."""
+
+    HEAVY = {"dataclasses", "inspect", "json"}
+
+    def _cli_modules(self, *argv: str) -> set[str]:
+        return _modules_loaded(
+            f"import sys\nfrom compositae.cli import main\nassert main({list(argv)!r}) == 0"
+        )
+
+    def test_plain_call_imports_no_heavy_module(self):
+        bare = _modules_loaded("import sys")
+        loaded = self._cli_modules("composita", "--fn", "geometric", "--n", "1")
+        assert "compositae.cli" in loaded
+        assert (loaded - bare) & self.HEAVY == set()
+
+    def test_records_call_imports_json(self):
+        loaded = self._cli_modules(
+            "composita", "--fn", "geometric", "--n", "1", "--format", "records"
+        )
+        assert "json" in loaded
