@@ -11,26 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from compositae import NoClosedForm, catalog_verify, default_instances
 
 TRIG = {"sin", "x_cos", "tan", "arctan", "sinh", "x_cosh"}
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    poly_order: int = 10
-    trig_order: int = 8
-
-    def order_for(self, name: str) -> int:
-        return self.trig_order if name in TRIG else self.poly_order
-
-
-def run(config: SweepConfig) -> int:
+def run(poly_order: int, trig_order: int) -> int:
     failures = 0
     for spec in default_instances():
-        order = config.order_for(spec.name)
+        order = trig_order if spec.name in TRIG else poly_order
         try:
             result = catalog_verify(spec, order)
         except NoClosedForm:
@@ -54,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--poly-order", type=int, default=10)
     parser.add_argument("--trig-order", type=int, default=8)
     args = parser.parse_args(argv)
-    return run(SweepConfig(poly_order=args.poly_order, trig_order=args.trig_order))
+    return run(args.poly_order, args.trig_order)
 
 
 if __name__ == "__main__":

@@ -58,7 +58,6 @@ from .identities import (
     check_reciprocal_identity,
 )
 from .riordan import (
-    RiordanTable,
     riordan_apply,
     riordan_apply_series,
     riordan_build,
@@ -66,15 +65,9 @@ from .riordan import (
 )
 from .series import (
     PowerSeries,
-    Rational,
     as_rational,
     format_series,
     parse_series,
-    series_add,
-    series_derivative,
-    series_div,
-    series_mul,
-    series_pow,
 )
 from .triangle import (
     CompositaTable,
@@ -98,8 +91,6 @@ __all__ = [
     "NonzeroConstantTerm",
     "OrderMismatch",
     "PowerSeries",
-    "Rational",
-    "RiordanTable",
     "UnknownFunction",
     "ZeroConstantTerm",
     "arcsin_composita",
@@ -138,11 +129,6 @@ __all__ = [
     "riordan_composita_check",
     "scale_argument",
     "scale_value",
-    "series_add",
-    "series_derivative",
-    "series_div",
     "series_from_composita",
-    "series_mul",
-    "series_pow",
     "solve_functional_equation",
 ]

@@ -27,7 +27,7 @@ from .combinatorics import (
     stirling_second,
 )
 from .errors import NoClosedForm, UnknownFunction
-from .series import PowerSeries, as_rational, parse_rational
+from .series import CoeffLike, PowerSeries, as_rational, parse_rational
 from .triangle import CompositaTable, composita_from_series
 
 ClosedForm = Callable[[int, int], Fraction]
@@ -73,7 +73,7 @@ def _signed_stirling_first(n: int, k: int) -> int:
 # series generators
 
 
-def _polynomial_series(coeffs: Sequence[Fraction]) -> Callable[[int], PowerSeries]:
+def _polynomial_series(coeffs: Sequence[CoeffLike]) -> Callable[[int], PowerSeries]:
     def gen(order: int) -> PowerSeries:
         return PowerSeries.of(coeffs, order=order)
 
@@ -379,59 +379,18 @@ _FIXED: dict[str, tuple[Callable[[int], PowerSeries], Optional[ClosedForm]]] = {
     "fib": (_fib_series, _fib_cf),
 }
 
-# parameterized entries: name -> (arity, builder)
-_PARAMETERIZED: dict[str, int] = {
-    "monomial": 1,
-    "poly2": 2,
-    "poly3": 3,
-    "poly13": 2,
-    "poly124": 3,
-    "poly4": 4,
+# parameterized entries: name -> (the coefficient index each parameter
+# sets, closed-form builder taking the parameters); the arity is the number
+# of indices.  monomial:m is x^m: its one parameter is the exponent, so it
+# sets no fixed index.
+_PARAMETERIZED: dict[str, tuple[tuple[Optional[int], ...], Callable[..., ClosedForm]]] = {
+    "monomial": ((None,), _monomial_cf),
+    "poly2": ((1, 2), _poly2_cf),
+    "poly3": ((1, 2, 3), _poly3_cf),
+    "poly13": ((1, 3), _poly13_cf),
+    "poly124": ((1, 2, 4), _poly124_cf),
+    "poly4": ((1, 2, 3, 4), _poly4_cf),
 }
-
-
-def _make_parameterized(name: str, params: tuple[Fraction, ...]) -> FunctionSpec:
-    if name == "monomial":
-        (m,) = params
-        if m.denominator != 1 or m < 1:
-            raise UnknownFunction("monomial exponent must be a positive integer")
-        exp = int(m)
-        coeffs = [Fraction(0)] * exp + [Fraction(1)]
-
-        def gen(order: int, _coeffs: list[Fraction] = coeffs) -> PowerSeries:
-            return PowerSeries.of(_coeffs, order=order)
-
-        return FunctionSpec(name, params, gen, _monomial_cf(exp))
-    if name == "poly2":
-        a, b = params
-        return FunctionSpec(name, params, _polynomial_series([Fraction(0), a, b]), _poly2_cf(a, b))
-    if name == "poly3":
-        a, b, c = params
-        return FunctionSpec(
-            name, params, _polynomial_series([Fraction(0), a, b, c]), _poly3_cf(a, b, c)
-        )
-    if name == "poly13":
-        a, c = params
-        return FunctionSpec(
-            name,
-            params,
-            _polynomial_series([Fraction(0), a, Fraction(0), c]),
-            _poly13_cf(a, c),
-        )
-    if name == "poly124":
-        a, b, d = params
-        return FunctionSpec(
-            name,
-            params,
-            _polynomial_series([Fraction(0), a, b, Fraction(0), d]),
-            _poly124_cf(a, b, d),
-        )
-    if name == "poly4":
-        a, b, c, d = params
-        return FunctionSpec(
-            name, params, _polynomial_series([Fraction(0), a, b, c, d]), _poly4_cf(a, b, c, d)
-        )
-    raise UnknownFunction(f"no catalog entry named {name!r}")
 
 
 def make_spec(name: str, params: Sequence[Fraction] = ()) -> FunctionSpec:
@@ -442,23 +401,29 @@ def make_spec(name: str, params: Sequence[Fraction] = ()) -> FunctionSpec:
             raise UnknownFunction(f"{name} takes no parameters")
         gen, cf = _FIXED[name]
         return FunctionSpec(name, (), gen, cf)
-    if name in _PARAMETERIZED:
-        if len(plist) != _PARAMETERIZED[name]:
-            raise UnknownFunction(
-                f"{name} takes {_PARAMETERIZED[name]} parameters, got {len(plist)}"
-            )
-        return _make_parameterized(name, plist)
-    raise UnknownFunction(f"no catalog entry named {name!r}")
+    if name not in _PARAMETERIZED:
+        raise UnknownFunction(f"no catalog entry named {name!r}")
+    positions, builder = _PARAMETERIZED[name]
+    if len(plist) != len(positions):
+        raise UnknownFunction(f"{name} takes {len(positions)} parameters, got {len(plist)}")
+    if name == "monomial":
+        (m,) = plist
+        if m.denominator != 1 or m < 1:
+            raise UnknownFunction("monomial exponent must be a positive integer")
+        coeffs = [0] * int(m) + [1]
+        closed_form = builder(int(m))
+    else:
+        coeffs = [0] * (positions[-1] + 1)
+        for index, value in zip(positions, plist):
+            coeffs[index] = value
+        closed_form = builder(*plist)
+    return FunctionSpec(name, plist, _polynomial_series(coeffs), closed_form)
 
 
 def raw_spec(coeffs: Sequence[Fraction]) -> FunctionSpec:
     """Wrap a literal coefficient list (read as a polynomial) as a spec."""
     values = tuple(as_rational(c) for c in coeffs)
-
-    def gen(order: int, _values: tuple[Fraction, ...] = values) -> PowerSeries:
-        return PowerSeries.of(_values, order=order)
-
-    return FunctionSpec("raw", values, gen, None)
+    return FunctionSpec("raw", values, _polynomial_series(values), None)
 
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz_0123456789")

@@ -23,6 +23,7 @@ only when ``--format records`` asks for it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Optional
@@ -383,10 +384,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 1
+        return code
+    try:
         print(text)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit does not fail again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

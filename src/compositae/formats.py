@@ -2,43 +2,34 @@
 
 Three shapes for triangles (plain rows, CSV, JSON-record lines) and the
 same three for coefficient sequences.  Values always render as exact
-rationals: "p/q", or bare "p" for integers.  The CSV parsers are strict
-inverses of the writers so round-trips reproduce tables exactly.
+rationals: "p/q", or bare "p" for integers.  ``parse_triangle_csv`` is the
+strict inverse of ``triangle_csv`` for composita triangles and Riordan
+arrays alike: it reads the base index from the smallest row number and
+rejects a missing, repeated or out-of-triangle entry, so a round trip
+reproduces a table exactly or fails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Protocol, Sequence
+from typing import Sequence
 
-from .riordan import RiordanTable
+from .series import parse_rational
 from .triangle import CompositaTable
 
 
-class _Triangle(Protocol):
-    BASE_INDEX: int
-
-    @property
-    def order(self) -> int: ...
-
-    def entries(self): ...
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]: ...
-
-
-def triangle_text(table: _Triangle) -> str:
+def triangle_text(table: CompositaTable) -> str:
     """One row per line, entries space-separated, left-aligned."""
     return "\n".join(" ".join(str(v) for v in row) for row in table.rows)
 
 
-def triangle_csv(table: _Triangle) -> str:
+def triangle_csv(table: CompositaTable) -> str:
     lines = ["n,k,value"]
     lines.extend(f"{n},{k},{v}" for n, k, v in table.entries())
     return "\n".join(lines)
 
 
-def triangle_records(table: _Triangle) -> str:
+def triangle_records(table: CompositaTable) -> str:
     import json  # only this format needs it; the CLI starts without it
 
     return "\n".join(
@@ -66,36 +57,30 @@ def series_records(values: Sequence[Fraction], start: int = 0) -> str:
     )
 
 
-def _parse_csv_entries(text: str) -> dict[tuple[int, int], Fraction]:
+def parse_triangle_csv(text: str) -> CompositaTable:
+    """Rebuild a table from ``triangle_csv`` output; the smallest n read
+    is its base index (1 for a composita triangle, 0 for a Riordan array)."""
     entries: dict[tuple[int, int], Fraction] = {}
     for line in text.strip().splitlines():
         line = line.strip()
         if not line or line == "n,k,value":
             continue
         n_text, k_text, value_text = line.split(",")
-        entries[(int(n_text), int(k_text))] = Fraction(value_text)
-    return entries
-
-
-def parse_composita_csv(text: str) -> CompositaTable:
-    """Rebuild a (1,1)-based triangle from ``triangle_csv`` output."""
-    entries = _parse_csv_entries(text)
+        key = (int(n_text), int(k_text))
+        if key in entries:
+            raise ValueError(f"entry {key} appears twice")
+        entries[key] = parse_rational(value_text)
     if not entries:
         raise ValueError("no triangle entries found")
-    order = max(n for n, _ in entries)
-    rows = tuple(
-        tuple(entries[(n, k)] for k in range(1, n + 1)) for n in range(1, order + 1)
-    )
-    return CompositaTable(rows)
-
-
-def parse_riordan_csv(text: str) -> RiordanTable:
-    """Rebuild a (0,0)-based triangle from ``triangle_csv`` output."""
-    entries = _parse_csv_entries(text)
-    if not entries:
-        raise ValueError("no triangle entries found")
-    order = max(n for n, _ in entries)
-    rows = tuple(
-        tuple(entries[(n, k)] for k in range(0, n + 1)) for n in range(0, order + 1)
-    )
-    return RiordanTable(rows)
+    base = min(n for n, _ in entries)
+    if base not in (0, 1):
+        raise ValueError(f"the first row must be n = 0 or n = 1, not n = {base}")
+    rows = []
+    for n in range(base, max(n for n, _ in entries) + 1):
+        try:
+            rows.append(tuple(entries.pop((n, k)) for k in range(base, n + 1)))
+        except KeyError as exc:
+            raise ValueError(f"entry {exc.args[0]} is missing") from None
+    if entries:
+        raise ValueError(f"entry {min(entries)} lies outside the triangle")
+    return CompositaTable(rows, base=base)

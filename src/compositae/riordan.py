@@ -1,6 +1,7 @@
 """Riordan arrays (G(x), F(x)) built from a series G and the triangle of F.
 
-A RiordanTable is indexed from (0, 0), unlike CompositaTable's (1, 1);
+A Riordan array is a ``CompositaTable`` with ``base`` 0: rows and columns
+are indexed from (0, 0), where a composita triangle starts at (1, 1).
 ``riordan_composita_check`` performs the explicit re-indexing that links
 the two (the (F, xF) array shifted by one is the triangle of xF).
 """
@@ -8,9 +9,8 @@ the two (the (F, xF) array shifted by one is the triangle of xF).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
-from ._record import Record
 from ._rows import UNIT, combine, fractions_of, scalars, to_row
 from .calculus import compose_series
 from .errors import InsufficientOrder, OrderMismatch
@@ -18,59 +18,7 @@ from .series import PowerSeries, as_rational
 from .triangle import CompositaTable, composita_from_series
 
 
-class RiordanTable(Record):
-    """Lower-triangular array R(n, k), 0 <= k <= n <= order.
-
-    ``source`` is a label and takes no part in equality.
-    """
-
-    __slots__ = ("rows", "source")
-    _key = ("rows",)
-    rows: tuple[tuple[Fraction, ...], ...]
-    source: str
-
-    BASE_INDEX = 0
-
-    def __init__(self, rows: Iterable[Sequence], source: str = "") -> None:
-        coerced = []
-        for n, row in enumerate(rows):
-            if len(row) != n + 1:
-                raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
-            coerced.append(tuple(as_rational(v) for v in row))
-        self._fill(tuple(coerced), source)
-
-    @property
-    def order(self) -> int:
-        return len(self.rows) - 1
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        n, k = key
-        if not 0 <= n <= self.order:
-            raise IndexError(f"row {n} outside 0..{self.order}")
-        if k < 0 or k > n:
-            return Fraction(0)
-        return self.rows[n][k]
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"row {n} outside 0..{self.order}")
-        return self.rows[n]
-
-    def entries(self) -> Iterator[tuple[int, int, Fraction]]:
-        for n, row in enumerate(self.rows):
-            for k, value in enumerate(row):
-                yield n, k, value
-
-    def with_entry(self, n: int, k: int, value: Fraction) -> "RiordanTable":
-        """Copy with one entry replaced; used for fault injection in tests."""
-        if not (0 <= k <= n <= self.order):
-            raise IndexError(f"({n}, {k}) outside the triangle")
-        rows = [list(r) for r in self.rows]
-        rows[n][k] = as_rational(value)
-        return RiordanTable(tuple(tuple(r) for r in rows), source=self.source)
-
-
-def riordan_build(g: PowerSeries, tf: CompositaTable) -> RiordanTable:
+def riordan_build(g: PowerSeries, tf: CompositaTable) -> CompositaTable:
     """Array of the pair (G, F) from G's coefficients and F's triangle.
 
     R(n, 0) = g(n); R(n, k) = sum_{i=0}^{n-k} g(i) * F(n-i, k) for k >= 1.
@@ -86,10 +34,10 @@ def riordan_build(g: PowerSeries, tf: CompositaTable) -> RiordanTable:
     for n in range(0, n_max + 1):
         row = combine(((num, den, f_rows[n - i], 0) for i, num, den in g_terms if i <= n), n + 1)
         rows.append(fractions_of(row))
-    return RiordanTable(tuple(rows))
+    return CompositaTable(tuple(rows), base=0)
 
 
-def riordan_apply(r: RiordanTable, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def riordan_apply(r: CompositaTable, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Sequence a(n) = sum_{k=0}^{n} R(n, k) b(k): the coefficients of
     G(x) * B(F(x))."""
     if len(b) < r.order + 1:

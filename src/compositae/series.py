@@ -18,11 +18,6 @@ from typing import Iterable, Iterator, Sequence, Union
 from ._record import Record
 from .errors import DivisionByNonUnit
 
-# Exact rational scalar used everywhere in this package.  Fraction already
-# keeps values in lowest terms with a positive denominator, which is exactly
-# the canonical form the rest of the code relies on.
-Rational = Fraction
-
 CoeffLike = Union[Fraction, int, str]
 
 
@@ -232,27 +227,3 @@ def format_series(series: PowerSeries) -> str:
     """Render in the same comma-separated format accepted by parse_series."""
     return ",".join(str(c) for c in series.coeffs)
 
-
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Coefficientwise sum truncated to the shorter order."""
-    return a + b
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated to the shorter order."""
-    return a * b
-
-
-def series_pow(a: PowerSeries, k: int) -> PowerSeries:
-    """k-th power for k >= 0; the zeroth power is the constant one."""
-    return a**k
-
-
-def series_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Quotient q with q*b == a up to the order; b needs a unit constant term."""
-    return a / b
-
-
-def series_derivative(a: PowerSeries) -> PowerSeries:
-    """Formal derivative; see PowerSeries.derivative."""
-    return a.derivative()

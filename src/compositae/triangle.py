@@ -29,69 +29,79 @@ from .series import PowerSeries, as_rational
 
 
 class CompositaTable(Record):
-    """Triangle of composita values, rows n = 1..order, columns k = 1..n.
+    """Lower-triangular table T(n, k) for base <= k <= n <= order.
 
-    ``source`` is a label and takes no part in equality.
+    A composita triangle is indexed from (1, 1) (``base`` 1, the default),
+    a Riordan array from (0, 0) (``base`` 0); the base takes part in
+    equality, so the two never compare equal.  ``source`` is a label and
+    takes no part in equality.
     """
 
-    __slots__ = ("rows", "source")
-    _key = ("rows",)
+    __slots__ = ("rows", "source", "base")
+    _key = ("rows", "base")
     rows: tuple[tuple[Fraction, ...], ...]
     source: str
+    base: int
 
-    BASE_INDEX = 1
-
-    def __init__(self, rows: Iterable[Sequence], source: str = "") -> None:
+    def __init__(self, rows: Iterable[Sequence], source: str = "", base: int = 1) -> None:
+        if base not in (0, 1):
+            raise ValueError(f"a table is indexed from 0 or 1, not {base!r}")
         normalized = []
         for offset, row in enumerate(rows):
             if len(row) != offset + 1:
-                raise ValueError(f"row {offset + 1} must carry exactly {offset + 1} entries")
+                raise ValueError(
+                    f"row {offset + base} must carry exactly {offset + 1} entries, got {len(row)}"
+                )
             normalized.append(tuple(as_rational(v) for v in row))
         if not normalized:
-            raise ValueError("a composita table needs at least one row")
-        self._fill(tuple(normalized), source)
+            raise ValueError("a table needs at least one row")
+        self._fill(tuple(normalized), source, base)
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self.rows) - 1 + self.base
 
     def __getitem__(self, index: tuple[int, int]) -> Fraction:
         n, k = index
-        if not 1 <= n <= self.order:
+        base = self.base
+        if not base <= n < len(self.rows) + base:
             raise IndexError(f"row {n} outside table of order {self.order}")
-        if k < 1 or k > n:
+        if k < base or k > n:
             return Fraction(0)
-        return self.rows[n - 1][k - 1]
+        return self.rows[n - base][k - base]
 
     def row(self, n: int) -> tuple[Fraction, ...]:
-        if not 1 <= n <= self.order:
+        if not self.base <= n <= self.order:
             raise IndexError(f"row {n} outside table of order {self.order}")
-        return self.rows[n - 1]
+        return self.rows[n - self.base]
 
     def column(self, k: int) -> tuple[Fraction, ...]:
         """Entries (n, k) for n = k..order."""
-        if not 1 <= k <= self.order:
+        base = self.base
+        if not base <= k <= self.order:
             raise IndexError(f"column {k} outside table of order {self.order}")
-        return tuple(self.rows[n - 1][k - 1] for n in range(k, self.order + 1))
+        return tuple(self.rows[n - base][k - base] for n in range(k, self.order + 1))
 
     def entries(self) -> Iterator[tuple[int, int, Fraction]]:
+        base = self.base
         for offset, row in enumerate(self.rows):
-            n = offset + 1
+            n = offset + base
             for j, value in enumerate(row):
-                yield n, j + 1, value
+                yield n, j + base, value
 
     def truncated(self, order: int) -> CompositaTable:
-        if not 1 <= order <= self.order:
+        if not self.base <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} table to order {order}")
-        return CompositaTable(self.rows[:order], source=self.source)
+        return CompositaTable(self.rows[: order - self.base + 1], self.source, self.base)
 
     def with_entry(self, n: int, k: int, value: Fraction) -> CompositaTable:
         """Copy of the table with one entry replaced (used for fault injection)."""
-        if not 1 <= k <= n <= self.order:
+        base = self.base
+        if not base <= k <= n <= self.order:
             raise IndexError(f"entry ({n}, {k}) outside table of order {self.order}")
         rows = [list(row) for row in self.rows]
-        rows[n - 1][k - 1] = as_rational(value)
-        return CompositaTable(tuple(tuple(row) for row in rows), source=self.source)
+        rows[n - base][k - base] = as_rational(value)
+        return CompositaTable(tuple(tuple(row) for row in rows), self.source, base)
 
 
 def _require_composable(f: PowerSeries) -> None:

@@ -33,7 +33,6 @@ from compositae import (
     riordan_apply_series,
     riordan_build,
     riordan_composita_check,
-    series_div,
     solve_functional_equation,
 )
 from compositae.combinatorics import (
@@ -137,7 +136,7 @@ def test_criterion_04_bernoulli_numbers():
         [Fraction(0)] + [Fraction(1, math.factorial(n)) for n in range(1, order + 2)],
         order=order + 1,
     )
-    assert series_div(x, expm1_long).truncate(order) == a
+    assert (x / expm1_long).truncate(order) == a
     print("PASS criterion 4: x/(e^x - 1) via composition matches division; "
           "a(n)*n! gives the Bernoulli numbers through n=6")
 

@@ -49,6 +49,28 @@ class TestSpecParsing:
         with pytest.raises(UnknownFunction, match="exponent notation"):
             parse_function_spec(text)
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("monomial", (0,), "monomial exponent must be a positive integer"),
+            ("monomial", ("1/2",), "monomial exponent must be a positive integer"),
+            ("monomial", (1, 2), "monomial takes 1 parameters, got 2"),
+            ("poly124", (1, 2), "poly124 takes 3 parameters, got 2"),
+            ("nope", (), "no catalog entry named 'nope'"),
+            ("sin", (1,), "sin takes no parameters"),
+        ],
+    )
+    def test_make_spec_messages(self, name, params, message):
+        with pytest.raises(UnknownFunction) as info:
+            make_spec(name, params)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("spec", default_instances(), ids=lambda s: s.label())
+    def test_label_parses_back_to_the_spec(self, spec):
+        again = parse_function_spec(spec.label())
+        assert again == spec
+        assert catalog_series(again, 9) == catalog_series(spec, 9)
+
     def test_label_shows_parameters(self):
         assert make_spec("poly2", [1, Fraction(-1, 2)]).label() == "poly2:1,-1/2"
         assert make_spec("sin").label() == "sin"

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -198,6 +199,27 @@ class TestRiordan:
 
 
 class TestVerify:
+    # one in-range fault per sweep, at its default sizes
+    PLANTED = {
+        "associativity": "4,1,1",
+        "derivative": "5,2,1",
+        "inverse": "4,2,1",
+        "lambert": "3,2,1",
+        "funceq": "3,2,1",
+        "reciprocal": "4,2,1",
+    }
+
+    @pytest.mark.parametrize("identity", cli.IDENTITY_NAMES)
+    def test_default_sweep_verifies_and_finds_a_planted_fault(self, capsys, identity):
+        code, out, _ = run(capsys, "verify", "--identity", identity)
+        assert code == 0
+        assert out == "verified\n"
+        code, out, _ = run(
+            capsys, "verify", "--identity", identity, "--perturb", self.PLANTED[identity]
+        )
+        assert code == 3
+        assert out.startswith("counterexample at (")
+
     def test_lambert_verified(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--identity", "lambert", "--max-n", "10"
@@ -311,6 +333,41 @@ class TestVerify:
             capsys, "verify", "--identity", identity, *extra, "--perturb", f"{limit},1,1"
         )
         assert code in (0, 3)
+
+
+class TestOutputFailures:
+    @pytest.mark.parametrize(
+        "where, code",
+        [("missing/dir/x.txt", errno.ENOENT), ("", errno.EISDIR)],
+        ids=["missing-directory", "directory"],
+    )
+    def test_failed_output_write_is_one_line(self, capsys, tmp_path, where, code):
+        target = str(tmp_path / where) if where else str(tmp_path)
+        status, out, err = run(
+            capsys, "composita", "--fn", "geometric", "--n", "2", "--output", target
+        )
+        assert status == 1
+        assert out == ""
+        assert err == f"error: cannot write {target}: {os.strerror(code)}\n"
+
+    def test_closed_stdout_pipe_exits_1_without_traceback(self):
+        # about 100 KiB of output, more than a pipe buffer holds, so the
+        # child is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "compositae", "composita", "--fn", "geometric",
+             "--n", "100", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        try:
+            assert proc.stdout.read(10) == b"n,k,value\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestContract:

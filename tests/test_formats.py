@@ -10,8 +10,7 @@ from hypothesis import given
 
 from compositae import PowerSeries, composita_from_series, riordan_build
 from compositae.formats import (
-    parse_composita_csv,
-    parse_riordan_csv,
+    parse_triangle_csv,
     series_csv,
     series_records,
     series_text,
@@ -63,26 +62,65 @@ def test_series_records_start_offset():
 
 
 def test_composita_csv_round_trip():
-    assert parse_composita_csv(triangle_csv(PASCAL)) == PASCAL
+    parsed = parse_triangle_csv(triangle_csv(PASCAL))
+    assert parsed == PASCAL
+    assert parsed.base == 1
 
 
 def test_riordan_csv_round_trip():
     g = PowerSeries.of([1] * 5, order=4)
     rio = riordan_build(g, PASCAL)
-    assert parse_riordan_csv(triangle_csv(rio)) == rio
+    parsed = parse_triangle_csv(triangle_csv(rio))
+    assert parsed == rio
+    assert parsed.base == 0
 
 
 def test_parse_rejects_empty_text():
     with pytest.raises(ValueError):
-        parse_composita_csv("n,k,value\n")
+        parse_triangle_csv("n,k,value\n")
     with pytest.raises(ValueError):
-        parse_riordan_csv("")
+        parse_triangle_csv("")
+
+
+def test_parse_rejects_a_missing_entry():
+    with pytest.raises(ValueError, match=r"entry \(2, 1\) is missing"):
+        parse_triangle_csv("n,k,value\n1,1,1\n2,2,1")
+    with pytest.raises(ValueError, match=r"entry \(2, 2\) is missing"):
+        parse_triangle_csv("n,k,value\n1,1,1\n2,1,1\n3,1,1\n3,2,2\n3,3,1")
+
+
+def test_parse_rejects_an_entry_outside_the_triangle():
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) lies outside the triangle"):
+        parse_triangle_csv("n,k,value\n1,1,1\n1,2,5")
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) lies outside the triangle"):
+        parse_triangle_csv("n,k,value\n1,0,7\n1,1,1")
+
+
+def test_parse_rejects_a_repeated_entry():
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) appears twice"):
+        parse_triangle_csv("n,k,value\n1,1,1\n1,1,1")
+
+
+@pytest.mark.parametrize("text", ["n,k,value\n2,1,1", "n,k,value\n-1,-1,1\n0,-1,1\n0,0,1"])
+def test_parse_rejects_a_first_row_other_than_0_or_1(text):
+    with pytest.raises(ValueError, match="first row must be n = 0 or n = 1"):
+        parse_triangle_csv(text)
 
 
 @given(f=series_strategy(min_order=3, max_order=7, zero_constant=True))
 def test_round_trip_any_triangle(f):
     table = composita_from_series(f, f.order)
-    assert parse_composita_csv(triangle_csv(table)) == table
+    assert parse_triangle_csv(triangle_csv(table)) == table
+
+
+@given(
+    g=series_strategy(min_order=3, max_order=6),
+    f=series_strategy(min_order=3, max_order=6, zero_constant=True),
+)
+def test_round_trip_any_riordan_array(g, f):
+    order = min(g.order, f.order)
+    rio = riordan_build(g, composita_from_series(f, order))
+    assert parse_triangle_csv(triangle_csv(rio)) == rio
 
 
 @given(f=series_strategy(min_order=3, max_order=6, zero_constant=True))

@@ -20,7 +20,6 @@ from compositae import (
     make_spec,
     radical_composita,
     right_composita,
-    series_div,
     solve_functional_equation,
 )
 from compositae.combinatorics import binomial
@@ -148,7 +147,7 @@ class TestSolver:
         if m >= 0:
             a_pow = a**m
         else:
-            a_pow = series_div(PowerSeries.one(order), a ** (-m))
+            a_pow = PowerSeries.one(order) / a ** (-m)
         inner = PowerSeries.of([0, 1], order=order) * a_pow
         evaluated = compose_series(g, composita_from_series(inner, order))
         assert evaluated == a

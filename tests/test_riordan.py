@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from compositae import (
     InsufficientOrder,
     OrderMismatch,
+    CompositaTable,
     PowerSeries,
-    RiordanTable,
     catalog_series,
     composita_from_series,
     default_instances,
@@ -39,16 +39,16 @@ def pascal(order):
     return riordan_build(ones(order), composita_from_series(geometric(order), order))
 
 
-class TestRiordanTable:
+class TestRiordanArray:
     def test_rows_are_ragged_lower_triangle(self):
-        t = RiordanTable(((Fraction(1),), (Fraction(2), Fraction(3))))
+        t = CompositaTable(((Fraction(1),), (Fraction(2), Fraction(3))), base=0)
         assert t.order == 1
         assert t[0, 0] == 1
         assert t[1, 0] == 2
         assert t[1, 1] == 3
 
     def test_indexing_starts_at_zero(self):
-        assert RiordanTable.BASE_INDEX == 0
+        assert pascal(4).base == 0
         assert pascal(4)[0, 0] == 1
 
     def test_outside_band_is_zero(self):
@@ -65,7 +65,7 @@ class TestRiordanTable:
 
     def test_misshapen_row_rejected(self):
         with pytest.raises(ValueError):
-            RiordanTable(((Fraction(1),), (Fraction(1),)))
+            CompositaTable(((Fraction(1),), (Fraction(1),)), base=0)
 
     def test_entries_cover_the_triangle(self):
         t = pascal(5)
@@ -73,6 +73,17 @@ class TestRiordanTable:
         assert len(seen) == 21
         assert seen[0] == (0, 0, Fraction(1))
         assert all(t[n, k] == v for n, k, v in seen)
+
+    def test_row_column_and_truncation_start_at_zero(self):
+        t = pascal(4)
+        assert t.row(0) == (1,)
+        assert t.column(0) == (1, 1, 1, 1, 1)
+        assert t.column(2) == (1, 3, 6)
+        small = t.truncated(2)
+        assert (small.order, small.base) == (2, 0)
+        assert small.rows == t.rows[:3]
+        with pytest.raises(ValueError):
+            t.truncated(-1)
 
     def test_with_entry_replaces_one_cell(self):
         t = pascal(4)

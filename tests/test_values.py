@@ -1,7 +1,9 @@
-"""Value semantics of the package's seven immutable record types.
+"""Value semantics of the package's six immutable record types.
 
 Each type is compared and hashed by its data fields only: a table's
-``source`` label and a spec's generator and closed form take no part.
+``source`` label and a spec's generator and closed form take no part,
+while a table's ``base`` does: a composita triangle (base 1) never equals
+a Riordan array (base 0) with the same rows.
 Every type rejects assignment and deletion of a field, accepts its
 fields positionally or by keyword, and keeps its constructor's checks.
 """
@@ -21,7 +23,6 @@ from compositae import (
     FunctionSpec,
     IdentityReport,
     PowerSeries,
-    RiordanTable,
     make_spec,
 )
 
@@ -55,10 +56,10 @@ CASES = {
         lambda: CompositaTable(rows=PASCAL3, source="other label"),
         lambda: CompositaTable(((1,), (1, 1), (1, 2, 2))),
     ),
-    "RiordanTable": (
-        lambda: RiordanTable(PASCAL3, "pascal"),
-        lambda: RiordanTable(rows=PASCAL3),
-        lambda: RiordanTable(((1,), (1, 1))),
+    "CompositaTable(base=0)": (
+        lambda: CompositaTable(PASCAL3, "pascal", 0),
+        lambda: CompositaTable(rows=PASCAL3, base=0),
+        lambda: CompositaTable(PASCAL3, "pascal"),
     ),
     "FunctionSpec": (
         lambda: FunctionSpec("f", (Fraction(1),), _gen, lambda n, k: Fraction(1)),
@@ -100,8 +101,8 @@ CASES = {
 
 FIELDS = {
     "PowerSeries": ("coeffs",),
-    "CompositaTable": ("rows", "source"),
-    "RiordanTable": ("rows", "source"),
+    "CompositaTable": ("rows", "source", "base"),
+    "CompositaTable(base=0)": ("rows", "source", "base"),
     "FunctionSpec": ("name", "parameters", "series_generator", "closed_form"),
     "CatalogVerification": ("label", "order", "matched", "first_mismatch"),
     "FuncEqSolution": ("m", "g_table", "a_table", "a_series"),
@@ -161,14 +162,14 @@ def test_copies_and_pickles_are_equal(name):
 
 
 def test_unequal_table_types_with_equal_rows():
-    assert CompositaTable(PASCAL3) != RiordanTable(PASCAL3)
+    assert CompositaTable(PASCAL3) != CompositaTable(PASCAL3, base=0)
 
 
 def test_ignored_fields_are_kept():
     table = CompositaTable(PASCAL3, source="geometric")
     assert table.source == "geometric"
     assert CompositaTable(PASCAL3).source == ""
-    assert RiordanTable(PASCAL3).source == ""
+    assert CompositaTable(PASCAL3, base=0).source == ""
     spec = CASES["FunctionSpec"][1]()
     assert spec.series_generator is _other_gen
     assert spec.closed_form is None
@@ -207,19 +208,28 @@ class TestConstructorChecks:
             CompositaTable(())
 
     def test_riordan_rows_are_coerced(self):
-        table = RiordanTable([[1], ["2/4", 3]])
+        table = CompositaTable([[1], ["2/4", 3]], base=0)
         assert table.rows == ((Fraction(1),), (Fraction(1, 2), Fraction(3)))
 
     def test_riordan_row_length(self):
-        with pytest.raises(ValueError, match="row 1 must have 2 entries, got 3"):
-            RiordanTable(((1,), (1, 2, 3)))
+        with pytest.raises(ValueError, match="row 1 must carry exactly 2 entries, got 3"):
+            CompositaTable(((1,), (1, 2, 3)), base=0)
+
+    def test_riordan_needs_a_row(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            CompositaTable((), base=0)
+
+    @pytest.mark.parametrize("base", [-1, 2, "1"])
+    def test_base_is_0_or_1(self, base):
+        with pytest.raises(ValueError, match="indexed from 0 or 1"):
+            CompositaTable(PASCAL3, base=base)
 
     @pytest.mark.parametrize(
         "cls, args",
         [
             (PowerSeries, ()),
             (CompositaTable, ()),
-            (RiordanTable, ()),
+            (FunctionSpec, ("f",)),
             (FunctionSpec, ("f", ())),
             (CatalogVerification, ("x", 1)),
             (FuncEqSolution, (1,)),
