@@ -75,7 +75,15 @@ def _signed_stirling_first(n: int, k: int) -> int:
 
 def _polynomial_series(coeffs: Sequence[CoeffLike]) -> Callable[[int], PowerSeries]:
     def gen(order: int) -> PowerSeries:
-        return PowerSeries.of(coeffs, order=order)
+        return PowerSeries.of(coeffs[: order + 1], order=order)
+
+    return gen
+
+
+def _monomial_series(m: int) -> Callable[[int], PowerSeries]:
+    # x^m: no list of m + 1 coefficients, which a large m would make huge
+    def gen(order: int) -> PowerSeries:
+        return PowerSeries.of([0] * m + [1] if m <= order else [], order=order)
 
     return gen
 
@@ -410,14 +418,11 @@ def make_spec(name: str, params: Sequence[Fraction] = ()) -> FunctionSpec:
         (m,) = plist
         if m.denominator != 1 or m < 1:
             raise UnknownFunction("monomial exponent must be a positive integer")
-        coeffs = [0] * int(m) + [1]
-        closed_form = builder(int(m))
-    else:
-        coeffs = [0] * (positions[-1] + 1)
-        for index, value in zip(positions, plist):
-            coeffs[index] = value
-        closed_form = builder(*plist)
-    return FunctionSpec(name, plist, _polynomial_series(coeffs), closed_form)
+        return FunctionSpec(name, plist, _monomial_series(int(m)), builder(int(m)))
+    coeffs = [0] * (positions[-1] + 1)
+    for index, value in zip(positions, plist):
+        coeffs[index] = value
+    return FunctionSpec(name, plist, _polynomial_series(coeffs), builder(*plist))
 
 
 def raw_spec(coeffs: Sequence[Fraction]) -> FunctionSpec:

@@ -350,6 +350,34 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0 if report.verified else 3
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``: a failed write leaves no partial file and leaves an
+    existing ``path`` unchanged.  A path that exists but is not a regular
+    file (a device, a pipe, a directory) is opened and written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    path = os.path.realpath(path)  # through a symlink, replace the file it names
+    temp = f"{path}.{os.getpid()}.tmp"
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        if os.path.exists(path):  # the new file keeps the permissions of the old
+            os.chmod(temp, os.stat(path).st_mode & 0o7777)
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.remove(temp)
+        except OSError:
+            pass
+        raise
+
+
 _HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[str, int]]] = {
     "composita": _cmd_composita,
     "compose": _cmd_compose,
@@ -385,8 +413,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 4
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+            _write_output(args.output, text + "\n")
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return 1

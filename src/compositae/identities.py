@@ -1,22 +1,27 @@
 """Machine checks for the triangle identities, swept over parameter ranges.
 
 Every checker computes both sides of its identity independently and
-reports the first disagreement.  Exact arithmetic makes some of these
-impossible to break by perturbing the *inputs* (e.g. both groupings of a
-triple product are computed from the same three tables, so corrupting a
-table corrupts both sides equally); those checkers accept an explicit
-``fault`` that injects an error into one side's intermediate, which is
-how the test suite proves the comparisons are live.
-
+reports the first disagreement and how many entries it compared.  Where
+exact arithmetic makes an identity impossible to break by perturbing the
+*inputs* (both groupings of a triple product are computed from the same
+three tables), the checker takes a ``fault`` that corrupts one side's
+intermediate, which is how the tests prove the comparisons are live.
 Some checkers hold the paper's own formula for an object the library
-computes by a faster route (``check_reciprocal_identity``); there the
-sweep compares the production result with the paper.
+computes by a faster route (``check_reciprocal_identity``).
+
+The derivative, Lambert, funceq and reciprocal sweeps compare
+cross-multiplied integers, each side summed over one lcm, and build
+``Fraction`` values only for a failure.  This arithmetic is written here,
+not taken from the kernel ``_rows``, so the checks stay independent of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from itertools import repeat
+from math import lcm
+from operator import add, mul
+from typing import Optional, Sequence
 
 from ._record import Record
 from .calculus import composita_compose
@@ -27,59 +32,61 @@ from .triangle import CompositaTable
 
 Fault = tuple[int, int, Fraction]
 Failure = tuple[tuple[int, ...], Fraction, Fraction]
+Scaled = tuple[list[int], int]  # numerators over one positive denominator
 
 
 class IdentityReport(Record):
-    """Outcome of one identity sweep."""
+    """Outcome of one identity sweep; ``checked`` counts the entries
+    compared, up to and including the first failure."""
 
-    __slots__ = ("identity_name", "parameter_range", "status", "first_failure")
+    __slots__ = ("identity_name", "parameter_range", "status", "first_failure", "checked")
     identity_name: str
     parameter_range: str
     status: str  # "verified" or "counterexample"
     first_failure: Optional[Failure]
+    checked: int
 
     def __init__(
-        self,
-        identity_name: str,
-        parameter_range: str,
-        status: str,
-        first_failure: Optional[Failure] = None,
+        self, identity_name: str, parameter_range: str, status: str,
+        first_failure: Optional[Failure] = None, checked: int = 0,
     ) -> None:
-        self._fill(identity_name, parameter_range, status, first_failure)
+        self._fill(identity_name, parameter_range, status, first_failure, checked)
 
     @property
     def verified(self) -> bool:
         return self.status == "verified"
 
     def to_record(self) -> dict:
-        record: dict = {
-            "identity": self.identity_name,
-            "range": self.parameter_range,
-            "status": self.status,
-        }
+        record: dict = {"identity": self.identity_name, "range": self.parameter_range,
+                        "status": self.status, "checked": self.checked}
         if self.first_failure is not None:
             params, lhs, rhs = self.first_failure
-            record["failure"] = {
-                "parameters": list(params),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
+            record["failure"] = {"parameters": list(params), "lhs": str(lhs), "rhs": str(rhs)}
         return record
 
 
-def _verified(name: str, rng: str) -> IdentityReport:
-    return IdentityReport(name, rng, "verified")
+def _report(name: str, rng: str, checked: int, failure: Optional[Failure] = None):
+    status = "verified" if failure is None else "counterexample"
+    return IdentityReport(name, rng, status, failure, checked)
 
 
-def _failed(name: str, rng: str, params: tuple[int, ...], lhs: Fraction, rhs: Fraction) -> IdentityReport:
-    return IdentityReport(name, rng, "counterexample", (params, lhs, rhs))
+def _scaled(values: Sequence[Fraction]) -> Scaled:
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _sum_scaled(terms: list[tuple[int, int, Scaled]], width: int) -> Scaled:
+    """Sum of a/b * nums/den over ``terms``, cut to ``width``, over one lcm."""
+    den = lcm(*(b * row_den for _, b, (_, row_den) in terms))
+    acc = [0] * width
+    for a, b, (nums, row_den) in terms:
+        scale = a * (den // (b * row_den))
+        acc[: min(len(nums), width)] = map(add, acc, map(mul, nums, repeat(scale)))
+    return acc, den
 
 
 def check_associativity(
-    tf: CompositaTable,
-    tr: CompositaTable,
-    tg: CompositaTable,
-    fault: Optional[Fault] = None,
+    tf: CompositaTable, tr: CompositaTable, tg: CompositaTable, fault: Optional[Fault] = None
 ) -> IdentityReport:
     """Both groupings of the triple table product agree entrywise.
 
@@ -87,41 +94,40 @@ def check_associativity(
     intermediate product tf*tr before the second multiplication.
     """
     if not tf.order == tr.order == tg.order:
-        raise OrderMismatch(
-            f"orders differ: {tf.order}, {tr.order}, {tg.order}"
-        )
-    name = "associativity"
-    rng = f"1 <= m <= n <= {tf.order}"
+        raise OrderMismatch(f"orders differ: {tf.order}, {tr.order}, {tg.order}")
+    name, rng = "associativity", f"1 <= m <= n <= {tf.order}"
     front = composita_compose(tf, tr)
     if fault is not None:
         fn, fm, delta = fault
         front = front.with_entry(fn, fm, front[fn, fm] + delta)
     left = composita_compose(front, tg)
     right = composita_compose(tf, composita_compose(tr, tg))
-    for n, m, lhs in left.entries():
+    for checked, (n, m, lhs) in enumerate(left.entries(), 1):
         rhs = right[n, m]
         if lhs != rhs:
-            return _failed(name, rng, (n, m), lhs, rhs)
-    return _verified(name, rng)
+            return _report(name, rng, checked, ((n, m), lhs, rhs))
+    return _report(name, rng, checked)
 
 
 def check_derivative_identity(f: PowerSeries, tf: CompositaTable) -> IdentityReport:
-    """n * T(n, m) = m * sum_{k=1}^{n-m+1} k f(k) T(n-k, m-1) for n >= m > 1."""
-    name = "derivative"
+    """n * T(n, m) = m * sum_{k=1}^{n-m+1} k f(k) T(n-k, m-1) for n >= m > 1.
+
+    Entry m - 2 of the sum of k f(k) * row(n - k) is the sum for (n, m)."""
     order = tf.order
-    rng = f"1 < m <= n <= {order}"
+    name, rng = "derivative", f"1 < m <= n <= {order}"
+    kf = [(k, k * c.numerator, c.denominator) for k in range(1, order) if (c := f.coeffs[k])]
+    rows = [_scaled(row) for row in tf.rows]  # rows[n - 1] is row n
+    checked = 0
     for n in range(2, order + 1):
+        acc, den = _sum_scaled([(a, b, rows[n - k - 1]) for k, a, b in kf if k < n], n - 1)
+        nums, row_den = rows[n - 1]
         for m in range(2, n + 1):
-            lhs = n * tf[n, m]
-            rhs = Fraction(0)
-            for k in range(1, n - m + 2):
-                fk = f.coeffs[k]
-                if fk:
-                    rhs += k * fk * tf[n - k, m - 1]
-            rhs *= m
-            if lhs != rhs:
-                return _failed(name, rng, (n, m), lhs, rhs)
-    return _verified(name, rng)
+            checked += 1
+            lhs, rhs = n * nums[m - 1], m * acc[m - 2]
+            if lhs * den != rhs * row_den:
+                failure = ((n, m), Fraction(lhs, row_den), Fraction(rhs, den))
+                return _report(name, rng, checked, failure)
+    return _report(name, rng, checked)
 
 
 def check_inverse_identity(tf: CompositaTable, tinv: CompositaTable) -> IdentityReport:
@@ -129,17 +135,16 @@ def check_inverse_identity(tf: CompositaTable, tinv: CompositaTable) -> Identity
     in both orders."""
     if tf.order != tinv.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tinv.order}")
-    name = "inverse"
-    rng = f"1 <= m <= n <= {tf.order}"
-    for label, product in (
-        (0, composita_compose(tf, tinv)),
-        (1, composita_compose(tinv, tf)),
-    ):
+    name, rng = "inverse", f"1 <= m <= n <= {tf.order}"
+    checked = 0
+    products = composita_compose(tf, tinv), composita_compose(tinv, tf)
+    for label, product in enumerate(products):
         for n, m, lhs in product.entries():
+            checked += 1
             rhs = Fraction(kronecker_delta(n, m))
             if lhs != rhs:
-                return _failed(name, rng, (label, n, m), lhs, rhs)
-    return _verified(name, rng)
+                return _report(name, rng, checked, ((label, n, m), lhs, rhs))
+    return _report(name, rng, checked)
 
 
 def check_lambert_identity(max_n: int, fault: Optional[Fault] = None) -> IdentityReport:
@@ -148,45 +153,51 @@ def check_lambert_identity(max_n: int, fault: Optional[Fault] = None) -> Identit
     ``fault`` = (n, m, delta) adds delta to the right-hand side at that
     parameter pair (the identity has no table inputs to corrupt).
     """
-    name = "lambert"
-    rng = f"1 <= m <= n <= {max_n}"
+    name, rng = "lambert", f"1 <= m <= n <= {max_n}"
+    checked = 0
     for n in range(1, max_n + 1):
+        e = n - 1
         for m in range(1, n + 1):
-            lhs = Fraction((n + m) ** (n - 1))
-            rhs = Fraction(0)
-            for k in range(0, n):
-                sign = -1 if (n - k + 1) % 2 else 1
-                rhs += sign * binomial(n, k) * (m + k) ** (n - 1)
+            checked += 1
+            lhs = (n + m) ** e
+            rhs = sum((-1) ** (e - k) * binomial(n, k) * (m + k) ** e for k in range(n))
             if fault is not None and fault[:2] == (n, m):
                 rhs += fault[2]
             if lhs != rhs:
-                return _failed(name, rng, (n, m), lhs, rhs)
-    return _verified(name, rng)
+                return _report(name, rng, checked, ((n, m), Fraction(lhs), Fraction(rhs)))
+    return _report(name, rng, checked)
 
 
-def check_funceq_identity(
-    g: CompositaTable, m: int, max_n: int, max_r: int
-) -> IdentityReport:
+def check_funceq_identity(g: CompositaTable, m: int, max_n: int, max_r: int) -> IdentityReport:
     """(r/(mn+r)) g((m+1)n+r, mn+r) = sum_{k=1}^{n} (k/n) g((m+1)n-k, mn) g(r+k, r)
-    for the triangle g of x*G(x), over 1 <= n <= max_n, 1 <= r <= min(n, max_r)."""
+    for the triangle g of x*G(x), over 1 <= n <= max_n, 1 <= r <= min(n, max_r).
+
+    Entry (p, q) of g is [x^(p-q)] G^q, whose denominator depends on p - q:
+    so the factors g(r+k, r) are read as subdiagonal k over its own lcm."""
     if m < 1:
         raise ValueError("the identity is stated for m >= 1")
     needed = (m + 1) * max_n + max_r
     if g.order < needed:
         raise InsufficientOrder(f"g is needed to order {needed}, got {g.order}")
-    name = "funceq"
-    rng = f"m={m}, 1 <= n <= {max_n}, 1 <= r <= min(n, {max_r})"
+    name, rng = "funceq", f"m={m}, 1 <= n <= {max_n}, 1 <= r <= min(n, {max_r})"
+    rows = g.rows  # rows[p - 1][q - 1] is g(p, q)
+    width = min(max_n, max_r)
+    diagonals: list[Scaled] = []  # diagonals[k - 1]: g(r + k, r) for r = 1..width
+    checked = 0
     for n in range(1, max_n + 1):
-        for r in range(1, min(n, max_r) + 1):
-            lhs = Fraction(r, m * n + r) * g[(m + 1) * n + r, m * n + r]
-            rhs = Fraction(0)
-            for k in range(1, n + 1):
-                left_factor = g[(m + 1) * n - k, m * n]
-                if left_factor:
-                    rhs += Fraction(k, n) * left_factor * g[r + k, r]
-            if lhs != rhs:
-                return _failed(name, rng, (n, r), lhs, rhs)
-    return _verified(name, rng)
+        diagonals.append(_scaled([rows[n + r - 1][r - 1] for r in range(1, width + 1)]))
+        w, mn = min(n, max_r), m * n
+        left = ((k, rows[mn + n - k - 1][mn - 1]) for k in range(1, n + 1))
+        terms = [(k * a.numerator, a.denominator, diagonals[k - 1]) for k, a in left if a]
+        acc, den = _sum_scaled(terms, w)
+        for r in range(1, w + 1):
+            checked += 1
+            entry = rows[mn + n + r - 1][mn + r - 1]
+            lhs_num, lhs_den = r * entry.numerator, (mn + r) * entry.denominator
+            if lhs_num * n * den != acc[r - 1] * lhs_den:
+                failure = ((n, r), Fraction(lhs_num, lhs_den), Fraction(acc[r - 1], n * den))
+                return _report(name, rng, checked, failure)
+    return _report(name, rng, checked)
 
 
 def check_reciprocal_identity(
@@ -201,12 +212,16 @@ def check_reciprocal_identity(
                    * sum_{j=0}^{k} b0^(-j) (-1)^(j-k) C(k, j) D(n-m+j, j)
 
     where D(p, j) is the composita of x*B(x) at (p, j), with the j = 0
-    column read as the Kronecker delta.  (The b0 exponent really is -j:
-    each k-term carries 1/b0^k from the geometric expansion and b0^(k-j)
-    from the binomial, which collapse; writing b0^(k-j) alone is only
-    right when b0 = 1.)  Because [x^p] (x B)^j equals [x^(p-j)] B^j,
+    column read as the Kronecker delta.  (The b0 exponent really is -j: the
+    1/b0^k of the geometric expansion and the b0^(k-j) of the binomial
+    collapse.)  Because [x^p] (x B)^j equals [x^(p-j)] B^j,
     those entries are evaluated from plain powers of B, so B is needed
-    to order ``table.order - 1``.  The sum is O(N^4) over the table.
+    to order ``table.order - 1``.
+
+    With b0 = p/q, d = n - m and [x^d] B^j = P_j / E, this is q^m S / (p^n E)
+    for S = sum_{k=0}^{d} C(m+k-1, k) sum_{j=0}^{k} C(k, j) (-1)^j q^j p^(d-j) P_j,
+    whose k = 0 and j = 0 terms give the diagonal (P_0 is [d = 0]) and whose
+    inner sum is taken once per (d, k).
 
     Every entry of ``table`` is compared with the formula.  ``fault`` =
     (n, m, delta) adds delta to the formula's value at (n, m).
@@ -214,43 +229,28 @@ def check_reciprocal_identity(
     b0 = b.coeffs[0]
     if b0 == 0:
         raise DivisionByNonUnit("reciprocal needs a series with nonzero constant term")
-    order = table.order
-    depth = order - 1
+    order, depth = table.order, table.order - 1
     if b.order < depth:
         raise InsufficientOrder(f"b is needed to order {depth}, got {b.order}")
-    name = "reciprocal"
-    rng = f"1 <= m <= n <= {order}"
-
-    power_coeffs: list[tuple[Fraction, ...]] = []
-    if depth >= 1:
-        base = b.truncate(depth)
-        p = base
-        power_coeffs.append(p.coeffs)
-        for _ in range(depth - 1):
-            p = p * base
-            power_coeffs.append(p.coeffs)
-
-    def b_power(d: int, j: int) -> Fraction:
-        # [x^d] B(x)^j, with B^0 = 1
-        if j == 0:
-            return Fraction(1 if d == 0 else 0)
-        return power_coeffs[j - 1][d]
-
-    for n, m, lhs in table.entries():
-        d = n - m
-        rhs = Fraction(0)
-        for k in range(1, d + 1):
-            inner = Fraction(0)
-            for j in range(0, k + 1):
-                bp = b_power(d, j)
-                if bp:
-                    sign = -1 if (k - j) % 2 else 1
-                    inner += sign * b0**-j * binomial(k, j) * bp
-            sign_k = -1 if k % 2 else 1
-            rhs += sign_k * binomial(m + k - 1, m - 1) * inner
-        rhs = b0**-m if d == 0 else rhs / b0**m
+    name, rng = "reciprocal", f"1 <= m <= n <= {order}"
+    base = b.truncate(depth)
+    powers = [PowerSeries.one(depth)]  # powers[j] is B^j
+    for _ in range(depth):
+        powers.append(powers[-1] * base)
+    p, q = b0.numerator, b0.denominator
+    p_pow, q_pow = [p**i for i in range(order + 1)], [q**i for i in range(order + 1)]
+    inner: list[Scaled] = []  # inner[d]: the sums over j for k = 0..d, over E
+    for d in range(order):
+        nums, den = _scaled([powers[j].coeffs[d] for j in range(d + 1)])
+        u = [(-1) ** j * q_pow[j] * p_pow[d - j] * v for j, v in enumerate(nums)]
+        sums = [sum(binomial(k, j) * u[j] for j in range(k + 1)) for k in range(d + 1)]
+        inner.append((sums, den))
+    for checked, (n, m, lhs) in enumerate(table.entries(), 1):
+        sums, den = inner[n - m]
+        num = q_pow[m] * sum(binomial(m + k - 1, k) * s for k, s in enumerate(sums))
+        den *= p_pow[n]
         if fault is not None and fault[:2] == (n, m):
-            rhs += fault[2]
-        if lhs != rhs:
-            return _failed(name, rng, (n, m), lhs, rhs)
-    return _verified(name, rng)
+            num, den = (Fraction(num, den) + fault[2]).as_integer_ratio()
+        if lhs.numerator * den != num * lhs.denominator:
+            return _report(name, rng, checked, ((n, m), lhs, Fraction(num, den)))
+    return _report(name, rng, checked)

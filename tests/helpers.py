@@ -3,7 +3,9 @@
 Everything in this module is deliberately computed without the package
 under test: plain list convolutions, math.comb, and textbook recurrences.
 When a test compares a package result against a helper, the two sides
-share no code.
+share no code.  The reference identity sweeps at the end read the
+package's table and series types (and the reciprocal reference multiplies
+``PowerSeries``), but share no arithmetic with the checks they test.
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from compositae import PowerSeries
+from compositae import CompositaTable, IdentityReport, PowerSeries
+from compositae.errors import DivisionByNonUnit, InsufficientOrder
 
 
 def gb(alpha: Fraction, n: int) -> Fraction:
@@ -100,3 +103,128 @@ def series_strategy(
         st.integers(min_value=min_order, max_value=max_order),
         st.lists(coeffs, min_size=max_order + 1, max_size=max_order + 1),
     ).map(build)
+
+
+# ---------------------------------------------------------------------------
+# Reference identity sweeps: the per-term ``Fraction`` loops that the
+# package's checks replaced with cross-multiplied integer sums.  They sweep
+# in the same order and report the same first failure and entry count.
+
+
+def _report(name, rng, checked, failure=None) -> IdentityReport:
+    status = "verified" if failure is None else "counterexample"
+    return IdentityReport(name, rng, status, failure, checked)
+
+
+def reference_derivative(f: PowerSeries, tf: CompositaTable) -> IdentityReport:
+    """n * T(n, m) = m * sum_{k=1}^{n-m+1} k f(k) T(n-k, m-1) for n >= m > 1."""
+    name = "derivative"
+    order = tf.order
+    rng = f"1 < m <= n <= {order}"
+    checked = 0
+    for n in range(2, order + 1):
+        for m in range(2, n + 1):
+            checked += 1
+            lhs = n * tf[n, m]
+            rhs = Fraction(0)
+            for k in range(1, n - m + 2):
+                fk = f.coeffs[k]
+                if fk:
+                    rhs += k * fk * tf[n - k, m - 1]
+            rhs *= m
+            if lhs != rhs:
+                return _report(name, rng, checked, ((n, m), lhs, rhs))
+    return _report(name, rng, checked)
+
+
+def reference_lambert(max_n: int, fault=None) -> IdentityReport:
+    """(n+m)^(n-1) = sum_{k=0}^{n-1} C(n,k) (m+k)^(n-1) (-1)^(n-k+1)."""
+    name = "lambert"
+    rng = f"1 <= m <= n <= {max_n}"
+    checked = 0
+    for n in range(1, max_n + 1):
+        for m in range(1, n + 1):
+            checked += 1
+            lhs = Fraction((n + m) ** (n - 1))
+            rhs = Fraction(0)
+            for k in range(0, n):
+                sign = -1 if (n - k + 1) % 2 else 1
+                rhs += sign * math.comb(n, k) * (m + k) ** (n - 1)
+            if fault is not None and fault[:2] == (n, m):
+                rhs += fault[2]
+            if lhs != rhs:
+                return _report(name, rng, checked, ((n, m), lhs, rhs))
+    return _report(name, rng, checked)
+
+
+def reference_funceq(g: CompositaTable, m: int, max_n: int, max_r: int) -> IdentityReport:
+    """(r/(mn+r)) g((m+1)n+r, mn+r) = sum_{k=1}^{n} (k/n) g((m+1)n-k, mn) g(r+k, r)."""
+    if m < 1:
+        raise ValueError("the identity is stated for m >= 1")
+    needed = (m + 1) * max_n + max_r
+    if g.order < needed:
+        raise InsufficientOrder(f"g is needed to order {needed}, got {g.order}")
+    name = "funceq"
+    rng = f"m={m}, 1 <= n <= {max_n}, 1 <= r <= min(n, {max_r})"
+    checked = 0
+    for n in range(1, max_n + 1):
+        for r in range(1, min(n, max_r) + 1):
+            checked += 1
+            lhs = Fraction(r, m * n + r) * g[(m + 1) * n + r, m * n + r]
+            rhs = Fraction(0)
+            for k in range(1, n + 1):
+                left_factor = g[(m + 1) * n - k, m * n]
+                if left_factor:
+                    rhs += Fraction(k, n) * left_factor * g[r + k, r]
+            if lhs != rhs:
+                return _report(name, rng, checked, ((n, r), lhs, rhs))
+    return _report(name, rng, checked)
+
+
+def reference_reciprocal(b: PowerSeries, table: CompositaTable, fault=None) -> IdentityReport:
+    """The paper's O(N^4) negative-binomial sum for the triangle of x*A(x), A B = 1."""
+    b0 = b.coeffs[0]
+    if b0 == 0:
+        raise DivisionByNonUnit("reciprocal needs a series with nonzero constant term")
+    order = table.order
+    depth = order - 1
+    if b.order < depth:
+        raise InsufficientOrder(f"b is needed to order {depth}, got {b.order}")
+    name = "reciprocal"
+    rng = f"1 <= m <= n <= {order}"
+
+    power_coeffs: list[tuple[Fraction, ...]] = []
+    if depth >= 1:
+        base = b.truncate(depth)
+        p = base
+        power_coeffs.append(p.coeffs)
+        for _ in range(depth - 1):
+            p = p * base
+            power_coeffs.append(p.coeffs)
+
+    def b_power(d: int, j: int) -> Fraction:
+        # [x^d] B(x)^j, with B^0 = 1
+        if j == 0:
+            return Fraction(1 if d == 0 else 0)
+        return power_coeffs[j - 1][d]
+
+    checked = 0
+    for n, m, lhs in table.entries():
+        checked += 1
+        d = n - m
+        rhs = Fraction(0)
+        for k in range(1, d + 1):
+            inner = Fraction(0)
+            for j in range(0, k + 1):
+                bp = b_power(d, j)
+                if bp:
+                    sign = -1 if (k - j) % 2 else 1
+                    inner += sign * b0**-j * math.comb(k, j) * bp
+            sign_k = -1 if k % 2 else 1
+            rhs += sign_k * math.comb(m + k - 1, m - 1) * inner
+        rhs = b0**-m if d == 0 else rhs / b0**m
+        if fault is not None and fault[:2] == (n, m):
+            rhs += fault[2]
+        if lhs != rhs:
+            return _report(name, rng, checked, ((n, m), lhs, rhs))
+    return _report(name, rng, checked)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,19 @@ class TestSeriesGenerators:
 
     def test_monomial(self):
         assert catalog_series(make_spec("monomial", [3]), 5).coeffs == (0, 0, 0, 1, 0, 0)
+        assert catalog_series(make_spec("monomial", [5]), 5).coeffs == (0, 0, 0, 0, 0, 1)
+        assert catalog_series(make_spec("monomial", [6]), 5).coeffs == (0,) * 6
+
+    def test_large_monomial_costs_what_its_order_costs(self):
+        # x^3000000 to order 3 is four zeros; no list of 3000001 coefficients
+        tracemalloc.start()
+        try:
+            series = catalog_series(parse_function_spec("monomial:3000000"), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.coeffs == (0, 0, 0, 0)
+        assert peak < 1_000_000
 
 
 class TestClosedForms:

@@ -199,14 +199,14 @@ class TestRiordan:
 
 
 class TestVerify:
-    # one in-range fault per sweep, at its default sizes
+    # one in-range fault per sweep, at its default sizes, and the line it prints
     PLANTED = {
-        "associativity": "4,1,1",
-        "derivative": "5,2,1",
-        "inverse": "4,2,1",
-        "lambert": "3,2,1",
-        "funceq": "3,2,1",
-        "reciprocal": "4,2,1",
+        "associativity": ("4,1,1", "counterexample at (4,1): lhs=115/6 rhs=109/6"),
+        "derivative": ("5,2,1", "counterexample at (5,2): lhs=25 rhs=20"),
+        "inverse": ("4,2,1", "counterexample at (0,4,2): lhs=1 rhs=0"),
+        "lambert": ("3,2,1", "counterexample at (3,2): lhs=25 rhs=26"),
+        "funceq": ("3,2,1", "counterexample at (1,1): lhs=3/2 rhs=1"),
+        "reciprocal": ("4,2,1", "counterexample at (4,2): lhs=1/3 rhs=4/3"),
     }
 
     @pytest.mark.parametrize("identity", cli.IDENTITY_NAMES)
@@ -214,11 +214,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--identity", identity)
         assert code == 0
         assert out == "verified\n"
-        code, out, _ = run(
-            capsys, "verify", "--identity", identity, "--perturb", self.PLANTED[identity]
-        )
+        perturb, line = self.PLANTED[identity]
+        code, out, _ = run(capsys, "verify", "--identity", identity, "--perturb", perturb)
         assert code == 3
-        assert out.startswith("counterexample at (")
+        assert out == line + "\n"
 
     def test_lambert_verified(self, capsys):
         code, out, _ = run(
@@ -278,6 +277,7 @@ class TestVerify:
             "identity": "lambert",
             "range": "1 <= m <= n <= 6",
             "status": "verified",
+            "checked": 21,
         }
 
     @pytest.mark.parametrize("max_r", ["0", "-3"])
@@ -349,6 +349,59 @@ class TestOutputFailures:
         assert status == 1
         assert out == ""
         assert err == f"error: cannot write {target}: {os.strerror(code)}\n"
+
+    def test_output_replaces_an_existing_file_and_keeps_its_mode(self, capsys, tmp_path):
+        target = tmp_path / "triangle.txt"
+        target.write_text("old contents\n", encoding="utf-8")
+        target.chmod(0o640)
+        code, out, _ = run(
+            capsys, "composita", "--fn", "geometric", "--n", "6", "--output", str(target)
+        )
+        assert (code, out) == (0, "")
+        assert target.read_text(encoding="utf-8") == PASCAL_SIX + "\n"
+        assert target.stat().st_mode & 0o7777 == 0o640
+        assert os.listdir(tmp_path) == ["triangle.txt"]
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_write_keeps_the_target_and_leaves_no_temporary(
+        self, capsys, tmp_path, monkeypatch, step
+    ):
+        def fail(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        target = tmp_path / "triangle.txt"
+        target.write_text("old contents\n", encoding="utf-8")
+        monkeypatch.setattr(cli.os, step, fail)
+        code, out, err = run(
+            capsys, "composita", "--fn", "geometric", "--n", "6", "--output", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+        assert target.read_text(encoding="utf-8") == "old contents\n"
+        assert os.listdir(tmp_path) == ["triangle.txt"]
+
+    def test_output_to_a_device_is_written_in_place(self, capsys, monkeypatch):
+        def refuse(*args):  # renaming over a device would replace the device
+            raise AssertionError(f"os.replace{args}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, out, _ = run(
+            capsys, "composita", "--fn", "geometric", "--n", "2", "--output", os.devnull
+        )
+        assert (code, out) == (0, "")
+
+    def test_output_through_a_symlink_replaces_the_file_it_names(self, capsys, tmp_path):
+        target = tmp_path / "triangle.txt"
+        target.write_text("old contents\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        code, _, _ = run(
+            capsys, "composita", "--fn", "geometric", "--n", "6", "--output", str(link)
+        )
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == PASCAL_SIX + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "triangle.txt"]
 
     def test_closed_stdout_pipe_exits_1_without_traceback(self):
         # about 100 KiB of output, more than a pipe buffer holds, so the

@@ -46,16 +46,19 @@ class TestReport:
             "identity": "demo",
             "range": "n <= 4",
             "status": "verified",
+            "checked": 0,
         }
 
     def test_counterexample_record(self):
         report = IdentityReport(
             "demo", "n <= 4", "counterexample",
-            ((3, 2), Fraction(25), Fraction(26)),
+            ((3, 2), Fraction(25), Fraction(26)), 5,
         )
         assert not report.verified
         record = report.to_record()
+        assert list(record) == ["identity", "range", "status", "checked", "failure"]
         assert record["status"] == "counterexample"
+        assert record["checked"] == 5
         assert record["failure"] == {
             "parameters": [3, 2],
             "lhs": "25",
@@ -222,3 +225,52 @@ class TestReciprocal:
         b = PowerSeries.of([1, -1], order=7)
         with pytest.raises(InsufficientOrder):
             check_reciprocal_identity(b.truncate(5), reciprocal_composita(b, 8))
+
+
+class TestChecked:
+    """``checked`` counts the entries compared: all of them in a verified
+    sweep, and up to and including the first failure otherwise."""
+
+    def test_associativity_compares_the_whole_triangle(self):
+        tables = [table_for(n, 6) for n in ("geometric", "sin", "x_exp")]
+        assert check_associativity(*tables).checked == 6 * 7 // 2
+
+    @pytest.mark.parametrize("order", [1, 2, 9])
+    def test_derivative_compares_n_choose_2(self, order):
+        f = catalog_series(make_spec("fib"), order)
+        report = check_derivative_identity(f, composita_from_series(f, order))
+        assert report.verified
+        assert report.checked == order * (order - 1) // 2
+
+    def test_derivative_counts_to_the_failure(self):
+        f = catalog_series(make_spec("geometric"), 8)
+        tf = composita_from_series(f, 8)
+        report = check_derivative_identity(f, tf.with_entry(5, 2, tf[5, 2] + 1))
+        assert report.first_failure[0] == (5, 2)
+        assert report.checked == 1 + 2 + 3 + 1
+
+    def test_inverse_compares_both_products(self):
+        f = catalog_series(make_spec("x_exp"), 7)
+        tf = composita_from_series(f, 7)
+        tinv = composita_from_series(inverse_series(f, tf), 7)
+        assert check_inverse_identity(tf, tinv).checked == 2 * (7 * 8 // 2)
+
+    def test_lambert(self):
+        assert check_lambert_identity(10).checked == 10 * 11 // 2
+        assert check_lambert_identity(10, fault=(3, 2, Fraction(1))).checked == 1 + 2 + 2
+
+    @pytest.mark.parametrize("max_n, max_r, count", [(6, 6, 21), (6, 2, 11), (4, 1, 4)])
+    def test_funceq_sums_min_n_max_r(self, max_n, max_r, count):
+        g = xg_table([Fraction(1), Fraction(1, 3)], 2 * max_n + max_r)
+        report = check_funceq_identity(g, 1, max_n, max_r)
+        assert report.verified
+        assert report.checked == count
+
+    def test_reciprocal_compares_every_entry(self):
+        b = catalog_series(make_spec("sin_over_x"), 11)
+        report = check_reciprocal_identity(b, reciprocal_composita(b, 12))
+        assert report.checked == 12 * 13 // 2
+        report = check_reciprocal_identity(
+            b, reciprocal_composita(b, 12), fault=(4, 2, Fraction(1))
+        )
+        assert report.checked == 1 + 2 + 3 + 2

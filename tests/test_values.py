@@ -92,6 +92,7 @@ CASES = {
             parameter_range="1..5",
             status="verified",
             first_failure=None,
+            checked=0,
         ),
         lambda: IdentityReport(
             "lambert", "1..5", "counterexample", ((2, 1), Fraction(1), Fraction(2))
@@ -106,7 +107,7 @@ FIELDS = {
     "FunctionSpec": ("name", "parameters", "series_generator", "closed_form"),
     "CatalogVerification": ("label", "order", "matched", "first_mismatch"),
     "FuncEqSolution": ("m", "g_table", "a_table", "a_series"),
-    "IdentityReport": ("identity_name", "parameter_range", "status", "first_failure"),
+    "IdentityReport": ("identity_name", "parameter_range", "status", "first_failure", "checked"),
 }
 
 NAMES = sorted(CASES)
