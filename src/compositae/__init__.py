@@ -10,19 +10,13 @@ through transforms of these triangles, all over exact rationals.
 from .calculus import (
     compose_series,
     composita_compose,
-    composita_product_series,
-    composita_sum,
     inverse_series,
     reciprocal_composita,
-    scale_argument,
-    scale_value,
 )
 from .catalog import (
-    CatalogVerification,
     FunctionSpec,
     catalog_closed_form,
     catalog_series,
-    catalog_verify,
     default_instances,
     make_spec,
     parse_function_spec,
@@ -43,7 +37,6 @@ from .errors import (
 from .funceq import (
     FuncEqSolution,
     arcsin_composita,
-    left_composita,
     radical_composita,
     right_composita,
     solve_functional_equation,
@@ -51,18 +44,17 @@ from .funceq import (
 from .identities import (
     IdentityReport,
     check_associativity,
+    check_closed_form,
     check_derivative_identity,
     check_funceq_identity,
     check_inverse_identity,
     check_lambert_identity,
+    check_product_identity,
     check_reciprocal_identity,
+    check_riordan_identity,
+    check_sum_identity,
 )
-from .riordan import (
-    riordan_apply,
-    riordan_apply_series,
-    riordan_build,
-    riordan_composita_check,
-)
+from .riordan import riordan_apply, riordan_build
 from .series import (
     PowerSeries,
     as_rational,
@@ -78,7 +70,6 @@ from .triangle import (
 )
 
 __all__ = [
-    "CatalogVerification",
     "CompositaTable",
     "CompositaeError",
     "DivisionByNonUnit",
@@ -97,24 +88,24 @@ __all__ = [
     "as_rational",
     "catalog_closed_form",
     "catalog_series",
-    "catalog_verify",
     "check_associativity",
+    "check_closed_form",
     "check_derivative_identity",
     "check_funceq_identity",
     "check_inverse_identity",
     "check_lambert_identity",
+    "check_product_identity",
     "check_reciprocal_identity",
+    "check_riordan_identity",
+    "check_sum_identity",
     "compose_series",
     "composita_compose",
     "composita_from_powers",
     "composita_from_series",
     "composita_oracle",
-    "composita_product_series",
-    "composita_sum",
     "default_instances",
     "format_series",
     "inverse_series",
-    "left_composita",
     "make_spec",
     "parse_function_spec",
     "parse_series",
@@ -124,11 +115,7 @@ __all__ = [
     "registry_names",
     "right_composita",
     "riordan_apply",
-    "riordan_apply_series",
     "riordan_build",
-    "riordan_composita_check",
-    "scale_argument",
-    "scale_value",
     "series_from_composita",
     "solve_functional_equation",
 ]

@@ -4,7 +4,8 @@ where available, closed-form composita triangles.
 Each entry couples a series generator (always computed from first
 principles: factorials, term integration, series division) with an
 independent closed-form formula for the triangle, so the two routes can
-be checked against each other entry by entry.  Conventions fixed here:
+be checked against each other entry by entry
+(``identities.check_closed_form``).  Conventions fixed here:
 
 * bracket-style first-kind Stirling values are signed,
   s(n, k) = (-1)^(n-k) * c(n, k) with c the unsigned cycle count;
@@ -28,7 +29,6 @@ from .combinatorics import (
 )
 from .errors import NoClosedForm, UnknownFunction
 from .series import CoeffLike, PowerSeries, as_rational, parse_rational
-from .triangle import CompositaTable, composita_from_series
 
 ClosedForm = Callable[[int, int], Fraction]
 
@@ -509,38 +509,3 @@ def catalog_closed_form(spec: FunctionSpec, n: int, k: int) -> Fraction:
     if not 1 <= k <= n:
         raise ValueError("closed forms are defined for 1 <= k <= n")
     return spec.closed_form(n, k)
-
-
-class CatalogVerification(Record):
-    """Outcome of checking a closed form against the triangle recurrence."""
-
-    __slots__ = ("label", "order", "matched", "first_mismatch")
-    label: str
-    order: int
-    matched: bool
-    first_mismatch: Optional[tuple[int, int, Fraction, Fraction]]
-
-    def __init__(
-        self,
-        label: str,
-        order: int,
-        matched: bool,
-        first_mismatch: Optional[tuple[int, int, Fraction, Fraction]] = None,
-    ) -> None:
-        self._fill(label, order, matched, first_mismatch)
-
-
-def catalog_verify(spec: FunctionSpec, order: int) -> CatalogVerification:
-    """Compare the closed form with the recurrence triangle entry by entry.
-
-    The mismatch tuple carries (n, k, closed_form_value, recurrence_value).
-    """
-    if spec.closed_form is None:
-        raise NoClosedForm(f"{spec.label()} has no closed-form composita")
-    series = catalog_series(spec, order)
-    table = composita_from_series(series, order, source=spec.label())
-    for n, k, truth in table.entries():
-        claimed = spec.closed_form(n, k)
-        if claimed != truth:
-            return CatalogVerification(spec.label(), order, False, (n, k, claimed, truth))
-    return CatalogVerification(spec.label(), order, True, None)

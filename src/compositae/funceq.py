@@ -5,12 +5,11 @@ on the triangle of x*G(x), which hands back the triangle of x*A(x)
 directly.  Entry (n, k) only reads [x^(n-k)] of a power of G, so for
 m >= 0 ``solve_functional_equation`` builds just that band of the powers
 of G and needs G only to the requested order.  The m = 1 case is
-classical Lagrange inversion, exposed separately as ``right_composita``;
-``left_composita`` is its partial inverse.  Negative m is routed through
-reciprocals: solve F = R(xF^w) with w = -m and R = 1/G, then flip the
-answer back with the reciprocal-triangle transform.  The paper's
-functional-equation identity on the triangle of x*G is swept by
-``identities.check_funceq_identity``.
+classical Lagrange inversion, exposed separately as ``right_composita``.
+Negative m is routed through reciprocals: solve F = R(xF^w) with w = -m
+and R = 1/G, then flip the answer back with the reciprocal-triangle
+transform.  The paper's functional-equation identity on the triangle of
+x*G is swept by ``identities.check_funceq_identity``.
 
 Two applications with non-obvious setups live here as well: triangles for
 1 - (1-x)^(1/m) and for arcsin(x), both obtained by feeding a rational or
@@ -51,32 +50,6 @@ def right_composita(g: CompositaTable, order: int | None = None) -> CompositaTab
         row = []
         for k in range(1, n + 1):
             row.append(Fraction(k, n) * g[2 * n - k, n])
-        rows.append(tuple(row))
-    return CompositaTable(tuple(rows))
-
-
-def left_composita(g: CompositaTable, order: int | None = None) -> CompositaTable:
-    """Partial inverse of ``right_composita``: entry (n, k) is
-    (k/(2k - n)) * g(k, 2k - n) when 2k - n >= 1 and 0 otherwise.
-
-    The zero convention matters: right_composita(left_composita(t))
-    reproduces t everywhere, but left_composita(right_composita(t)) only
-    agrees with t on entries with 2k - n >= 1.
-    """
-    if order is None:
-        order = g.order
-    if order < 1:
-        raise ValueError("a composita table needs order >= 1")
-    if order > g.order:
-        raise InsufficientOrder(
-            f"input triangle is needed to order {order}, got {g.order}"
-        )
-    rows = []
-    for n in range(1, order + 1):
-        row = []
-        for k in range(1, n + 1):
-            j = 2 * k - n
-            row.append(Fraction(k, j) * g[k, j] if j >= 1 else Fraction(0))
         rows.append(tuple(row))
     return CompositaTable(tuple(rows))
 

@@ -2,8 +2,8 @@
 
 A Riordan array is a ``CompositaTable`` with ``base`` 0: rows and columns
 are indexed from (0, 0), where a composita triangle starts at (1, 1).
-``riordan_composita_check`` performs the explicit re-indexing that links
-the two (the (F, xF) array shifted by one is the triangle of xF).
+The paper's link between the two (the (F, xF) array shifted by one is the
+triangle of xF) is ``identities.check_riordan_identity``.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ._rows import UNIT, combine, fractions_of, scalars, to_row
-from .calculus import compose_series
+from ._rows import UNIT, combine, dot, fractions_of, scalars, to_row
 from .errors import InsufficientOrder, OrderMismatch
 from .series import PowerSeries, as_rational
-from .triangle import CompositaTable, composita_from_series
+from .triangle import CompositaTable
 
 
 def riordan_build(g: PowerSeries, tf: CompositaTable) -> CompositaTable:
@@ -40,34 +39,9 @@ def riordan_build(g: PowerSeries, tf: CompositaTable) -> CompositaTable:
 def riordan_apply(r: CompositaTable, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Sequence a(n) = sum_{k=0}^{n} R(n, k) b(k): the coefficients of
     G(x) * B(F(x))."""
+    if r.base != 0:
+        raise ValueError("riordan_apply needs a Riordan array (a table with base 0)")
     if len(b) < r.order + 1:
         raise InsufficientOrder(f"b needs {r.order + 1} terms, got {len(b)}")
     values = [as_rational(v) for v in b]
-    out = []
-    for n in range(0, r.order + 1):
-        acc = Fraction(0)
-        for k in range(0, n + 1):
-            bk = values[k]
-            if bk:
-                acc += r[n, k] * bk
-        out.append(acc)
-    return tuple(out)
-
-
-def riordan_apply_series(g: PowerSeries, tf: CompositaTable, b: PowerSeries) -> PowerSeries:
-    """Reference route for the same map: G(x) * B(F(x)) via composition
-    followed by a series product."""
-    return g * compose_series(b, tf)
-
-
-def riordan_composita_check(f: PowerSeries, order: int) -> bool:
-    """True iff the (F, xF) array, renumbered from (1,1), is the triangle
-    of xF.  ``f`` provides F from index 0 and must reach ``order``."""
-    if f.order < order:
-        raise InsufficientOrder(f"f is needed to order {order}, got {f.order}")
-    base = f.truncate(order)
-    table = composita_from_series(base.times_x(), order + 1)
-    rio = riordan_build(base, table.truncated(order))
-    return all(
-        table[n + 1, k + 1] == value for n, k, value in rio.entries()
-    )
+    return tuple(dot(row, values) for row in r.rows)

@@ -16,12 +16,13 @@ from compositae import (
     PowerSeries,
     arcsin_composita,
     catalog_series,
-    catalog_verify,
     check_associativity,
+    check_closed_form,
     check_derivative_identity,
     check_funceq_identity,
     check_inverse_identity,
     check_lambert_identity,
+    check_riordan_identity,
     compose_series,
     composita_from_powers,
     composita_from_series,
@@ -30,9 +31,7 @@ from compositae import (
     make_spec,
     radical_composita,
     riordan_apply,
-    riordan_apply_series,
     riordan_build,
-    riordan_composita_check,
     solve_functional_equation,
 )
 from compositae.combinatorics import (
@@ -203,8 +202,9 @@ def test_criterion_07_closed_form_catalog():
     ]
     for spec in table_entries:
         order = 8 if spec.name in trig else 10
-        result = catalog_verify(spec, order)
-        assert result.matched, (spec.label(), result.first_mismatch)
+        table = composita_from_series(catalog_series(spec, order), order)
+        report = check_closed_form(spec, table)
+        assert report.verified, (spec.label(), report.first_failure)
 
     # Stirling sign conventions: ln(1+x) carries the signed first kind,
     # e^x - 1 the second kind.
@@ -234,8 +234,8 @@ def test_criterion_07_closed_form_catalog():
         return acc
 
     spec = make_spec("poly3", (a, b, c))
-    assert catalog_verify(spec, 6).matched
     truth = composita_from_series(catalog_series(spec, 6), 6)
+    assert check_closed_form(spec, truth).verified
     mismatch = next(
         (n, k) for n, k, value in truth.entries() if literal_typo(n, k) != value
     )
@@ -405,7 +405,10 @@ def test_criterion_10_riordan_arrays():
     from compositae import default_instances
 
     for spec in default_instances():
-        assert riordan_composita_check(catalog_series(spec, 10), 10), spec.label()
+        f = catalog_series(spec, 10)
+        shifted = composita_from_series(f.times_x(), 11)
+        rio = riordan_build(f, shifted.truncated(10))
+        assert check_riordan_identity(rio, shifted).verified, spec.label()
 
     rng = random.Random(SEED)
     for _ in range(10):
@@ -415,8 +418,7 @@ def test_criterion_10_riordan_arrays():
         )
         b = PowerSeries.of([Fraction(rng.randint(-2, 2)) for _ in range(11)], order=10)
         tf = composita_from_series(f, 10)
-        assert riordan_apply(riordan_build(g, tf), b.coeffs) == riordan_apply_series(
-            g, tf, b
-        ).coeffs
+        direct = g * compose_series(b, tf)
+        assert riordan_apply(riordan_build(g, tf), b.coeffs) == direct.coeffs
     print("PASS criterion 10: all 16 multiplier/function cells, the shifted-"
           "triangle identity for every catalog entry, and 10 random transforms")

@@ -17,15 +17,13 @@ from compositae import (
     compose_series,
     composita_compose,
     composita_from_series,
-    composita_product_series,
-    composita_sum,
     inverse_series,
     make_spec,
     catalog_series,
+    check_product_identity,
     check_reciprocal_identity,
+    check_sum_identity,
     reciprocal_composita,
-    scale_argument,
-    scale_value,
     series_from_composita,
 )
 from compositae.combinatorics import binomial, kronecker_delta
@@ -39,80 +37,108 @@ def table_of(*coeffs, order=8):
 
 
 class TestScaling:
+    """The triangle of alpha*F is alpha^k * T and that of F(alpha*x) is
+    alpha^n * T; both are ``composita_from_series`` of the scaled series."""
+
+    @staticmethod
+    def scaled_by(table, weight):
+        return tuple(
+            tuple(weight(n, k) * v for k, v in enumerate(row, start=1))
+            for n, row in enumerate(table.rows, start=1)
+        )
+
     def test_scale_value_identity(self):
         t = table_of(0, 1, 1)
-        assert scale_value(t, 1) == t
+        assert self.scaled_by(t, lambda n, k: 1) == t.rows
 
     def test_scale_value_of_x(self):
-        t = scale_value(composita_from_series(X, 5), 2)
+        t = composita_from_series(PowerSeries.of([0, 2], order=5), 5)
         for n, k, value in t.entries():
             assert value == (2**k if n == k else 0)
 
     def test_scale_value_matches_scaled_series(self):
-        t = scale_value(table_of(0, 1, 1, 1, 1, 1, 1, 1, 1), 3)
+        t = table_of(0, 1, 1, 1, 1, 1, 1, 1, 1)
         direct = composita_from_series(PowerSeries.of([0] + [3] * 8, order=8), 8)
-        assert t == direct
+        assert self.scaled_by(t, lambda n, k: 3**k) == direct.rows
 
     def test_scale_argument_identity(self):
         t = table_of(0, 1, 0, 2)
-        assert scale_argument(t, 1) == t
+        assert self.scaled_by(t, lambda n, k: 1**n) == t.rows
 
     def test_scale_argument_matches_substituted_series(self):
-        t = scale_argument(table_of(0, 1, 1, 1, 1, 1, 1, 1, 1), 2)
+        t = table_of(0, 1, 1, 1, 1, 1, 1, 1, 1)
         direct = composita_from_series(
             PowerSeries.of([0] + [2**n for n in range(1, 9)], order=8), 8
         )
-        assert t == direct
+        assert self.scaled_by(t, lambda n, k: 2**n) == direct.rows
 
     def test_scale_argument_zero(self):
-        t = scale_argument(table_of(0, 1, 1), 0)
-        assert all(value == 0 for _, _, value in t.entries())
+        t = composita_from_series(PowerSeries.zero(8), 8)
+        assert self.scaled_by(table_of(0, 1, 1), lambda n, k: 0**n) == t.rows
+
+    @given(f=series_strategy(min_order=1, max_order=8, zero_constant=True), alpha=small_fraction)
+    def test_scaling_laws(self, f, alpha):
+        t = composita_from_series(f)
+        value = composita_from_series(f * alpha)
+        argument = composita_from_series(
+            PowerSeries(tuple(c * alpha**n for n, c in enumerate(f.coeffs)))
+        )
+        assert self.scaled_by(t, lambda n, k: alpha**k) == value.rows
+        assert self.scaled_by(t, lambda n, k: alpha**n) == argument.rows
 
 
 class TestProductAndSum:
+    """The paper's product and sum theorems, as checks, verify the
+    recurrence triangles of F * B and F + G."""
+
     def test_product_with_one(self):
         t = table_of(0, 2, -1, 3)
-        assert composita_product_series(t, PowerSeries.one(8)) == t
+        assert check_product_identity(t, PowerSeries.one(8), t).verified
 
     def test_product_x_times_exp(self):
         t = composita_from_series(X, 8)
         e = PowerSeries(tuple(Fraction(1, math.factorial(n)) for n in range(9)))
-        got = composita_product_series(t, e)
-        for n, k, value in got.entries():
+        x_exp = composita_from_series(X * e, 8)
+        for n, k, value in x_exp.entries():
             assert value == Fraction(k ** (n - k), math.factorial(n - k))
+        assert check_product_identity(t, e, x_exp).verified
 
     def test_product_with_zero_constant_factor(self):
         t = composita_from_series(X, 8)
         b = PowerSeries.of([0, 1, 1], order=8)
         direct = composita_from_series(PowerSeries.of([0, 0, 1, 1], order=8), 8)
-        assert composita_product_series(t, b) == direct
+        assert check_product_identity(t, b, direct).verified
 
     def test_product_insufficient_order(self):
+        t = table_of(0, 1, 1)
         with pytest.raises(InsufficientOrder):
-            composita_product_series(table_of(0, 1, 1), PowerSeries.one(3))
+            check_product_identity(t, PowerSeries.one(3), t)
 
     def test_sum_x_plus_x_squared(self):
-        got = composita_sum(
-            composita_from_series(X, 8),
-            composita_from_series(PowerSeries.of([0, 0, 1], order=8), 8),
-        )
-        for n, k, value in got.entries():
+        tf = composita_from_series(X, 8)
+        tg = composita_from_series(PowerSeries.of([0, 0, 1], order=8), 8)
+        total = composita_from_series(PowerSeries.of([0, 1, 1], order=8), 8)
+        for n, k, value in total.entries():
             assert value == binomial(k, n - k)
+        assert check_sum_identity(tf, tg, total).verified
 
     def test_sum_with_zero_table(self):
         t = table_of(0, 1, -2, 1)
         zero = composita_from_series(PowerSeries.zero(8), 8)
-        assert composita_sum(t, zero) == t
+        assert check_sum_identity(t, zero, t).verified
 
     def test_sum_order_mismatch(self):
         with pytest.raises(OrderMismatch):
-            composita_sum(table_of(0, 1, order=4), table_of(0, 1, order=5))
+            check_sum_identity(
+                table_of(0, 1, order=4), table_of(0, 1, order=5), table_of(0, 1, order=4)
+            )
 
     def test_x_plus_sin_formula(self):
         # Adding the identity table shifts the sine triangle by C(k,j):
         # entry(n,k) = delta(n,k) + sum_j C(k,j) Sin(n-k+j, j).
-        sin_t = composita_from_series(catalog_series(make_spec("sin"), 8), 8)
-        got = composita_sum(composita_from_series(X, 8), sin_t)
+        sin = catalog_series(make_spec("sin"), 8)
+        sin_t = composita_from_series(sin, 8)
+        got = composita_from_series(X + sin, 8)
         for n, k, value in got.entries():
             expected = Fraction(kronecker_delta(n, k))
             for j in range(1, k + 1):
@@ -120,6 +146,7 @@ class TestProductAndSum:
                 if j <= i <= sin_t.order:
                     expected += binomial(k, j) * sin_t[i, j]
             assert value == expected
+        assert check_sum_identity(composita_from_series(X, 8), sin_t, got).verified
 
     @given(
         f=series_strategy(min_order=4, max_order=12, zero_constant=True),
@@ -128,8 +155,8 @@ class TestProductAndSum:
     def test_sum_theorem_matches_direct(self, f, g):
         n = min(f.order, g.order)
         f, g = f.truncate(n), g.truncate(n)
-        lhs = composita_sum(composita_from_series(f, n), composita_from_series(g, n))
-        assert lhs == composita_from_series(f + g, n)
+        tf, tg = composita_from_series(f, n), composita_from_series(g, n)
+        assert check_sum_identity(tf, tg, composita_from_series(f + g, n)).verified
 
     @given(
         f=series_strategy(min_order=4, max_order=12, zero_constant=True),
@@ -138,10 +165,8 @@ class TestProductAndSum:
     def test_product_theorem_matches_direct(self, f, b):
         t = composita_from_series(f, f.order)
         b = b.truncate(f.order)
-        product = f * b
-        if all(c == 0 for c in product.coeffs):
-            return
-        assert composita_product_series(t, b) == composita_from_series(product, f.order)
+        product = composita_from_series(f * b, f.order)
+        assert check_product_identity(t, b, product).verified
 
 
 class TestComposition:

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from compositae import (
+    FunctionSpec,
     NoClosedForm,
     UnknownFunction,
     catalog_closed_form,
     catalog_series,
-    catalog_verify,
+    check_closed_form,
     composita_from_series,
     default_instances,
     make_spec,
@@ -22,6 +25,10 @@ from compositae import (
 from compositae.combinatorics import stirling_first_unsigned
 
 TRIG_NAMES = {"sin", "x_cos", "tan", "arctan", "sinh", "x_cosh"}
+
+
+def table_of(spec, order):
+    return composita_from_series(catalog_series(spec, order), order)
 
 
 class TestSpecParsing:
@@ -143,14 +150,16 @@ class TestClosedForms:
     )
     def test_matches_recurrence(self, spec):
         order = 8 if spec.name in TRIG_NAMES else 10
-        report = catalog_verify(spec, order)
-        assert report.matched, report.first_mismatch
+        report = check_closed_form(spec, table_of(spec, order))
+        assert report.verified, report.first_failure
+        assert report.checked == order * (order + 1) // 2
 
     def test_verify_needs_a_closed_form(self):
+        table = table_of(raw_spec([0, 2, 5]), 6)
         with pytest.raises(NoClosedForm):
-            catalog_verify(make_spec("sin_over_x"), 6)
+            check_closed_form(make_spec("sin_over_x"), table)
         with pytest.raises(NoClosedForm):
-            catalog_verify(raw_spec([0, 2, 5]), 6)
+            check_closed_form(raw_spec([0, 2, 5]), table)
 
     def test_sin_parity(self):
         for spec_name in ["sin", "tan", "arctan", "sinh"]:
@@ -194,15 +203,24 @@ class TestClosedForms:
 
 class TestVerification:
     def test_report_carries_first_mismatch(self):
-        # A deliberately wrong claim: feed poly2 parameters into a poly2
-        # table built from different parameters by checking a raw series.
-        spec = make_spec("poly2", [1, 2])
-        report = catalog_verify(spec, 6)
-        assert report.matched and report.first_mismatch is None
+        # The poly2:1,2 closed form against the triangle of poly2:1,3: the
+        # first entry with a power of b, (2, 1), differs.
+        truth = table_of(make_spec("poly2", [1, 3]), 6)
+        report = check_closed_form(make_spec("poly2", [1, 2]), truth)
+        assert report.status == "counterexample"
+        assert report.first_failure == ((2, 1), Fraction(3), Fraction(2))
+        assert report.checked == 2
+
+    def test_planted_fault_is_found_at_its_site(self):
+        spec = make_spec("x_exp")
+        table = table_of(spec, 9)
+        report = check_closed_form(spec, table.with_entry(7, 4, table[7, 4] + Fraction(1, 7)))
+        assert report.first_failure[0] == (7, 4)
+        assert report.checked == 21 + 4
 
     def test_fraction_parameters_verify(self):
         spec = make_spec("poly3", [Fraction(1, 2), -1, Fraction(3, 4)])
-        assert catalog_verify(spec, 9).matched
+        assert check_closed_form(spec, table_of(spec, 9)).verified
 
     def test_catalog_series_matches_composita_route(self):
         for spec in default_instances():
@@ -213,3 +231,37 @@ class TestVerification:
             table = composita_from_series(series, order)
             for n, k, value in table.entries():
                 assert catalog_closed_form(spec, n, k) == value, (spec.label(), n, k)
+
+
+def _load_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_catalog.py"
+    spec = importlib.util.spec_from_file_location("verify_catalog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestVerifyCatalogScript:
+    def test_every_entry_verifies(self, capsys):
+        script = _load_script()
+        assert script.main(["--poly-order", "6", "--trig-order", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        labels = [s.label() for s in default_instances()]
+        assert [line.split()[0] for line in lines[:-1]] == labels
+        assert lines[labels.index("sin_over_x")].endswith("skipped (no closed form)")
+        assert lines[-1] == "0 mismatching entries"
+
+    def test_wrong_closed_form_exits_1(self, capsys, monkeypatch):
+        script = _load_script()
+        geometric = make_spec("geometric")
+
+        def wrong(n, k):
+            return geometric.closed_form(n, k) + ((n, k) == (4, 2))
+
+        spec = FunctionSpec("geometric", (), geometric.series_generator, wrong)
+        monkeypatch.setattr(script, "default_instances", lambda: [spec])
+        assert script.main(["--poly-order", "6"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "geometric        N=6   MISMATCH at (4,2): closed form 4, recurrence 3",
+            "1 mismatching entry",
+        ]

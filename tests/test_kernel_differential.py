@@ -2,8 +2,9 @@
 
 Each routed function is compared for exact equality with an independent
 route that never touches the kernel: the powers route and the oracle for
-the triangle, plain list convolutions from ``tests/helpers.py``, and
-``PowerSeries`` arithmetic.  The random series mix zeros, f(1) = 0,
+the triangle, plain list convolutions from ``tests/helpers.py``,
+``PowerSeries`` arithmetic, and the paper's sum and product theorems as
+checked in ``identities.py``.  The random series mix zeros, f(1) = 0,
 negative values, coprime and shared denominators, and all-integer lists.
 """
 from __future__ import annotations
@@ -15,13 +16,13 @@ from hypothesis import strategies as st
 
 from compositae import (
     PowerSeries,
+    check_product_identity,
+    check_sum_identity,
     compose_series,
     composita_compose,
     composita_from_powers,
     composita_from_series,
     composita_oracle,
-    composita_product_series,
-    composita_sum,
     inverse_series,
     riordan_build,
 )
@@ -152,13 +153,18 @@ class TestCalculus:
         b=rational_series(min_order=6, max_order=6, vanishing=False),
     )
     def test_product_matches_powers(self, f, b):
-        product = composita_product_series(composita_from_series(f), b)
-        assert product == composita_from_powers(f * b)
+        # the paper's product theorem, on integer powers of B, against the
+        # recurrence triangle of F * B
+        product = composita_from_series(f * b)
+        assert check_product_identity(composita_from_series(f), b, product).verified
 
     @given(
         f=rational_series(min_order=6, max_order=6),
         g=rational_series(min_order=6, max_order=6),
     )
     def test_sum_matches_powers(self, f, g):
-        total = composita_sum(composita_from_series(f), composita_from_series(g))
-        assert total == composita_from_powers(f + g)
+        # the paper's sum theorem, on plain Fractions, against the
+        # recurrence triangle of F + G
+        total = composita_from_series(f + g)
+        tf, tg = composita_from_series(f), composita_from_series(g)
+        assert check_sum_identity(tf, tg, total).verified

@@ -15,13 +15,13 @@ from compositae import (
     CompositaTable,
     PowerSeries,
     catalog_series,
+    check_riordan_identity,
+    compose_series,
     composita_from_series,
     default_instances,
     make_spec,
     riordan_apply,
-    riordan_apply_series,
     riordan_build,
-    riordan_composita_check,
 )
 from compositae.combinatorics import binomial
 from helpers import series_strategy
@@ -138,6 +138,11 @@ class TestApply:
         with pytest.raises(InsufficientOrder):
             riordan_apply(pascal(4), [Fraction(1)] * 4)
 
+    def test_composita_triangle_rejected(self):
+        # rows of a base-1 table would pair T(n, k) with b(k - 1)
+        with pytest.raises(ValueError, match="base 0"):
+            riordan_apply(composita_from_series(geometric(4), 4), [Fraction(1)] * 6)
+
     @given(
         g=series_strategy(min_order=6, max_order=6),
         f=series_strategy(min_order=6, max_order=6, zero_constant=True),
@@ -150,13 +155,25 @@ class TestApply:
         tf = composita_from_series(f, 6)
         table = riordan_build(g, tf)
         b_series = PowerSeries.of([Fraction(v) for v in b], order=6)
-        direct = riordan_apply_series(g, tf, b_series)
+        direct = g * compose_series(b_series, tf)
         assert riordan_apply(table, b_series.coeffs) == direct.coeffs
 
 
+def shifted_pair(f, order):
+    """The (F, xF) array to ``order`` and the triangle of xF to ``order + 1``."""
+    base = f.truncate(order)
+    table = composita_from_series(base.times_x(), order + 1)
+    return riordan_build(base, table.truncated(order)), table
+
+
 class TestCompositaCheck:
+    """``check_riordan_identity``: the (F, xF) array is the triangle of xF
+    shifted by one."""
+
     def test_geometric(self):
-        assert riordan_composita_check(ones(8), 8)
+        report = check_riordan_identity(*shifted_pair(ones(8), 8))
+        assert report.verified
+        assert report.checked == 9 * 10 // 2
 
     @pytest.mark.parametrize(
         "spec",
@@ -164,15 +181,16 @@ class TestCompositaCheck:
         ids=lambda s: s.label(),
     )
     def test_every_catalog_function(self, spec):
-        assert riordan_composita_check(catalog_series(spec, 8), 8)
+        assert check_riordan_identity(*shifted_pair(catalog_series(spec, 8), 8)).verified
 
     def test_short_series_rejected(self):
+        rio, table = shifted_pair(ones(8), 8)
         with pytest.raises(InsufficientOrder):
-            riordan_composita_check(ones(5), 8)
+            check_riordan_identity(rio, table.truncated(8))
 
     @given(f=series_strategy(min_order=5, max_order=8))
     def test_holds_for_arbitrary_series(self, f):
-        assert riordan_composita_check(f, f.order)
+        assert check_riordan_identity(*shifted_pair(f, f.order)).verified
 
     def test_detects_a_broken_pairing(self):
         # Pair tan with the triangle of x*sin instead of x*tan: the shifted
@@ -182,6 +200,7 @@ class TestCompositaCheck:
         wrong = catalog_series(make_spec("sin"), order)
         table = composita_from_series(wrong.times_x(), order + 1)
         rio = riordan_build(f, table.truncated(order))
-        assert any(
-            table[n + 1, k + 1] != value for n, k, value in rio.entries()
-        )
+        report = check_riordan_identity(rio, table)
+        assert report.status == "counterexample"
+        (n, k), lhs, rhs = report.first_failure
+        assert lhs == rio[n, k] != rhs == table[n + 1, k + 1]

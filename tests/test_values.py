@@ -1,4 +1,4 @@
-"""Value semantics of the package's six immutable record types.
+"""Value semantics of the package's five immutable record types.
 
 Each type is compared and hashed by its data fields only: a table's
 ``source`` label and a spec's generator and closed form take no part,
@@ -17,7 +17,6 @@ from fractions import Fraction
 import pytest
 
 from compositae import (
-    CatalogVerification,
     CompositaTable,
     FuncEqSolution,
     FunctionSpec,
@@ -68,13 +67,6 @@ CASES = {
         ),
         lambda: FunctionSpec("f", (Fraction(2),), _gen),
     ),
-    "CatalogVerification": (
-        lambda: CatalogVerification("geometric", 5, True),
-        lambda: CatalogVerification(
-            label="geometric", order=5, matched=True, first_mismatch=None
-        ),
-        lambda: CatalogVerification("geometric", 5, False, (1, 1, Fraction(1), Fraction(2))),
-    ),
     "FuncEqSolution": (
         lambda: _solution(),
         lambda: FuncEqSolution(
@@ -105,7 +97,6 @@ FIELDS = {
     "CompositaTable": ("rows", "source", "base"),
     "CompositaTable(base=0)": ("rows", "source", "base"),
     "FunctionSpec": ("name", "parameters", "series_generator", "closed_form"),
-    "CatalogVerification": ("label", "order", "matched", "first_mismatch"),
     "FuncEqSolution": ("m", "g_table", "a_table", "a_series"),
     "IdentityReport": ("identity_name", "parameter_range", "status", "first_failure", "checked"),
 }
@@ -174,7 +165,6 @@ def test_ignored_fields_are_kept():
     spec = CASES["FunctionSpec"][1]()
     assert spec.series_generator is _other_gen
     assert spec.closed_form is None
-    assert CatalogVerification("x", 1, True).first_mismatch is None
     assert IdentityReport("x", "1..1", "verified").first_failure is None
 
 
@@ -232,7 +222,7 @@ class TestConstructorChecks:
             (CompositaTable, ()),
             (FunctionSpec, ("f",)),
             (FunctionSpec, ("f", ())),
-            (CatalogVerification, ("x", 1)),
+            (IdentityReport, ("x",)),
             (FuncEqSolution, (1,)),
             (IdentityReport, ("x", "1..1")),
         ],
