@@ -6,8 +6,9 @@ algebra and triangle algebra, and each one is exercised in the test suite
 against the literal series route it shortcuts.  The reciprocal triangle is
 built from the series 1/B by the composita recurrence.  The triangles of
 F + G, F * B, alpha * F and F(alpha * x) have no route here: each is
-``composita_from_series`` of that series.  The paper's formulas for the
-sum, the product and the reciprocal live in ``identities.py`` as checks.
+``composita_from_series`` of that series.  The paper's sum and product
+formulas are checks in ``theorems.py``, its reciprocal formula a sweep in
+``identities.py``.
 """
 
 from __future__ import annotations

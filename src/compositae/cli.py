@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 usage (including unknown designators),
 (an unexpected exception, reported in one line without a traceback).
 
 Every call starts a fresh interpreter and, with no bytecode cache, compiles
-what it imports, so start-up is kept lean: the package's value types are
+what it imports, so start-up is kept lean: no subcommand imports
+``theorems`` (the paper's closed forms and theorems, which only the tests
+and ``scripts/verify_catalog.py`` evaluate), the package's value types are
 plain slotted classes rather than dataclasses, and ``json`` is imported
 only when ``--format records`` asks for it.
 """
@@ -304,8 +306,6 @@ def _verify_reciprocal(args: argparse.Namespace, max_n: int) -> IdentityReport:
 def _perturb_limit(args: argparse.Namespace, max_n: int) -> int:
     """Order of the triangle that --perturb indexes into for this sweep."""
     if args.identity == "funceq":
-        if args.m < 1:
-            raise ValueError("the identity is stated for m >= 1")
         max_r = args.max_r if args.max_r is not None else max_n
         return (args.m + 1) * max_n + max_r
     return max_n
@@ -315,8 +315,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     identity = args.identity
     max_n = args.max_n if args.max_n is not None else _DEFAULT_MAX_N[identity]
     max_n = _require_order(max_n, "--max-n")
-    if identity == "funceq" and args.max_r is not None:
-        _require_order(args.max_r, "--max-r")
+    if identity == "funceq":
+        if args.max_r is not None:
+            _require_order(args.max_r, "--max-r")
+        if args.m < 1:  # before any series is built: the order needed depends on m
+            raise ValueError("the identity is stated for m >= 1")
     if args.perturb is not None:
         limit = _perturb_limit(args, max_n)
         n, k, _ = args.perturb

@@ -1,4 +1,5 @@
-"""Machine checks for the triangle identities, swept over parameter ranges.
+"""Machine checks for the triangle identities, swept over parameter ranges:
+the six sweeps that ``compositae verify`` runs.
 
 Every checker computes both sides of its identity independently and
 reports the first disagreement and how many entries it compared.  Where
@@ -7,17 +8,17 @@ exact arithmetic makes an identity impossible to break by perturbing the
 three tables), the checker takes a ``fault`` that corrupts one side's
 intermediate, which is how the tests prove the comparisons are live.
 
-The paper's formulas for objects the library computes by another route
-are checks here, not production code: the reciprocal, sum, product,
-Riordan-shift and closed-form checks.  Each compares the production table
-it is given, so a planted fault is ``table.with_entry(...)``.
+The reciprocal sweep is the paper's formula for an object the library
+computes by another route: it compares the production table it is given.
+The paper's sum, product, Riordan-shift and closed-form checks, which no
+CLI subcommand runs, are in ``theorems.py``; they share ``_sweep``,
+``_scaled``, ``_powers`` and ``_report`` from here.
 
 The derivative, Lambert, funceq and reciprocal sweeps compare
 cross-multiplied integers, each side summed over one lcm, and build
 ``Fraction`` values only for a failure; the powers of B behind the
-reciprocal and product checks are integer rows too.  This arithmetic is
-written here, not taken from the kernel ``_rows``, so the checks stay
-independent of it.
+reciprocal check are integer rows too.  This arithmetic is written here,
+not taken from the kernel ``_rows``, so the checks stay independent of it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from typing import Callable, Optional, Sequence
 
 from ._record import Record
 from .calculus import composita_compose
-from .catalog import FunctionSpec
 from .combinatorics import binomial, kronecker_delta
-from .errors import DivisionByNonUnit, InsufficientOrder, NoClosedForm, OrderMismatch
+from .errors import DivisionByNonUnit, InsufficientOrder, OrderMismatch
 from .series import PowerSeries
 from .triangle import CompositaTable
 
@@ -281,76 +281,3 @@ def check_reciprocal_identity(
         if lhs.numerator * den != num * lhs.denominator:
             return _report(name, rng, checked, ((n, m), lhs, Fraction(num, den)))
     return _report(name, rng, checked)
-
-
-def check_sum_identity(
-    tf: CompositaTable, tg: CompositaTable, t_sum: CompositaTable
-) -> IdentityReport:
-    """The paper's sum theorem for the triangle of F(x) + G(x):
-
-        T(n, k) = F(n, k) + G(n, k)
-                  + sum_{j=1}^{k-1} C(k, j) sum_{i=j}^{n-k+j} F(i, j) G(n-i, k-j),
-
-    the binomial expansion of (F + G)^k read off at x^n.  Every entry of
-    ``t_sum`` is compared with the formula over the triangles of F and G.
-    """
-    if not tf.order == tg.order == t_sum.order:
-        raise OrderMismatch(f"orders differ: {tf.order}, {tg.order}, {t_sum.order}")
-
-    def formula(n: int, k: int) -> Fraction:
-        rhs = tf[n, k] + tg[n, k]
-        for j in range(1, k):
-            cross = sum(tf[i, j] * tg[n - i, k - j] for i in range(j, n - k + j + 1))
-            rhs += binomial(k, j) * cross
-        return rhs
-
-    return _sweep("sum", f"1 <= k <= n <= {tf.order}", t_sum, formula)
-
-
-def check_product_identity(
-    tf: CompositaTable, b: PowerSeries, t_prod: CompositaTable
-) -> IdentityReport:
-    """The paper's product theorem for the triangle of F(x) * B(x):
-
-        T(n, k) = sum_{i=k}^{n} F(i, k) [x^(n-i)] B(x)^k.
-
-    Every entry of ``t_prod`` is compared with the formula, a convolution
-    of column k of F's triangle with B^k over one denominator; B is needed
-    to order ``tf.order - 1``.
-    """
-    order = tf.order
-    if t_prod.order != order:
-        raise OrderMismatch(f"orders differ: {order} vs {t_prod.order}")
-    if b.order < order - 1:
-        raise InsufficientOrder(f"b is needed to order {order - 1}, got {b.order}")
-    columns = [_scaled(tf.column(k)) for k in range(1, order + 1)]
-    powers = _powers(b, order, order)
-
-    def formula(n: int, k: int) -> Fraction:
-        (f_nums, f_den), (p_nums, p_den), d = columns[k - 1], powers[k], n - k
-        return Fraction(sum(f_nums[i] * p_nums[d - i] for i in range(d + 1)), f_den * p_den)
-
-    return _sweep("product", f"1 <= k <= n <= {order}", t_prod, formula)
-
-
-def check_riordan_identity(rio: CompositaTable, t_xf: CompositaTable) -> IdentityReport:
-    """The (F, xF) Riordan array is the triangle of xF shifted by one:
-    R(n, k) = T_xF(n + 1, k + 1) for 0 <= k <= n <= ``rio.order``.
-
-    ``rio`` is the array (base 0) and ``t_xf`` the triangle of xF.
-    """
-    if t_xf.order < rio.order + 1:
-        raise InsufficientOrder(
-            f"the triangle of xF is needed to order {rio.order + 1}, got {t_xf.order}"
-        )
-    rng = f"0 <= k <= n <= {rio.order}"
-    return _sweep("riordan", rng, rio, lambda n, k: t_xf[n + 1, k + 1])
-
-
-def check_closed_form(spec: FunctionSpec, table: CompositaTable) -> IdentityReport:
-    """The catalog's closed form against ``table``, the triangle of the
-    spec's series: lhs is the table's entry, rhs the closed form's."""
-    if spec.closed_form is None:
-        raise NoClosedForm(f"{spec.label()} has no closed-form composita")
-    rng = f"{spec.label()}, 1 <= k <= n <= {table.order}"
-    return _sweep("closed_form", rng, table, spec.closed_form)

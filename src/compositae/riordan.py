@@ -3,7 +3,7 @@
 A Riordan array is a ``CompositaTable`` with ``base`` 0: rows and columns
 are indexed from (0, 0), where a composita triangle starts at (1, 1).
 The paper's link between the two (the (F, xF) array shifted by one is the
-triangle of xF) is ``identities.check_riordan_identity``.
+triangle of xF) is ``theorems.check_riordan_identity``.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from compositae import (
     registry_names,
 )
 from compositae.combinatorics import stirling_first_unsigned
+from compositae.theorems import closed_form_formula
 
 TRIG_NAMES = {"sin", "x_cos", "tan", "arctan", "sinh", "x_cosh"}
 
@@ -187,6 +188,15 @@ class TestClosedForms:
                 expected = stirling_first_unsigned(n, k)
                 assert abs(value) == expected
                 assert value == (-1) ** (n - k) * expected
+
+    @pytest.mark.parametrize("spec", default_instances(), ids=lambda s: s.label())
+    def test_catalog_agrees_with_theorems(self, spec):
+        formula = closed_form_formula(spec.name, spec.parameters)
+        assert (spec.closed_form is None) == (formula is None)
+        if formula is not None:
+            for n in range(1, 9):
+                for k in range(1, n + 1):
+                    assert spec.closed_form(n, k) == formula(n, k), (n, k)
 
     def test_closed_form_rejects_out_of_band(self):
         with pytest.raises(ValueError):

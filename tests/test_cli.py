@@ -287,6 +287,14 @@ class TestVerify:
         assert out == ""
         assert "--max-r must be >= 1" in err
 
+    @pytest.mark.parametrize("m", ["0", "-1", "-3", "-100"])
+    @pytest.mark.parametrize("perturb", [(), ("--perturb", "2,1,1")])
+    def test_funceq_needs_a_positive_m(self, capsys, m, perturb):
+        code, out, err = run(capsys, "verify", "--identity", "funceq", "--m", m, *perturb)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the identity is stated for m >= 1\n"
+
     def test_perturb_rejects_exponent_notation(self, capsys):
         code, out, err = run(capsys, "verify", "--identity", "lambert", "--perturb", "2,1,1e9")
         assert code == 1
@@ -447,9 +455,10 @@ def _modules_loaded(code: str) -> set[str]:
 
 class TestStartup:
     """One CLI call loads neither dataclasses (which pulls in inspect) nor,
-    unless it writes records, json: every call pays for what it imports."""
+    unless it writes records, json, nor the paper's closed forms and
+    theorems: every call pays for what it imports."""
 
-    HEAVY = {"dataclasses", "inspect", "json"}
+    HEAVY = {"dataclasses", "inspect", "json", "compositae.theorems"}
 
     def _cli_modules(self, *argv: str) -> set[str]:
         return _modules_loaded(
@@ -461,6 +470,22 @@ class TestStartup:
         loaded = self._cli_modules("composita", "--fn", "geometric", "--n", "1")
         assert "compositae.cli" in loaded
         assert (loaded - bare) & self.HEAVY == set()
+
+    def test_verify_call_imports_no_theorems(self):
+        # the reciprocal sweep shares its powers of B with the product theorem
+        loaded = self._cli_modules("verify", "--identity", "reciprocal")
+        assert "compositae.identities" in loaded
+        assert "compositae.theorems" not in loaded
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = _modules_loaded("import sys\nimport compositae")
+        assert "compositae" in loaded
+        assert [m for m in loaded if m.startswith("compositae.")] == []
+
+    def test_dir_lists_every_public_name(self):
+        import compositae
+
+        assert set(compositae.__all__) <= set(dir(compositae))
 
     def test_records_call_imports_json(self):
         loaded = self._cli_modules(
