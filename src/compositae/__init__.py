@@ -43,7 +43,6 @@ _EXPORTS = {
         "FuncEqSolution",
         "arcsin_composita",
         "radical_composita",
-        "right_composita",
         "solve_functional_equation",
     ),
     "identities": (

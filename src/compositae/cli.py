@@ -7,8 +7,9 @@ Eight subcommands cover the whole surface: triangle construction
 catalog designators ("geometric", "poly2:1,1") or raw coefficient lists
 ("0,1,1"); output is byte-deterministic.
 
-Handlers take the argparse namespace as parsed; each reads only its own
-subcommand's flags.
+Handlers take the argparse namespace as parsed (``verify`` fills in the
+defaults of --max-n and --max-r); each reads only its own subcommand's
+flags.
 
 Exit codes: 0 success, 1 usage (including unknown designators),
 2 precondition violation, 3 identity counterexample, 4 internal error
@@ -53,23 +54,11 @@ from .identities import (
 )
 from .riordan import riordan_apply, riordan_build
 from .series import PowerSeries, parse_rational
-from .triangle import composita_from_series, composita_oracle
-
-IDENTITY_NAMES = ("associativity", "derivative", "inverse", "lambert", "funceq", "reciprocal")
+from .triangle import CompositaTable, composita_from_series, composita_oracle
 
 
 class UsageError(Exception):
     """Bad flag values that argparse's type machinery cannot catch."""
-
-# sweep sizes used when --max-n is not given
-_DEFAULT_MAX_N = {
-    "associativity": 8,
-    "derivative": 10,
-    "inverse": 10,
-    "lambert": 10,
-    "funceq": 6,
-    "reciprocal": 10,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,6 +83,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="compositae", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add_output(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--output", help="write to this path instead of stdout")
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--format",
@@ -101,7 +93,7 @@ def build_parser() -> _Parser:
             default="triangle",
             help="output shape (default: triangle / plain text)",
         )
-        p.add_argument("--output", help="write to this path instead of stdout")
+        add_output(p)
 
     p = sub.add_parser("composita", help="triangle of a function with f(0)=0")
     p.add_argument("--fn", required=True, help="catalog name or coefficient list")
@@ -165,7 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fn", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_common(p)
+    add_output(p)  # one value: there is no output shape to choose
 
     return parser
 
@@ -254,91 +246,92 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
     return str(composita_oracle(f, n, args.k)), 0
 
 
-def _verify_associativity(args: argparse.Namespace, max_n: int) -> IdentityReport:
+def _perturbed(
+    table: CompositaTable, perturb: Optional[tuple[int, int, Fraction]]
+) -> CompositaTable:
+    """``table`` with DELTA added to entry (N, K) for --perturb N,K,DELTA."""
+    if perturb is None:
+        return table
+    n, k, delta = perturb
+    return table.with_entry(n, k, table[n, k] + delta)
+
+
+def _verify_associativity(args: argparse.Namespace, order: int) -> IdentityReport:
     names = args.fn or ("poly2:1,1", "geometric", "x_exp")
     if len(names) != 3:
         raise UsageError("associativity needs exactly three --fn designators")
     tables = [
-        composita_from_series(_series(name, max_n), max_n) for name in names
+        composita_from_series(_series(name, order), order) for name in names
     ]
     return check_associativity(*tables, fault=args.perturb)
 
 
-def _verify_derivative(args: argparse.Namespace, max_n: int) -> IdentityReport:
+def _verify_derivative(args: argparse.Namespace, order: int) -> IdentityReport:
     name = args.fn[0] if args.fn else "geometric"
-    f = _series(name, max_n)
-    table = composita_from_series(f, max_n)
-    if args.perturb is not None:
-        n, k, delta = args.perturb
-        table = table.with_entry(n, k, table[n, k] + delta)
+    f = _series(name, order)
+    table = _perturbed(composita_from_series(f, order), args.perturb)
     return check_derivative_identity(f, table)
 
 
-def _verify_inverse(args: argparse.Namespace, max_n: int) -> IdentityReport:
+def _verify_inverse(args: argparse.Namespace, order: int) -> IdentityReport:
     name = args.fn[0] if args.fn else "x_exp"
-    f = _series(name, max_n)
-    table = composita_from_series(f, max_n)
+    f = _series(name, order)
+    table = composita_from_series(f, order)
     inv = inverse_series(f, table)
-    inv_table = composita_from_series(inv, max_n)
-    if args.perturb is not None:
-        n, k, delta = args.perturb
-        inv_table = inv_table.with_entry(n, k, inv_table[n, k] + delta)
+    inv_table = _perturbed(composita_from_series(inv, order), args.perturb)
     return check_inverse_identity(table, inv_table)
 
 
-def _verify_funceq(args: argparse.Namespace, max_n: int) -> IdentityReport:
-    max_r = args.max_r if args.max_r is not None else max_n
-    needed = (args.m + 1) * max_n + max_r
-    g = _series(args.g or "1,1", needed - 1)
-    table = composita_from_series(g.times_x(), needed)
-    if args.perturb is not None:
-        n, k, delta = args.perturb
-        table = table.with_entry(n, k, table[n, k] + delta)
-    return check_funceq_identity(table, args.m, max_n, max_r)
+def _verify_lambert(args: argparse.Namespace, order: int) -> IdentityReport:
+    return check_lambert_identity(order, fault=args.perturb)
 
 
-def _verify_reciprocal(args: argparse.Namespace, max_n: int) -> IdentityReport:
-    b = _series(args.b or "sin_over_x", max_n - 1)
-    table = reciprocal_composita(b, max_n)
+def _verify_funceq(args: argparse.Namespace, order: int) -> IdentityReport:
+    g = _series(args.g or "1,1", order - 1)
+    table = _perturbed(composita_from_series(g.times_x(), order), args.perturb)
+    return check_funceq_identity(table, args.m, args.max_n, args.max_r)
+
+
+def _verify_reciprocal(args: argparse.Namespace, order: int) -> IdentityReport:
+    b = _series(args.b or "sin_over_x", order - 1)
+    table = reciprocal_composita(b, order)
     return check_reciprocal_identity(b, table, fault=args.perturb)
 
 
-def _perturb_limit(args: argparse.Namespace, max_n: int) -> int:
-    """Order of the triangle that --perturb indexes into for this sweep."""
-    if args.identity == "funceq":
-        max_r = args.max_r if args.max_r is not None else max_n
-        return (args.m + 1) * max_n + max_r
-    return max_n
+# identity -> (--max-n when not given, sweep).  A sweep builds its tables to
+# the order it is given: --max-n, except that funceq reads the triangle of
+# x*G to (m + 1) * max_n + max_r.  --perturb indexes into that table.
+_SWEEPS: dict[str, tuple[int, Callable[[argparse.Namespace, int], IdentityReport]]] = {
+    "associativity": (8, _verify_associativity),
+    "derivative": (10, _verify_derivative),
+    "inverse": (10, _verify_inverse),
+    "lambert": (10, _verify_lambert),
+    "funceq": (6, _verify_funceq),
+    "reciprocal": (10, _verify_reciprocal),
+}
+IDENTITY_NAMES = tuple(_SWEEPS)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     identity = args.identity
-    max_n = args.max_n if args.max_n is not None else _DEFAULT_MAX_N[identity]
-    max_n = _require_order(max_n, "--max-n")
+    default_max_n, sweep = _SWEEPS[identity]
+    if args.max_n is None:
+        args.max_n = default_max_n
+    order = _require_order(args.max_n, "--max-n")
     if identity == "funceq":
-        if args.max_r is not None:
-            _require_order(args.max_r, "--max-r")
+        if args.max_r is None:
+            args.max_r = args.max_n
+        _require_order(args.max_r, "--max-r")
         if args.m < 1:  # before any series is built: the order needed depends on m
             raise ValueError("the identity is stated for m >= 1")
+        order = (args.m + 1) * args.max_n + args.max_r
     if args.perturb is not None:
-        limit = _perturb_limit(args, max_n)
         n, k, _ = args.perturb
-        if not 1 <= k <= n <= limit:
+        if not 1 <= k <= n <= order:
             raise UsageError(
-                f"--perturb N,K,DELTA needs 1 <= K <= N <= {limit} for this {identity} sweep"
+                f"--perturb N,K,DELTA needs 1 <= K <= N <= {order} for this {identity} sweep"
             )
-    if identity == "associativity":
-        report = _verify_associativity(args, max_n)
-    elif identity == "derivative":
-        report = _verify_derivative(args, max_n)
-    elif identity == "inverse":
-        report = _verify_inverse(args, max_n)
-    elif identity == "lambert":
-        report = check_lambert_identity(max_n, fault=args.perturb)
-    elif identity == "reciprocal":
-        report = _verify_reciprocal(args, max_n)
-    else:
-        report = _verify_funceq(args, max_n)
+    report = sweep(args, order)
 
     if args.format == "records":
         import json  # only this format needs it; the CLI starts without it

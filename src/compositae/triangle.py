@@ -111,6 +111,21 @@ def _require_composable(f: PowerSeries) -> None:
         )
 
 
+def _table_order(f: PowerSeries, order: int | None) -> int:
+    """The order of the triangle to build from ``f``: ``order``, or by
+    default ``f.order``, after checking that ``f`` is composable and known
+    that far."""
+    _require_composable(f)
+    n_max = f.order if order is None else order
+    if n_max < 1:
+        raise ValueError("a composita table needs order >= 1")
+    if n_max > f.order:
+        raise InsufficientOrder(
+            f"series only known to order {f.order}, table of order {n_max} requested"
+        )
+    return n_max
+
+
 def composita_oracle(f: PowerSeries, n: int, k: int) -> Fraction:
     """Sum of coefficient products over all k-part compositions of n.
 
@@ -144,14 +159,7 @@ def composita_from_series(
     f: PowerSeries, order: int | None = None, source: str = ""
 ) -> CompositaTable:
     """Build the triangle by the composita recurrence."""
-    _require_composable(f)
-    n_max = f.order if order is None else order
-    if n_max < 1:
-        raise ValueError("a composita table needs order >= 1")
-    if n_max > f.order:
-        raise InsufficientOrder(
-            f"series only known to order {f.order}, table of order {n_max} requested"
-        )
+    n_max = _table_order(f, order)
     # rows[n] holds T(n, k) for k = 0..n, from the unit row T(0, 0) = 1:
     # row n is the sum of f(i) * row(n - i) shifted one column right.
     f_terms = scalars(f.coeffs[: n_max + 1])
@@ -169,14 +177,7 @@ def composita_from_powers(
     f: PowerSeries, order: int | None = None, source: str = ""
 ) -> CompositaTable:
     """Build the triangle by reading coefficients off the powers F^k."""
-    _require_composable(f)
-    n_max = f.order if order is None else order
-    if n_max < 1:
-        raise ValueError("a composita table needs order >= 1")
-    if n_max > f.order:
-        raise InsufficientOrder(
-            f"series only known to order {f.order}, table of order {n_max} requested"
-        )
+    n_max = _table_order(f, order)
     base = f if f.order == n_max else f.truncate(n_max)
     rows = [[Fraction(0)] * (n + 1) for n in range(n_max)]
     power = base

@@ -174,6 +174,16 @@ class TestSeriesCommands:
         assert code == 0
         assert out == "4\n"
 
+    @pytest.mark.parametrize("fmt", ["triangle", "csv", "records"])
+    def test_oracle_takes_no_format(self, capsys, fmt):
+        # oracle prints one value, so there is no output shape to choose
+        code, out, err = run(
+            capsys, "oracle", "--fn", "geometric", "--n", "5", "--k", "2", "--format", fmt
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --format" in err
+
     def test_oracle_bad_k(self, capsys):
         code, _, err = run(
             capsys, "oracle", "--fn", "geometric", "--n", "5", "--k", "6"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,97 +20,74 @@ from compositae import (
     composita_from_series,
     make_spec,
     radical_composita,
-    right_composita,
     solve_functional_equation,
 )
+from compositae import triangle
 from compositae.combinatorics import binomial
 from helpers import catalan, gb, series_strategy
 
 
-def xg_table(coeffs, order):
-    """Triangle of x*G(x) for G given by plain coefficients."""
-    g = PowerSeries.of(list(coeffs), order=order - 1)
-    return composita_from_series(g.times_x(), order)
+def unit_series(g):
+    """``g`` with a zero constant term replaced by 1."""
+    coeffs = list(g.coeffs)
+    coeffs[0] = coeffs[0] or Fraction(1)
+    return PowerSeries(tuple(coeffs))
 
 
 class TestRightComposita:
+    """The paper's right composita (k/n) * T_xG(2n - k, n), the triangle of
+    x*A for A = G(xA), is ``solve_functional_equation`` with m = 1."""
+
     def test_identity_for_constant_one(self):
-        t = right_composita(xg_table([1], 9))
+        t = solve_functional_equation(PowerSeries.of([1], order=8), 1, 8).a_table
+        assert t.order == 9
         for n, k, value in t.entries():
             assert value == (1 if n == k else 0)
 
     def test_pascal_from_one_plus_x(self):
         # A = 1 + x*A solves to 1/(1-x); its x*A triangle is Pascal.
-        t = right_composita(xg_table([1, 1], 11))
+        t = solve_functional_equation(PowerSeries.of([1, 1], order=10), 1, 10).a_table
+        assert t.order == 11
         for n, k, value in t.entries():
             assert value == binomial(n - 1, k - 1)
 
     def test_tree_function_from_x_exp(self):
         # A = exp(x*A), so x*A is the tree function: entry (n,1) = n^(n-1)/n!.
-        g = PowerSeries(tuple(Fraction(1, math.factorial(n)) for n in range(13)))
-        t = right_composita(composita_from_series(g.times_x(), 13))
+        g = PowerSeries(tuple(Fraction(1, math.factorial(n)) for n in range(7)))
+        t = solve_functional_equation(g, 1, 6).a_table
         for n in range(1, 8):
             assert t[n, 1] == Fraction(n ** (n - 1), math.factorial(n))
 
-    def test_requires_double_order(self):
-        with pytest.raises(InsufficientOrder):
-            right_composita(xg_table([1, 1], 5), order=4)
-
-    def test_explicit_order(self):
-        t = right_composita(xg_table([1, 1], 9), order=5)
-        assert t.order == 5
-
-
-def left_index_map(g):
-    """The paper's partial inverse of ``right_composita``: entry (n, k) is
-    (k/(2k - n)) * g(k, 2k - n) when 2k - n >= 1 and 0 otherwise."""
-    return CompositaTable(
-        tuple(
-            tuple(
-                Fraction(k, 2 * k - n) * g[k, 2 * k - n] if 2 * k - n >= 1 else Fraction(0)
-                for k in range(1, n + 1)
-            )
-            for n in range(1, g.order + 1)
-        )
-    )
-
 
 class TestLeftComposita:
-    """The inverse index map of ``right_composita``: right after left gives
-    the table back everywhere, left after right only where 2k - n >= 1."""
+    """The paper's left composita (k/(2k - n)) * T_xG(k, 2k - n) is the
+    m = -1 triangle where 2k - n >= 1; the full m = -1 solution undoes
+    the m = 1 solution, and the other way round, on the whole series."""
 
     def test_identity_for_constant_one(self):
-        t = left_index_map(xg_table([1], 8))
+        t = solve_functional_equation(PowerSeries.of([1], order=7), -1, 7).a_table
         for n, k, value in t.entries():
             assert value == (1 if n == k else 0)
 
     def test_one_plus_x_closed_form(self):
-        # A = 1 + x/A: entries (k/(2k-n)) C(2k-n, n-k) where defined.
-        t = left_index_map(xg_table([1, 1], 8))
+        # A = 1 + x/A: entries (k/(2k-n)) C(2k-n, n-k) where 2k - n >= 1.
+        t = solve_functional_equation(PowerSeries.of([1, 1], order=7), -1, 7).a_table
         for n, k, value in t.entries():
             if 2 * k - n >= 1:
                 assert value == Fraction(k, 2 * k - n) * binomial(2 * k - n, n - k)
-            else:
-                assert value == 0
 
     @given(g=series_strategy(min_order=9, max_order=9))
     def test_right_after_left_restores(self, g):
-        coeffs = list(g.coeffs)
-        coeffs[0] = coeffs[0] or Fraction(1)
-        table = xg_table(coeffs, 9)
-        assert right_composita(left_index_map(table), order=5) == table.truncated(5)
+        g = unit_series(g)
+        a = solve_functional_equation(g, -1, 9).a_series
+        assert solve_functional_equation(a, 1, 9).a_series == g
 
     @given(g=series_strategy(min_order=9, max_order=9))
     def test_left_after_right_restores_where_defined(self, g):
-        coeffs = list(g.coeffs)
-        coeffs[0] = coeffs[0] or Fraction(1)
-        table = xg_table(coeffs, 9)
-        round_tripped = left_index_map(right_composita(table))
-        for n, k, value in round_tripped.entries():
-            if 2 * k - n >= 1:
-                assert value == table[n, k]
-            else:
-                assert value == 0
+        # with the full m = -1 solution, "where defined" is everywhere
+        g = unit_series(g)
+        a = solve_functional_equation(g, 1, 9).a_series
+        assert solve_functional_equation(a, -1, 9).a_series == g
 
 
 class TestSolver:
@@ -121,6 +99,33 @@ class TestSolver:
         for m in (-2, 0, 2):
             with pytest.raises(InsufficientOrder):
                 solve_functional_equation(PowerSeries.of([1, 1], order=3), m, 4)
+
+    @pytest.mark.parametrize("m", [-3, -1, 0, 1, 2])
+    def test_order_zero_holds_a0(self, m):
+        sol = solve_functional_equation(PowerSeries.of([3, 1], order=1), m, 0)
+        assert sol.a_table == CompositaTable(((3,),))
+        assert sol.a_series == PowerSeries((3,))
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            solve_functional_equation(PowerSeries.of([1, 1], order=3), 1, -1)
+
+    @pytest.mark.parametrize("m, builds", [(-3, 1), (-1, 1), (0, 0), (1, 0), (3, 0)])
+    def test_triangles_built(self, monkeypatch, m, builds):
+        # m >= 0 reads a band of powers of G and builds no triangle; m < 0
+        # builds only the reciprocal transform's triangle of x*A.
+        calls = []
+        build = triangle.composita_from_series
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "compositae" or name.startswith("compositae."):
+                monkeypatch.setattr(module, "composita_from_series", counting, raising=False)
+        solve_functional_equation(PowerSeries.of([1, 2, -1], order=6), m, 6)
+        assert len(calls) == builds
 
     def test_required_order(self):
         # G is needed to the solution's order and no further, for every m.
@@ -177,12 +182,11 @@ class TestSolver:
         m=st.integers(min_value=-2, max_value=3),
     )
     def test_diagonal_is_preserved(self, g, m):
-        coeffs = list(g.coeffs)
-        coeffs[0] = coeffs[0] or Fraction(1)
-        g = PowerSeries(tuple(coeffs))
+        # the diagonal of x*A is that of x*G: a(0) = g(0)
+        g = unit_series(g)
         sol = solve_functional_equation(g, m, 4)
         for n in range(1, sol.a_table.order + 1):
-            assert sol.a_table[n, n] == sol.g_table[n, n]
+            assert sol.a_table[n, n] == g[0] ** n
 
     @given(g=series_strategy(min_order=11, max_order=11))
     def test_lagrange_classical_relation(self, g):
@@ -224,13 +228,13 @@ class TestRadical:
             assert t[n, n] == Fraction(1, 3) ** n
 
     def test_full_table_is_the_composita_of_the_series(self):
-        order = 9
-        for m in (2, 3, 4):
-            series = PowerSeries(
-                (Fraction(0),)
-                + tuple(-((-1) ** n) * gb(Fraction(1, m), n) for n in range(1, order + 1))
-            )
-            assert radical_composita(m, order) == composita_from_series(series, order)
+        for order in (1, 2, 9):
+            for m in (1, 2, 3, 4, 10**6):
+                series = PowerSeries(
+                    (Fraction(0),)
+                    + tuple(-((-1) ** n) * gb(Fraction(1, m), n) for n in range(1, order + 1))
+                )
+                assert radical_composita(m, order) == composita_from_series(series, order)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -263,6 +267,6 @@ class TestArcsin:
             assert t[n, n] == 1
 
     def test_full_table_is_the_composita_of_the_series(self):
-        order = 8
-        series = PowerSeries(tuple(self.arcsin_coeff(n) for n in range(order + 1)))
-        assert arcsin_composita(order) == composita_from_series(series, order)
+        for order in (1, 2, 8):
+            series = PowerSeries(tuple(self.arcsin_coeff(n) for n in range(order + 1)))
+            assert arcsin_composita(order) == composita_from_series(series, order)

@@ -37,9 +37,8 @@ def _other_gen(order):
 
 
 def _solution(m=1):
-    g = CompositaTable(((1,), (1, 1)), source="xG")
     a = CompositaTable(((1,), (1, 1)))
-    return FuncEqSolution(m, g, a, PowerSeries((1, 1)))
+    return FuncEqSolution(m, a, PowerSeries((1, 1)))
 
 
 # one pair of equal-but-differently-built instances per type, plus one
@@ -71,7 +70,6 @@ CASES = {
         lambda: _solution(),
         lambda: FuncEqSolution(
             m=1,
-            g_table=CompositaTable(((1,), (1, 1))),
             a_table=CompositaTable(((1,), (1, 1)), source="any"),
             a_series=PowerSeries((1, 1)),
         ),
@@ -97,7 +95,7 @@ FIELDS = {
     "CompositaTable": ("rows", "source", "base"),
     "CompositaTable(base=0)": ("rows", "source", "base"),
     "FunctionSpec": ("name", "parameters", "series_generator", "closed_form"),
-    "FuncEqSolution": ("m", "g_table", "a_table", "a_series"),
+    "FuncEqSolution": ("m", "a_table", "a_series"),
     "IdentityReport": ("identity_name", "parameter_range", "status", "first_failure", "checked"),
 }
 
