@@ -16,22 +16,30 @@ Exit codes: 0 success, 1 usage (including unknown designators),
 (an unexpected exception, reported in one line without a traceback).
 
 Every call starts a fresh interpreter and, with no bytecode cache, compiles
-what it imports, so start-up is kept lean: no subcommand imports
-``theorems`` (the paper's closed forms and theorems, which only the tests
-and ``scripts/verify_catalog.py`` evaluate), the package's value types are
-plain slotted classes rather than dataclasses, and ``json`` is imported
-only when ``--format records`` asks for it.
+what it runs, so start-up is kept lean.  ``calculus``, ``funceq``,
+``identities`` and ``riordan`` are loaded lazily: importing this module
+puts each one in ``sys.modules`` (and on the package) as a module whose
+file is read, compiled and run when a handler first reads an attribute
+from it, so ``composita`` runs none of them and ``solve`` runs no
+``identities``.  They are placed in ``sys.modules`` rather than imported
+inside the handlers because ``perfbench/tracing.py`` looks each span
+module up there right after ``import compositae.cli``.  No subcommand
+imports ``theorems`` (the paper's closed forms and theorems, which only
+the tests and ``scripts/verify_catalog.py`` evaluate), the package's value
+types are plain slotted classes rather than dataclasses, and ``json`` is
+imported only when ``--format records`` asks for it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 from fractions import Fraction
+from types import ModuleType
 from typing import Callable, Optional
 
-from .calculus import compose_series, inverse_series, reciprocal_composita
 from .catalog import catalog_series, parse_function_spec, registry_names
 from .errors import CompositaeError, UnknownFunction
 from .formats import (
@@ -42,19 +50,32 @@ from .formats import (
     triangle_records,
     triangle_text,
 )
-from .funceq import solve_functional_equation
-from .identities import (
-    IdentityReport,
-    check_associativity,
-    check_derivative_identity,
-    check_funceq_identity,
-    check_inverse_identity,
-    check_lambert_identity,
-    check_reciprocal_identity,
-)
-from .riordan import riordan_apply, riordan_build
 from .series import PowerSeries, parse_rational
 from .triangle import CompositaTable, composita_from_series, composita_oracle
+
+
+def _lazy_submodule(name: str) -> ModuleType:
+    """The submodule ``compositae.<name>``, in ``sys.modules`` and on the
+    package from now on, whose body runs when an attribute is first read
+    from it.  A submodule imported earlier is returned as it is, so that
+    there is only ever one module object per name."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = loader
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+calculus = _lazy_submodule("calculus")
+funceq = _lazy_submodule("funceq")
+identities = _lazy_submodule("identities")
+riordan = _lazy_submodule("riordan")
 
 
 class UsageError(Exception):
@@ -200,28 +221,28 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
     r = _series(args.r, n)
     f = _series(args.fn, n)
     table = composita_from_series(f, n)
-    return _render_series(compose_series(r, table).coeffs, args.format), 0
+    return _render_series(calculus.compose_series(r, table).coeffs, args.format), 0
 
 
 def _cmd_inverse(args: argparse.Namespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
     f = _series(args.fn, order)
     table = composita_from_series(f, order)
-    inv = inverse_series(f, table)
+    inv = calculus.inverse_series(f, table)
     return _render_series(inv.coeffs[1:], args.format, start=1), 0
 
 
 def _cmd_reciprocal(args: argparse.Namespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
     b = _series(args.b, order - 1)
-    table = reciprocal_composita(b, order, source=args.b)
+    table = calculus.reciprocal_composita(b, order, source=args.b)
     return _render_triangle(table, args.format), 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
     g = _series(args.g, order)
-    solution = solve_functional_equation(g, args.m, order)
+    solution = funceq.solve_functional_equation(g, args.m, order)
     if args.table:
         return _render_triangle(solution.a_table, args.format), 0
     return _render_series(solution.a_series.coeffs, args.format), 0
@@ -231,10 +252,10 @@ def _cmd_riordan(args: argparse.Namespace) -> tuple[str, int]:
     n = _require_order(args.n, "--n")
     g = _series(args.g, n)
     f = _series(args.fn, n)
-    table = riordan_build(g, composita_from_series(f, n))
+    table = riordan.riordan_build(g, composita_from_series(f, n))
     if args.b is not None:
         b = _series(args.b, n)
-        return _render_series(riordan_apply(table, b.coeffs), args.format), 0
+        return _render_series(riordan.riordan_apply(table, b.coeffs), args.format), 0
     return _render_triangle(table, args.format), 0
 
 
@@ -256,52 +277,54 @@ def _perturbed(
     return table.with_entry(n, k, table[n, k] + delta)
 
 
-def _verify_associativity(args: argparse.Namespace, order: int) -> IdentityReport:
+def _verify_associativity(args: argparse.Namespace, order: int) -> identities.IdentityReport:
     names = args.fn or ("poly2:1,1", "geometric", "x_exp")
     if len(names) != 3:
         raise UsageError("associativity needs exactly three --fn designators")
     tables = [
         composita_from_series(_series(name, order), order) for name in names
     ]
-    return check_associativity(*tables, fault=args.perturb)
+    return identities.check_associativity(*tables, fault=args.perturb)
 
 
-def _verify_derivative(args: argparse.Namespace, order: int) -> IdentityReport:
+def _verify_derivative(args: argparse.Namespace, order: int) -> identities.IdentityReport:
     name = args.fn[0] if args.fn else "geometric"
     f = _series(name, order)
     table = _perturbed(composita_from_series(f, order), args.perturb)
-    return check_derivative_identity(f, table)
+    return identities.check_derivative_identity(f, table)
 
 
-def _verify_inverse(args: argparse.Namespace, order: int) -> IdentityReport:
+def _verify_inverse(args: argparse.Namespace, order: int) -> identities.IdentityReport:
     name = args.fn[0] if args.fn else "x_exp"
     f = _series(name, order)
     table = composita_from_series(f, order)
-    inv = inverse_series(f, table)
+    inv = calculus.inverse_series(f, table)
     inv_table = _perturbed(composita_from_series(inv, order), args.perturb)
-    return check_inverse_identity(table, inv_table)
+    return identities.check_inverse_identity(table, inv_table)
 
 
-def _verify_lambert(args: argparse.Namespace, order: int) -> IdentityReport:
-    return check_lambert_identity(order, fault=args.perturb)
+def _verify_lambert(args: argparse.Namespace, order: int) -> identities.IdentityReport:
+    return identities.check_lambert_identity(order, fault=args.perturb)
 
 
-def _verify_funceq(args: argparse.Namespace, order: int) -> IdentityReport:
+def _verify_funceq(args: argparse.Namespace, order: int) -> identities.IdentityReport:
     g = _series(args.g or "1,1", order - 1)
     table = _perturbed(composita_from_series(g.times_x(), order), args.perturb)
-    return check_funceq_identity(table, args.m, args.max_n, args.max_r)
+    return identities.check_funceq_identity(table, args.m, args.max_n, args.max_r)
 
 
-def _verify_reciprocal(args: argparse.Namespace, order: int) -> IdentityReport:
+def _verify_reciprocal(args: argparse.Namespace, order: int) -> identities.IdentityReport:
     b = _series(args.b or "sin_over_x", order - 1)
-    table = reciprocal_composita(b, order)
-    return check_reciprocal_identity(b, table, fault=args.perturb)
+    table = calculus.reciprocal_composita(b, order)
+    return identities.check_reciprocal_identity(b, table, fault=args.perturb)
 
 
 # identity -> (--max-n when not given, sweep).  A sweep builds its tables to
 # the order it is given: --max-n, except that funceq reads the triangle of
 # x*G to (m + 1) * max_n + max_r.  --perturb indexes into that table.
-_SWEEPS: dict[str, tuple[int, Callable[[argparse.Namespace, int], IdentityReport]]] = {
+_SWEEPS: dict[
+    str, tuple[int, Callable[[argparse.Namespace, int], identities.IdentityReport]]
+] = {
     "associativity": (8, _verify_associativity),
     "derivative": (10, _verify_derivative),
     "inverse": (10, _verify_inverse),

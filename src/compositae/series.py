@@ -192,13 +192,19 @@ def _divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse one coefficient: 'p/q', a bare integer or a decimal.
+    """Parse one coefficient: 'p/q', a bare integer or a decimal, in ASCII
+    digits with an optional sign.
 
     Exponent notation ('1e5') is refused before any value is built, so
-    that text such as '1e100000000' cannot make a huge integer.
+    that text such as '1e100000000' cannot make a huge integer.  So are
+    '_' and non-ASCII text, which ``Fraction`` reads differently from one
+    Python version to the next ('1_0' is 10 from 3.11 on) and which take
+    digits from other scripts ('٣' is 3).
     """
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted: {text!r}")
+    if "_" in text or not text.isascii():
+        raise ValueError(f"'_' and non-ASCII characters are not accepted: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:

@@ -75,6 +75,13 @@ class TestComposita:
         assert out == ""
         assert "exponent notation" in err
 
+    @pytest.mark.parametrize("fn", ["0,1_0", "1_0", "poly2:1_0,1", "0,\u0663"])
+    def test_underscore_or_non_ascii_digit_exits_1(self, capsys, fn):
+        code, out, err = run(capsys, "composita", "--fn", fn, "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert "'_' and non-ASCII characters are not accepted" in err
+
     def test_huge_exponent_is_rejected_before_any_value_is_built(self, capsys):
         # 10**100000000 would take minutes to build; the check comes first.
         start = time.perf_counter()
@@ -311,6 +318,15 @@ class TestVerify:
         assert out == ""
         assert "--perturb" in err
 
+    @pytest.mark.parametrize("delta", ["1_0", "\u0663"])
+    def test_perturb_rejects_underscores_and_non_ascii_digits(self, capsys, delta):
+        code, out, err = run(
+            capsys, "verify", "--identity", "lambert", "--perturb", f"2,1,{delta}"
+        )
+        assert code == 1
+        assert out == ""
+        assert "bad perturbation" in err
+
     def test_unknown_identity_exits_1(self, capsys):
         code, _, _ = run(capsys, "verify", "--identity", "bogus")
         assert code == 1
@@ -453,27 +469,77 @@ class TestContract:
         assert err == "internal error: IndexError: row 7 outside table of order 6\n"
 
 
-def _modules_loaded(code: str) -> set[str]:
-    """Modules in sys.modules after running ``code`` in a fresh interpreter."""
+def _fresh_stderr(code: str) -> str:
+    """What ``code`` writes to stderr in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
-        [sys.executable, "-c", code + "\nsys.stderr.write(' '.join(sys.modules))"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    return set(done.stderr.split())
+    return done.stderr
+
+
+def _modules_loaded(code: str) -> set[str]:
+    """Modules in sys.modules after running ``code`` in a fresh interpreter."""
+    return set(_fresh_stderr(code + "\nsys.stderr.write(' '.join(sys.modules))").split())
+
+
+def _package_files_run(*argv: str) -> set[str]:
+    """Names of the package files whose module bodies run during one CLI
+    call in a fresh interpreter, from the audit hook's ``exec`` events.
+    A lazily loaded module sits in sys.modules before its body runs, so
+    this, not sys.modules, says what a call paid for."""
+    return set(_fresh_stderr(
+        "import os, sys\n"
+        "ran = set()\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec':\n"
+        "        ran.add(args[0].co_filename)\n"
+        "sys.addaudithook(hook)\n"
+        "from compositae.cli import main\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        f"package = {os.path.join(SRC, 'compositae')!r}\n"
+        "sys.stderr.write(' '.join(\n"
+        "    os.path.basename(f) for f in ran if os.path.dirname(f) == package\n"
+        "))"
+    ).split())
 
 
 class TestStartup:
     """One CLI call loads neither dataclasses (which pulls in inspect) nor,
     unless it writes records, json, nor the paper's closed forms and
-    theorems: every call pays for what it imports."""
+    theorems, and runs only the submodules its subcommand uses: every
+    call pays for what it runs."""
 
     HEAVY = {"dataclasses", "inspect", "json", "compositae.theorems"}
+    LAZY = {"calculus.py", "funceq.py", "identities.py", "riordan.py"}
 
     def _cli_modules(self, *argv: str) -> set[str]:
         return _modules_loaded(
             f"import sys\nfrom compositae.cli import main\nassert main({list(argv)!r}) == 0"
         )
+
+    @pytest.mark.parametrize(
+        "argv, runs, skips",
+        [
+            (("composita", "--fn", "geometric", "--n", "1"), set(), LAZY),
+            (
+                ("solve", "--g", "1,1", "--m", "2", "--order", "5"),
+                {"calculus.py", "funceq.py"},
+                {"identities.py", "riordan.py"},
+            ),
+            (
+                ("verify", "--identity", "derivative"),
+                {"calculus.py", "identities.py"},
+                {"funceq.py", "riordan.py"},
+            ),
+        ],
+        ids=["composita", "solve", "verify"],
+    )
+    def test_call_runs_only_the_submodules_it_uses(self, argv, runs, skips):
+        ran = _package_files_run(*argv)
+        assert {"cli.py", "triangle.py"} | runs <= ran
+        assert ran & skips == set()
 
     def test_plain_call_imports_no_heavy_module(self):
         bare = _modules_loaded("import sys")
@@ -486,6 +552,55 @@ class TestStartup:
         loaded = self._cli_modules("verify", "--identity", "reciprocal")
         assert "compositae.identities" in loaded
         assert "compositae.theorems" not in loaded
+
+    def test_tracer_span_modules_are_in_sys_modules(self):
+        # perfbench/tracing.py looks up sys.modules[...] for each module in
+        # SPANS right after importing compositae.cli, then wraps its functions.
+        perfbench = str(Path(SRC).parent / "perfbench")
+        out = _fresh_stderr(
+            "import sys\n"
+            "import compositae.cli\n"
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "import tracing\n"
+            "missing = [m for _, m, _ in tracing.SPANS if m not in sys.modules]\n"
+            "assert missing == [], missing\n"
+            "recorder = tracing.Recorder()\n"
+            "tracing.install(recorder)\n"
+            "assert compositae.cli.main(['solve', '--g', '1,1', '--m', '-1', '--order', '4']) == 0\n"
+            "sys.stderr.write(' '.join(sorted({span[0] for span in recorder.spans})))"
+        )
+        assert {"cli.main", "funceq.solve", "calculus.reciprocal"} <= set(out.split())
+
+    @pytest.mark.parametrize("name", ["calculus", "funceq", "identities", "riordan"])
+    def test_one_module_object_per_submodule(self, name):
+        _fresh_stderr(
+            "import sys\n"
+            f"import compositae.{name} as before\n"
+            "import compositae.cli\n"
+            f"assert sys.modules['compositae.{name}'] is before\n"
+            f"assert compositae.cli.{name} is before\n"
+            f"assert compositae.{name} is before\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, attr",
+        [
+            ("calculus", "compose_series"),
+            ("funceq", "solve_functional_equation"),
+            ("identities", "check_lambert_identity"),
+            ("riordan", "riordan_build"),
+        ],
+    )
+    def test_submodules_resolve_after_the_cli_import(self, name, attr):
+        _fresh_stderr(
+            "import sys\n"
+            "import compositae.cli\n"
+            f"import compositae.{name}\n"
+            f"dotted = compositae.{name}\n"
+            f"from compositae import {name} as named\n"
+            f"assert dotted is named is sys.modules['compositae.{name}']\n"
+            f"assert callable(named.{attr})\n"
+        )
 
     def test_package_import_loads_no_submodule(self):
         loaded = _modules_loaded("import sys\nimport compositae")

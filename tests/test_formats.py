@@ -82,6 +82,12 @@ def test_parse_rejects_empty_text():
         parse_triangle_csv("")
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "1e3"])
+def test_parse_rejects_values_outside_the_coefficient_grammar(value):
+    with pytest.raises(ValueError, match="not accepted"):
+        parse_triangle_csv(f"n,k,value\n1,1,{value}")
+
+
 def test_parse_rejects_a_missing_entry():
     with pytest.raises(ValueError, match=r"entry \(2, 1\) is missing"):
         parse_triangle_csv("n,k,value\n1,1,1\n2,2,1")

@@ -163,6 +163,21 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="exponent notation"):
             parse_series(text)
 
+    # Fraction reads '1_0' as 10 from Python 3.11 on, and '٣' (Arabic-Indic
+    # three) as 3; the grammar is ASCII digits on every version.
+    @pytest.mark.parametrize("text", ["0,1_0", "1_000", "0,1/1_0", "0,1._5", "0,\u0663", "0,\u00bd"])
+    def test_rejects_underscores_and_non_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="'_' and non-ASCII"):
+            parse_series(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("-3/4", Fraction(-3, 4)), ("+2", Fraction(2)), (" 0.25 ", Fraction(1, 4)),
+         (".5", Fraction(1, 2)), ("7.", Fraction(7))],
+    )
+    def test_accepts_signs_fractions_and_decimals(self, text, value):
+        assert parse_series(text).coeffs == (value,)
+
 
 @given(a=series_strategy(), b=series_strategy(), c=series_strategy())
 def test_ring_axioms(a, b, c):
