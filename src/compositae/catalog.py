@@ -10,10 +10,10 @@ CLI call evaluates one, so no CLI call compiles that module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Optional, Sequence
 
 from ._record import Record
-from .combinatorics import factorial
 from .errors import UnknownFunction
 from .series import CoeffLike, PowerSeries, as_rational, parse_rational
 

@@ -27,7 +27,11 @@ module up there right after ``import compositae.cli``.  No subcommand
 imports ``theorems`` (the paper's closed forms and theorems, which only
 the tests and ``scripts/verify_catalog.py`` evaluate), the package's value
 types are plain slotted classes rather than dataclasses, and ``json`` is
-imported only when ``--format records`` asks for it.
+imported only when ``--format records`` asks for it.  The process entry,
+``run()`` in ``__main__``, ends the process without the interpreter's
+teardown collection (it calls ``gc.freeze()`` once ``main()`` returns);
+``main()`` itself does not freeze, since it also runs inside long-lived
+processes.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .formats import (
     triangle_records,
     triangle_text,
 )
-from .series import PowerSeries, parse_rational
+from .series import PowerSeries, parse_int, parse_rational
 from .triangle import CompositaTable, composita_from_series, composita_oracle
 
 
@@ -90,12 +94,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:  # argparse's own wording for a bad type=int value
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_perturb(text: str) -> tuple[int, int, Fraction]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected N,K,DELTA")
     try:
-        return int(parts[0]), int(parts[1]), parse_rational(parts[2])
+        return parse_int(parts[0]), parse_int(parts[1]), parse_rational(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad perturbation {text!r}") from exc
 
@@ -118,29 +129,29 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("composita", help="triangle of a function with f(0)=0")
     p.add_argument("--fn", required=True, help="catalog name or coefficient list")
-    p.add_argument("--n", type=int, required=True, help="table order (rows 1..N)")
+    p.add_argument("--n", type=_integer, required=True, help="table order (rows 1..N)")
     add_common(p)
 
     p = sub.add_parser("compose", help="coefficients of R(F(x))")
     p.add_argument("--r", required=True, help="outer function R")
     p.add_argument("--fn", required=True, help="inner function F, f(0)=0")
-    p.add_argument("--n", type=int, required=True, help="truncation order")
+    p.add_argument("--n", type=_integer, required=True, help="truncation order")
     add_common(p)
 
     p = sub.add_parser("inverse", help="compositional inverse of F, printed from a(1)")
     p.add_argument("--fn", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_integer, required=True)
     add_common(p)
 
     p = sub.add_parser("reciprocal", help="triangle of x*A(x) where A(x)B(x)=1")
     p.add_argument("--b", required=True, help="function B with b(0) != 0")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_integer, required=True)
     add_common(p)
 
     p = sub.add_parser("solve", help="solve A(x) = G(x A(x)^m)")
     p.add_argument("--g", required=True, help="function G with g(0) != 0")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--order", type=_integer, required=True)
     p.add_argument(
         "--table",
         action="store_true",
@@ -151,15 +162,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("riordan", help="Riordan array (G, F); --b applies it")
     p.add_argument("--g", required=True, help="multiplier G")
     p.add_argument("--fn", required=True, help="inner function F, f(0)=0")
-    p.add_argument("--n", type=int, required=True, help="array order (rows 0..N)")
+    p.add_argument("--n", type=_integer, required=True, help="array order (rows 0..N)")
     p.add_argument("--b", help="sequence to apply the array to")
     add_common(p)
 
     p = sub.add_parser("verify", help="run one identity sweep")
     p.add_argument("--identity", required=True, choices=IDENTITY_NAMES)
-    p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--max-r", type=int, dest="max_r", help="funceq only")
-    p.add_argument("--m", type=int, default=1, help="funceq only")
+    p.add_argument("--max-n", type=_integer, dest="max_n")
+    p.add_argument("--max-r", type=_integer, dest="max_r", help="funceq only")
+    p.add_argument("--m", type=_integer, default=1, help="funceq only")
     p.add_argument("--g", help="funceq: function G (default 1,1)")
     p.add_argument("--b", help="reciprocal: function B (default sin_over_x)")
     p.add_argument(
@@ -176,8 +187,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="one entry by brute-force composition sums")
     p.add_argument("--fn", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     add_output(p)  # one value: there is no output shape to choose
 
     return parser
@@ -447,6 +458,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial as _factorial
+from math import comb
 
 
 def binomial(n: int, k: int) -> int:
@@ -11,10 +11,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def factorial(n: int) -> int:
-    return _factorial(n)
 
 
 @lru_cache(maxsize=None)

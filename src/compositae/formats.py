@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .series import parse_rational
+from .series import parse_int, parse_rational
 from .triangle import CompositaTable
 
 
@@ -66,7 +66,7 @@ def parse_triangle_csv(text: str) -> CompositaTable:
         if not line or line == "n,k,value":
             continue
         n_text, k_text, value_text = line.split(",")
-        key = (int(n_text), int(k_text))
+        key = (parse_int(n_text), parse_int(k_text))
         if key in entries:
             raise ValueError(f"entry {key} appears twice")
         entries[key] = parse_rational(value_text)

@@ -203,12 +203,24 @@ def parse_rational(text: str) -> Fraction:
     """
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted: {text!r}")
-    if "_" in text or not text.isascii():
-        raise ValueError(f"'_' and non-ASCII characters are not accepted: {text!r}")
+    _refuse_separators_and_non_ascii(text)
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator: {text!r}") from exc
+
+
+def parse_int(text: str) -> int:
+    """Parse one integer (a CLI order or index, a CSV row or column): ASCII
+    digits with an optional sign.  '_' and non-ASCII text are refused as in
+    ``parse_rational``; ``int`` alone reads '1_0' as 10 and '٣' as 3."""
+    _refuse_separators_and_non_ascii(text)
+    return int(text)
+
+
+def _refuse_separators_and_non_ascii(text: str) -> None:
+    if "_" in text or not text.isascii():
+        raise ValueError(f"'_' and non-ASCII characters are not accepted: {text!r}")
 
 
 def parse_series(text: str, order: int | None = None) -> PowerSeries:

@@ -21,12 +21,12 @@ spec's ``closed_form`` loads this module on its first call.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Optional, Sequence
 
 from .catalog import FunctionSpec, make_spec
 from .combinatorics import (
     binomial,
-    factorial,
     kronecker_delta,
     stirling_first_unsigned,
     stirling_second,

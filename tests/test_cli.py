@@ -82,6 +82,47 @@ class TestComposita:
         assert out == ""
         assert "'_' and non-ASCII characters are not accepted" in err
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "\uff13", "+\u0663"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("composita", "--fn", "geometric"), "--n"),
+            (("compose", "--r", "geometric", "--fn", "geometric"), "--n"),
+            (("inverse", "--fn", "x_exp"), "--order"),
+            (("reciprocal", "--b", "sin_over_x"), "--order"),
+            (("solve", "--g", "1,1", "--m", "2"), "--order"),
+            (("solve", "--g", "1,1", "--order", "4"), "--m"),
+            (("riordan", "--g", "1,1", "--fn", "geometric"), "--n"),
+            (("verify", "--identity", "lambert"), "--max-n"),
+            (("verify", "--identity", "funceq"), "--max-r"),
+            (("verify", "--identity", "funceq"), "--m"),
+            (("oracle", "--fn", "geometric", "--k", "1"), "--n"),
+            (("oracle", "--fn", "geometric", "--n", "3"), "--k"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_integer_flag_with_underscore_or_non_ascii_digit_exits_1(
+        self, capsys, argv, flag, value
+    ):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    def test_bad_integer_flag_keeps_the_argparse_message(self, capsys):
+        code, out, err = run(capsys, "composita", "--fn", "geometric", "--n", "abc")
+        assert code == 1
+        assert out == ""
+        assert err.endswith(
+            "compositae composita: error: argument --n: invalid int value: 'abc'\n"
+        )
+
+    @pytest.mark.parametrize("n", ["3", "+3", " 3", "03"])
+    def test_integer_flag_takes_ascii_digits_with_a_sign(self, capsys, n):
+        code, out, _ = run(capsys, "composita", "--fn", "geometric", "--n", n)
+        assert code == 0
+        assert out == "1\n1 1\n1 2 1\n"
+
     def test_huge_exponent_is_rejected_before_any_value_is_built(self, capsys):
         # 10**100000000 would take minutes to build; the check comes first.
         start = time.perf_counter()
@@ -327,6 +368,13 @@ class TestVerify:
         assert out == ""
         assert "bad perturbation" in err
 
+    @pytest.mark.parametrize("perturb", ["1_0,1,1", "3,\u0662,1", "\u0663,2,1", "x,1,1"])
+    def test_perturb_index_outside_the_integer_grammar_exits_1(self, capsys, perturb):
+        code, out, err = run(capsys, "verify", "--identity", "lambert", "--perturb", perturb)
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: argument --perturb: bad perturbation {perturb!r}\n")
+
     def test_unknown_identity_exits_1(self, capsys):
         code, _, _ = run(capsys, "verify", "--identity", "bogus")
         assert code == 1
@@ -505,6 +553,76 @@ def _package_files_run(*argv: str) -> set[str]:
     ).split())
 
 
+def _module_call(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m compositae *argv``."""
+    done = subprocess.run(
+        [sys.executable, "-m", "compositae", *argv],
+        capture_output=True, text=True, encoding="utf-8",
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestProcessEntry:
+    """``python -m compositae`` and the console script both run
+    ``compositae.__main__:run``, which freezes the collector once ``main()``
+    returns so that the process ends without the teardown collection;
+    ``main()`` itself never freezes."""
+
+    def test_process_entry_freezes_before_exit(self):
+        # the atexit handler runs after run() returns, as the process ends
+        err = _fresh_stderr(
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f' {gc.get_freeze_count()}'))\n"
+            "sys.argv = ['compositae', 'composita', '--fn', 'geometric', '--n', '3']\n"
+            "runpy.run_module('compositae', run_name='__main__', alter_sys=True)\n"
+        )
+        assert int(err.split()[-1]) > 0
+
+    def test_main_does_not_freeze(self):
+        err = _fresh_stderr(
+            "import gc, sys\n"
+            "from compositae.cli import main\n"
+            "assert main(['composita', '--fn', 'geometric', '--n', '3']) == 0\n"
+            "sys.stderr.write(f' {gc.get_freeze_count()}')\n"
+        )
+        assert int(err.split()[-1]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("composita", "--fn", "geometric", "--n", "6"), 0),
+            (("solve", "--g", "1,1", "--m", "2", "--order", "8", "--format", "csv"), 0),
+            (("verify", "--identity", "lambert", "--format", "records"), 0),
+            (("composita", "--help"), 0),
+            (("composita", "--fn", "geometric", "--n", "0"), 1),
+            (("composita", "--fn", "nosuch", "--n", "3"), 1),
+            (("composita", "--fn", "geometric", "--n", "1_0"), 1),
+            (("composita", "--fn", "1,1", "--n", "3"), 2),
+            (("verify", "--identity", "lambert", "--perturb", "3,2,1"), 3),
+        ],
+    )
+    def test_module_call_matches_main(self, capsys, argv, code):
+        in_process = run(capsys, *argv)
+        assert in_process[0] == code
+        assert _module_call(*argv) == in_process
+
+    def test_module_call_matches_main_with_output(self, capsys, tmp_path):
+        argv = ("composita", "--fn", "geometric", "--n", "6", "--format", "csv")
+        in_process = run(capsys, *argv, "--output", str(tmp_path / "main.csv"))
+        assert _module_call(*argv, "--output", str(tmp_path / "module.csv")) == in_process
+        assert in_process == (0, "", "")
+        written = (tmp_path / "module.csv").read_bytes()
+        assert written == (tmp_path / "main.csv").read_bytes()
+        assert written.startswith(b"n,k,value\n1,1,1\n")
+
+    def test_console_script_names_the_process_entry(self):
+        # read as text: Python 3.10 has no tomllib
+        text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.split() == ["compositae", "=", '"compositae.__main__:run"']
+
+
 class TestStartup:
     """One CLI call loads neither dataclasses (which pulls in inspect) nor,
     unless it writes records, json, nor the paper's closed forms and
@@ -522,7 +640,11 @@ class TestStartup:
     @pytest.mark.parametrize(
         "argv, runs, skips",
         [
-            (("composita", "--fn", "geometric", "--n", "1"), set(), LAZY),
+            (
+                ("composita", "--fn", "geometric", "--n", "1"),
+                set(),
+                LAZY | {"combinatorics.py"},
+            ),
             (
                 ("solve", "--g", "1,1", "--m", "2", "--order", "5"),
                 {"calculus.py", "funceq.py"},

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from compositae.combinatorics import (
     binomial,
-    factorial,
     kronecker_delta,
     stirling_first_unsigned,
     stirling_second,
@@ -20,10 +19,6 @@ def test_binomial_matches_comb_and_vanishes_outside(n, k):
         assert binomial(n, k) == math.comb(n, k)
     else:
         assert binomial(n, k) == 0
-
-
-def test_factorial():
-    assert [factorial(n) for n in range(6)] == [1, 1, 2, 6, 24, 120]
 
 
 def test_stirling_second_small_table():

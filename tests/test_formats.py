@@ -88,6 +88,14 @@ def test_parse_rejects_values_outside_the_coefficient_grammar(value):
         parse_triangle_csv(f"n,k,value\n1,1,{value}")
 
 
+@pytest.mark.parametrize(
+    "line", ["1_0,1,1", "1,1_0,1", "\u0661,1,1", "1,\u0661,1", "\uff11,1,1"]
+)
+def test_parse_rejects_indices_outside_the_integer_grammar(line):
+    with pytest.raises(ValueError, match="not accepted"):
+        parse_triangle_csv(f"n,k,value\n{line}")
+
+
 def test_parse_rejects_a_missing_entry():
     with pytest.raises(ValueError, match=r"entry \(2, 1\) is missing"):
         parse_triangle_csv("n,k,value\n1,1,1\n2,2,1")
