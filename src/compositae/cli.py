@@ -7,16 +7,23 @@ Eight subcommands cover the whole surface: triangle construction
 catalog designators ("geometric", "poly2:1,1") or raw coefficient lists
 ("0,1,1"); output is byte-deterministic.
 
-Handlers take the argparse namespace as parsed (``verify`` fills in the
-defaults of --max-n and --max-r); each reads only its own subcommand's
-flags.
+Every subcommand and flag is described once, in the flag table
+``_COMMANDS``.  A well-formed call (the subcommand, then exact ``--flag
+value`` pairs and switches) is read from that table by ``_read_argv``;
+anything else (help, a usage error, an abbreviation, ``--flag=value``,
+``--``) goes to the argparse parser that ``build_parser`` makes from the
+same table, so argparse alone decides what such a call means and prints.
+Handlers take the namespace as read (``verify`` fills in the defaults of
+--max-n and --max-r); each reads only its own subcommand's flags.
 
 Exit codes: 0 success, 1 usage (including unknown designators),
 2 precondition violation, 3 identity counterexample, 4 internal error
 (an unexpected exception, reported in one line without a traceback).
 
 Every call starts a fresh interpreter and, with no bytecode cache, compiles
-what it runs, so start-up is kept lean.  ``calculus``, ``funceq``,
+what it runs, so start-up is kept lean.  ``argparse`` (with the
+``gettext`` and ``locale`` it imports) is imported only for help and usage
+errors, never on a well-formed call.  ``calculus``, ``funceq``,
 ``identities`` and ``riordan`` are loaded lazily: importing this module
 puts each one in ``sys.modules`` (and on the package) as a module whose
 file is read, compiled and run when a handler first reads an attribute
@@ -36,12 +43,11 @@ processes.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import os
 import sys
 from fractions import Fraction
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 from typing import Callable, Optional
 
 from .catalog import catalog_series, parse_function_spec, registry_names
@@ -83,115 +89,19 @@ riordan = _lazy_submodule("riordan")
 
 
 class UsageError(Exception):
-    """Bad flag values that argparse's type machinery cannot catch."""
+    """Bad flag values that a flag's kind in ``_COMMANDS`` does not catch."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is exit 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _integer(text: str) -> int:
-    try:
-        return parse_int(text)
-    except ValueError:  # argparse's own wording for a bad type=int value
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _parse_perturb(text: str) -> tuple[int, int, Fraction]:
+def _perturbation(text: str) -> tuple[int, int, Fraction]:
+    """N, K and DELTA of ``--perturb N,K,DELTA``; a ValueError carries the
+    message argparse reports."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected N,K,DELTA")
+        raise ValueError("expected N,K,DELTA")
     try:
         return parse_int(parts[0]), parse_int(parts[1]), parse_rational(parts[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad perturbation {text!r}") from exc
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="compositae", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", help="write to this path instead of stdout")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("triangle", "csv", "records"),
-            default="triangle",
-            help="output shape (default: triangle / plain text)",
-        )
-        add_output(p)
-
-    p = sub.add_parser("composita", help="triangle of a function with f(0)=0")
-    p.add_argument("--fn", required=True, help="catalog name or coefficient list")
-    p.add_argument("--n", type=_integer, required=True, help="table order (rows 1..N)")
-    add_common(p)
-
-    p = sub.add_parser("compose", help="coefficients of R(F(x))")
-    p.add_argument("--r", required=True, help="outer function R")
-    p.add_argument("--fn", required=True, help="inner function F, f(0)=0")
-    p.add_argument("--n", type=_integer, required=True, help="truncation order")
-    add_common(p)
-
-    p = sub.add_parser("inverse", help="compositional inverse of F, printed from a(1)")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--order", type=_integer, required=True)
-    add_common(p)
-
-    p = sub.add_parser("reciprocal", help="triangle of x*A(x) where A(x)B(x)=1")
-    p.add_argument("--b", required=True, help="function B with b(0) != 0")
-    p.add_argument("--order", type=_integer, required=True)
-    add_common(p)
-
-    p = sub.add_parser("solve", help="solve A(x) = G(x A(x)^m)")
-    p.add_argument("--g", required=True, help="function G with g(0) != 0")
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("--order", type=_integer, required=True)
-    p.add_argument(
-        "--table",
-        action="store_true",
-        help="print the triangle of x*A(x) instead of the series",
-    )
-    add_common(p)
-
-    p = sub.add_parser("riordan", help="Riordan array (G, F); --b applies it")
-    p.add_argument("--g", required=True, help="multiplier G")
-    p.add_argument("--fn", required=True, help="inner function F, f(0)=0")
-    p.add_argument("--n", type=_integer, required=True, help="array order (rows 0..N)")
-    p.add_argument("--b", help="sequence to apply the array to")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run one identity sweep")
-    p.add_argument("--identity", required=True, choices=IDENTITY_NAMES)
-    p.add_argument("--max-n", type=_integer, dest="max_n")
-    p.add_argument("--max-r", type=_integer, dest="max_r", help="funceq only")
-    p.add_argument("--m", type=_integer, default=1, help="funceq only")
-    p.add_argument("--g", help="funceq: function G (default 1,1)")
-    p.add_argument("--b", help="reciprocal: function B (default sin_over_x)")
-    p.add_argument(
-        "--fn",
-        action="append",
-        help="input function(s); associativity takes three",
-    )
-    p.add_argument(
-        "--perturb",
-        type=_parse_perturb,
-        help="N,K,DELTA fault injection to demonstrate counterexample detection",
-    )
-    add_common(p)
-
-    p = sub.add_parser("oracle", help="one entry by brute-force composition sums")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--k", type=_integer, required=True)
-    add_output(p)  # one value: there is no output shape to choose
-
-    return parser
+    except ValueError:
+        raise ValueError(f"bad perturbation {text!r}") from None
 
 
 def _series(designator: str, order: int) -> PowerSeries:
@@ -220,14 +130,14 @@ def _require_order(value: int, flag: str) -> int:
     return value
 
 
-def _cmd_composita(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_composita(args: SimpleNamespace) -> tuple[str, int]:
     n = _require_order(args.n, "--n")
     f = _series(args.fn, n)
     table = composita_from_series(f, n, source=args.fn)
     return _render_triangle(table, args.format), 0
 
 
-def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_compose(args: SimpleNamespace) -> tuple[str, int]:
     n = _require_order(args.n, "--n")
     r = _series(args.r, n)
     f = _series(args.fn, n)
@@ -235,7 +145,7 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
     return _render_series(calculus.compose_series(r, table).coeffs, args.format), 0
 
 
-def _cmd_inverse(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_inverse(args: SimpleNamespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
     f = _series(args.fn, order)
     table = composita_from_series(f, order)
@@ -243,14 +153,14 @@ def _cmd_inverse(args: argparse.Namespace) -> tuple[str, int]:
     return _render_series(inv.coeffs[1:], args.format, start=1), 0
 
 
-def _cmd_reciprocal(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_reciprocal(args: SimpleNamespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
     b = _series(args.b, order - 1)
     table = calculus.reciprocal_composita(b, order, source=args.b)
     return _render_triangle(table, args.format), 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_solve(args: SimpleNamespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
     g = _series(args.g, order)
     solution = funceq.solve_functional_equation(g, args.m, order)
@@ -259,7 +169,7 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     return _render_series(solution.a_series.coeffs, args.format), 0
 
 
-def _cmd_riordan(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_riordan(args: SimpleNamespace) -> tuple[str, int]:
     n = _require_order(args.n, "--n")
     g = _series(args.g, n)
     f = _series(args.fn, n)
@@ -270,7 +180,7 @@ def _cmd_riordan(args: argparse.Namespace) -> tuple[str, int]:
     return _render_triangle(table, args.format), 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_oracle(args: SimpleNamespace) -> tuple[str, int]:
     n = _require_order(args.n, "--n")
     if not 1 <= args.k <= n:
         raise UsageError("--k must satisfy 1 <= k <= n")
@@ -288,7 +198,7 @@ def _perturbed(
     return table.with_entry(n, k, table[n, k] + delta)
 
 
-def _verify_associativity(args: argparse.Namespace, order: int) -> identities.IdentityReport:
+def _verify_associativity(args: SimpleNamespace, order: int) -> identities.IdentityReport:
     names = args.fn or ("poly2:1,1", "geometric", "x_exp")
     if len(names) != 3:
         raise UsageError("associativity needs exactly three --fn designators")
@@ -298,14 +208,14 @@ def _verify_associativity(args: argparse.Namespace, order: int) -> identities.Id
     return identities.check_associativity(*tables, fault=args.perturb)
 
 
-def _verify_derivative(args: argparse.Namespace, order: int) -> identities.IdentityReport:
+def _verify_derivative(args: SimpleNamespace, order: int) -> identities.IdentityReport:
     name = args.fn[0] if args.fn else "geometric"
     f = _series(name, order)
     table = _perturbed(composita_from_series(f, order), args.perturb)
     return identities.check_derivative_identity(f, table)
 
 
-def _verify_inverse(args: argparse.Namespace, order: int) -> identities.IdentityReport:
+def _verify_inverse(args: SimpleNamespace, order: int) -> identities.IdentityReport:
     name = args.fn[0] if args.fn else "x_exp"
     f = _series(name, order)
     table = composita_from_series(f, order)
@@ -314,17 +224,17 @@ def _verify_inverse(args: argparse.Namespace, order: int) -> identities.Identity
     return identities.check_inverse_identity(table, inv_table)
 
 
-def _verify_lambert(args: argparse.Namespace, order: int) -> identities.IdentityReport:
+def _verify_lambert(args: SimpleNamespace, order: int) -> identities.IdentityReport:
     return identities.check_lambert_identity(order, fault=args.perturb)
 
 
-def _verify_funceq(args: argparse.Namespace, order: int) -> identities.IdentityReport:
+def _verify_funceq(args: SimpleNamespace, order: int) -> identities.IdentityReport:
     g = _series(args.g or "1,1", order - 1)
     table = _perturbed(composita_from_series(g.times_x(), order), args.perturb)
     return identities.check_funceq_identity(table, args.m, args.max_n, args.max_r)
 
 
-def _verify_reciprocal(args: argparse.Namespace, order: int) -> identities.IdentityReport:
+def _verify_reciprocal(args: SimpleNamespace, order: int) -> identities.IdentityReport:
     b = _series(args.b or "sin_over_x", order - 1)
     table = calculus.reciprocal_composita(b, order)
     return identities.check_reciprocal_identity(b, table, fault=args.perturb)
@@ -334,7 +244,7 @@ def _verify_reciprocal(args: argparse.Namespace, order: int) -> identities.Ident
 # the order it is given: --max-n, except that funceq reads the triangle of
 # x*G to (m + 1) * max_n + max_r.  --perturb indexes into that table.
 _SWEEPS: dict[
-    str, tuple[int, Callable[[argparse.Namespace, int], identities.IdentityReport]]
+    str, tuple[int, Callable[[SimpleNamespace, int], identities.IdentityReport]]
 ] = {
     "associativity": (8, _verify_associativity),
     "derivative": (10, _verify_derivative),
@@ -346,7 +256,7 @@ _SWEEPS: dict[
 IDENTITY_NAMES = tuple(_SWEEPS)
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_verify(args: SimpleNamespace) -> tuple[str, int]:
     identity = args.identity
     default_max_n, sweep = _SWEEPS[identity]
     if args.max_n is None:
@@ -408,7 +318,7 @@ def _write_output(path: str, text: str) -> None:
         raise
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[str, int]]] = {
+_HANDLERS: dict[str, Callable[[SimpleNamespace], tuple[str, int]]] = {
     "composita": _cmd_composita,
     "compose": _cmd_compose,
     "inverse": _cmd_inverse,
@@ -420,12 +330,169 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[str, int]]] = {
 }
 
 
+# The subcommands and their flags, described once: subcommand -> (help,
+# flags), each flag (name, kind, required, default, help), where kind is
+# "text", "int", "perturb", "append", "switch" or a tuple of choices.  Both
+# readers of a command line are made from this table: _read_argv() and the
+# argparse parser of build_parser(), whose help lists the flags in this order.
+_FORMAT = (
+    "--format", ("triangle", "csv", "records"), False, "triangle",
+    "output shape (default: triangle / plain text)",
+)
+_OUTPUT = ("--output", "text", False, None, "write to this path instead of stdout")
+_COMMANDS: dict[str, tuple[str, tuple[tuple, ...]]] = {
+    "composita": ("triangle of a function with f(0)=0", (
+        ("--fn", "text", True, None, "catalog name or coefficient list"),
+        ("--n", "int", True, None, "table order (rows 1..N)"),
+        _FORMAT, _OUTPUT,
+    )),
+    "compose": ("coefficients of R(F(x))", (
+        ("--r", "text", True, None, "outer function R"),
+        ("--fn", "text", True, None, "inner function F, f(0)=0"),
+        ("--n", "int", True, None, "truncation order"),
+        _FORMAT, _OUTPUT,
+    )),
+    "inverse": ("compositional inverse of F, printed from a(1)", (
+        ("--fn", "text", True, None, None),
+        ("--order", "int", True, None, None),
+        _FORMAT, _OUTPUT,
+    )),
+    "reciprocal": ("triangle of x*A(x) where A(x)B(x)=1", (
+        ("--b", "text", True, None, "function B with b(0) != 0"),
+        ("--order", "int", True, None, None),
+        _FORMAT, _OUTPUT,
+    )),
+    "solve": ("solve A(x) = G(x A(x)^m)", (
+        ("--g", "text", True, None, "function G with g(0) != 0"),
+        ("--m", "int", True, None, None),
+        ("--order", "int", True, None, None),
+        ("--table", "switch", False, False, "print the triangle of x*A(x) instead of the series"),
+        _FORMAT, _OUTPUT,
+    )),
+    "riordan": ("Riordan array (G, F); --b applies it", (
+        ("--g", "text", True, None, "multiplier G"),
+        ("--fn", "text", True, None, "inner function F, f(0)=0"),
+        ("--n", "int", True, None, "array order (rows 0..N)"),
+        ("--b", "text", False, None, "sequence to apply the array to"),
+        _FORMAT, _OUTPUT,
+    )),
+    "verify": ("run one identity sweep", (
+        ("--identity", IDENTITY_NAMES, True, None, None),
+        ("--max-n", "int", False, None, None),
+        ("--max-r", "int", False, None, "funceq only"),
+        ("--m", "int", False, 1, "funceq only"),
+        ("--g", "text", False, None, "funceq: function G (default 1,1)"),
+        ("--b", "text", False, None, "reciprocal: function B (default sin_over_x)"),
+        ("--fn", "append", False, None, "input function(s); associativity takes three"),
+        ("--perturb", "perturb", False, None,
+         "N,K,DELTA fault injection to demonstrate counterexample detection"),
+        _FORMAT, _OUTPUT,
+    )),
+    "oracle": ("one entry by brute-force composition sums", (
+        ("--fn", "text", True, None, None),
+        ("--n", "int", True, None, None),
+        ("--k", "int", True, None, None),
+        _OUTPUT,  # one value: there is no output shape to choose
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of ``_COMMANDS``.  ``main()`` builds it only for
+    what ``_read_argv()`` leaves to it: help, usage errors and the forms
+    that only argparse reads."""
+    import argparse  # with gettext and locale: not on a well-formed call's path
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits 2 on usage errors; the contract here is exit 1."""
+
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def integer(text: str) -> int:
+        try:
+            return parse_int(text)
+        except ValueError:  # argparse's own wording for a bad type=int value
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+    def perturbation(text: str) -> tuple[int, int, Fraction]:
+        try:
+            return _perturbation(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    by_kind = {
+        "text": {},
+        "int": {"type": integer},
+        "perturb": {"type": perturbation},
+        "append": {"action": "append"},
+        "switch": {"action": "store_true"},
+    }
+    parser = _Parser(prog="compositae", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for command, (summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, kind, required, default, text in flags:
+            options = {"choices": kind} if isinstance(kind, tuple) else by_kind[kind]
+            p.add_argument(name, required=required, default=default, help=text, **options)
+    return parser
+
+
+def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse makes of ``argv`` when the call is well
+    formed, else None.
+
+    Well formed is a subcommand, then exact flags of that subcommand: a
+    switch alone, any other flag followed by one value that converts and
+    is one of its choices, and every required flag given.  A value starts
+    with '-' only as '-' and ASCII digits, which argparse also reads as a
+    value.  Everything else (help, usage errors, abbreviations such as
+    --ord, --n=5, '--') is left to argparse, the only code that reads it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = {flag[0]: flag for flag in _COMMANDS[argv[0]][1]}
+    values = {name: flag[3] for name, flag in flags.items()}
+    missing = {name for name, flag in flags.items() if flag[2]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        kind = flags[token][1]
+        missing.discard(token)
+        if kind == "switch":
+            values[token] = True
+            continue
+        text = next(tokens, None)
+        if text is None or (text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit())):
+            return None
+        if isinstance(kind, tuple):
+            if text not in kind:
+                return None
+        elif kind == "append":
+            text = (values[token] or []) + [text]
+        elif kind != "text":
+            try:
+                text = (parse_int if kind == "int" else _perturbation)(text)
+            except ValueError:
+                return None
+        values[token] = text
+    if missing:
+        return None
+    dests = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(subcommand=argv[0], **dests)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:  # help, a usage error, or a form only argparse reads
+        try:
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         text, code = _HANDLERS[args.subcommand](args)
     except UnknownFunction as exc:

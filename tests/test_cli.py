@@ -3,7 +3,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import functools
+import io
 import json
 import os
 import subprocess
@@ -12,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compositae import cli
 from compositae.cli import main
@@ -19,6 +24,60 @@ from compositae.cli import main
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 PASCAL_SIX = "1\n1 1\n1 2 1\n1 3 3 1\n1 4 6 4 1\n1 5 10 10 5 1"
+
+
+# A token grammar for command lines: subcommands, the flags of every
+# subcommand (so also flags of the wrong one), argparse-only forms, and
+# values inside and outside each flag's grammar.  Orders stay <= 8 so that
+# running a call is fast.
+_DESIGNATORS = (
+    "geometric", "fib", "x_exp", "sin_over_x", "poly2:1,-1", "monomial:3", "0,1,1",
+    "1,1", "1,0,1", "3/7,2/13", "-1,2", "-1", "nosuch", "1e5", "0,1_0", "",
+)
+_INTEGERS = ("1", "3", "8", "0", "-2", "-0", " 3", "+3", "03", "-1.5", "1_0", "\u0663", "abc", "")
+_PERTURBS = ("3,2,1", "2,1,-1/2", "9,9,1", "2,1", "x,1,1", "1,1,1/0", "-1,2")
+_VALUES_BY_KIND = {
+    "text": _DESIGNATORS,
+    "append": _DESIGNATORS,
+    "int": _INTEGERS,
+    "perturb": _PERTURBS,
+}
+_SPECIAL = ("-h", "--help", "--", "--ord", "--n=5", "--fn=geometric", "-", "bogus")
+_ALL_VALUES = sorted(
+    {v for values in _VALUES_BY_KIND.values() for v in values}
+    | {"triangle", "csv", "records", "xml", "lambert", "derivative", "nosuch"}
+)
+
+
+def _values_for(kind) -> tuple:
+    return kind + ("xml", "nosuch") if isinstance(kind, tuple) else _VALUES_BY_KIND[kind]
+
+
+@st.composite
+def _argvs(draw, with_output: bool) -> list[str]:
+    """A command line: usually a subcommand with most of its required flags
+    (so that many are well formed), then a few flags or special tokens of
+    any kind, in shuffled order.  ``with_output=False`` leaves out --output,
+    so that running the call writes no file."""
+    flags = [
+        flag for _, table in cli._COMMANDS.values() for flag in table
+        if with_output or flag[0] != "--output"
+    ]
+    command = draw(st.sampled_from((*cli._COMMANDS, "bogus", "--help")))
+    groups = []
+    for flag in cli._COMMANDS.get(command, ("", ()))[1]:
+        if flag[2] and draw(st.integers(0, 9)):
+            groups.append([flag[0], draw(st.sampled_from(_values_for(flag[1])))])
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(flags))
+        if flag[1] == "switch":
+            groups.append([flag[0]])
+        else:
+            groups.append([flag[0], draw(st.sampled_from(_values_for(flag[1])))])
+        if not draw(st.integers(0, 5)):  # a special token, a stray value or a lost value
+            groups.append([draw(st.sampled_from(_SPECIAL + tuple(_ALL_VALUES)))])
+    groups = draw(st.permutations(groups))
+    return [command] + [token for group in groups for token in group]
 
 
 def run(capsys, *argv):
@@ -516,6 +575,63 @@ class TestContract:
         assert out == ""
         assert err == "internal error: IndexError: row 7 outside table of order 6\n"
 
+    @settings(max_examples=200)
+    @given(argv=_argvs(with_output=False))
+    def test_random_calls_keep_the_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in {0, 1, 2, 3}, (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
+
+
+@functools.cache
+def _parser():
+    return cli.build_parser()
+
+
+def _argparse_vars(argv: list[str]):
+    """vars() of argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestArgvReader:
+    """A well-formed call is read from the flag table without argparse;
+    whatever the reader takes, argparse reads to the same namespace."""
+
+    @settings(max_examples=400)
+    @given(argv=_argvs(with_output=True))
+    def test_reader_never_disagrees_with_argparse(self, argv):
+        read = cli._read_argv(argv)
+        if read is not None:
+            assert vars(read) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["composita", "--fn", "geometric", "--n", "6", "--format", "csv"],
+            ["compose", "--r", "fib", "--fn", "0,1,1", "--n", " 5", "--output", "out.txt"],
+            ["inverse", "--order", "+7", "--fn", "x_exp"],
+            ["reciprocal", "--b", "sin_over_x", "--order", "6", "--format", "records"],
+            ["solve", "--g", "-1", "--m", "-2", "--order", "6", "--table"],
+            ["riordan", "--g", "1,1", "--fn", "geometric", "--n", "4", "--b", "1,2"],
+            ["verify", "--identity", "associativity", "--fn", "fib", "--fn", "geometric",
+             "--fn", "x_exp", "--max-n", "5", "--perturb", "3,2,-1/2"],
+            ["verify", "--identity", "funceq", "--m", "2", "--max-r", "3", "--g", ""],
+            ["oracle", "--fn", "geometric", "--n", "5", "--k", "2", "--n", "6"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_well_formed_call_is_read_without_argparse(self, argv):
+        read = cli._read_argv(argv)
+        assert read is not None
+        assert vars(read) == _argparse_vars(argv)
+
 
 def _fresh_stderr(code: str) -> str:
     """What ``code`` writes to stderr in a fresh interpreter."""
@@ -624,12 +740,16 @@ class TestProcessEntry:
 
 
 class TestStartup:
-    """One CLI call loads neither dataclasses (which pulls in inspect) nor,
-    unless it writes records, json, nor the paper's closed forms and
-    theorems, and runs only the submodules its subcommand uses: every
-    call pays for what it runs."""
+    """One well-formed CLI call loads neither argparse (with the gettext
+    and locale it imports; only help and usage errors need it) nor
+    dataclasses (which pulls in inspect) nor, unless it writes records,
+    json, nor the paper's closed forms and theorems, and runs only the
+    submodules its subcommand uses: every call pays for what it runs."""
 
-    HEAVY = {"dataclasses", "inspect", "json", "compositae.theorems"}
+    HEAVY = {
+        "argparse", "gettext", "locale", "dataclasses", "inspect", "json",
+        "compositae.theorems",
+    }
     LAZY = {"calculus.py", "funceq.py", "identities.py", "riordan.py"}
 
     def _cli_modules(self, *argv: str) -> set[str]:
@@ -668,6 +788,10 @@ class TestStartup:
         loaded = self._cli_modules("composita", "--fn", "geometric", "--n", "1")
         assert "compositae.cli" in loaded
         assert (loaded - bare) & self.HEAVY == set()
+
+    def test_help_goes_through_argparse(self):
+        loaded = self._cli_modules("composita", "--help")
+        assert "argparse" in loaded
 
     def test_verify_call_imports_no_theorems(self):
         # the reciprocal sweep shares its powers of B with the product theorem
