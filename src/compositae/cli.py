@@ -11,34 +11,44 @@ Every subcommand and flag is described once, in the flag table
 ``_COMMANDS``.  A well-formed call (the subcommand, then exact ``--flag
 value`` pairs and switches) is read from that table by ``_read_argv``;
 anything else (help, a usage error, an abbreviation, ``--flag=value``,
-``--``) goes to the argparse parser that ``build_parser`` makes from the
-same table, so argparse alone decides what such a call means and prints.
-Handlers take the namespace as read (``verify`` fills in the defaults of
---max-n and --max-r); each reads only its own subcommand's flags.
+``--``) goes to the argparse parser that ``_offpath.build_parser`` makes
+from the same table, so argparse alone decides what such a call means and
+prints.  Handlers take the namespace as read (``verify`` fills in the
+defaults of --max-n and --max-r); each reads only its own subcommand's
+flags.
 
 Exit codes: 0 success, 1 usage (including unknown designators),
 2 precondition violation, 3 identity counterexample, 4 internal error
 (an unexpected exception, reported in one line without a traceback).
 
 Every call starts a fresh interpreter and, with no bytecode cache, compiles
-what it runs, so start-up is kept lean.  ``argparse`` (with the
-``gettext`` and ``locale`` it imports) is imported only for help and usage
-errors, never on a well-formed call.  ``calculus``, ``funceq``,
-``identities`` and ``riordan`` are loaded lazily: importing this module
-puts each one in ``sys.modules`` (and on the package) as a module whose
-file is read, compiled and run when a handler first reads an attribute
-from it, so ``composita`` runs none of them and ``solve`` runs no
-``identities``.  They are placed in ``sys.modules`` rather than imported
-inside the handlers because ``perfbench/tracing.py`` looks each span
-module up there right after ``import compositae.cli``.  No subcommand
-imports ``theorems`` (the paper's closed forms and theorems, which only
-the tests and ``scripts/verify_catalog.py`` evaluate), the package's value
-types are plain slotted classes rather than dataclasses, and ``json`` is
-imported only when ``--format records`` asks for it.  The process entry,
-``run()`` in ``__main__``, ends the process without the interpreter's
-teardown collection (it calls ``gc.freeze()`` once ``main()`` returns);
-``main()`` itself does not freeze, since it also runs inside long-lived
-processes.
+what it runs, so a call compiles only the code its subcommand, format and
+options run.  What loads when:
+
+* every call: this module, ``catalog``, ``series``, ``triangle``,
+  ``formats`` (record lines are written without ``json``) and the small
+  modules they import;
+* help, a usage error, or ``--output``: ``_offpath``, which holds the
+  argparse parser and the ``--output`` writer; only the parser imports
+  ``argparse`` (with ``gettext`` and ``locale``);
+* ``verify``: ``_verify``, the sweep table and the report writer;
+* ``calculus``, ``funceq``, ``identities`` and ``riordan`` on first use.
+  Importing this module puts each one in ``sys.modules`` (and on the
+  package) as a module whose file is read, compiled and run when a
+  handler first reads an attribute from it, so ``composita`` runs none
+  of them, ``solve`` runs ``funceq`` alone for m >= 0 (it imports
+  ``calculus`` only for m < 0), and only ``verify`` runs ``identities``.
+  They are placed in ``sys.modules`` rather than imported inside the
+  handlers because ``perfbench/tracing.py`` looks each span module up
+  there right after ``import compositae.cli``;
+* never: ``theorems`` (the paper's closed forms and theorems, which only
+  the tests and ``scripts/verify_catalog.py`` evaluate) and
+  ``dataclasses`` (the value types are plain slotted classes).
+
+The process entry, ``run()`` in ``__main__``, ends the process without the
+interpreter's teardown collection (it calls ``gc.freeze()`` once
+``main()`` returns); ``main()`` itself does not freeze, since it also runs
+inside long-lived processes.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ from .formats import (
     triangle_text,
 )
 from .series import PowerSeries, parse_int, parse_rational
-from .triangle import CompositaTable, composita_from_series, composita_oracle
+from .triangle import composita_from_series, composita_oracle
 
 
 def _lazy_submodule(name: str) -> ModuleType:
@@ -188,134 +198,10 @@ def _cmd_oracle(args: SimpleNamespace) -> tuple[str, int]:
     return str(composita_oracle(f, n, args.k)), 0
 
 
-def _perturbed(
-    table: CompositaTable, perturb: Optional[tuple[int, int, Fraction]]
-) -> CompositaTable:
-    """``table`` with DELTA added to entry (N, K) for --perturb N,K,DELTA."""
-    if perturb is None:
-        return table
-    n, k, delta = perturb
-    return table.with_entry(n, k, table[n, k] + delta)
-
-
-def _verify_associativity(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    names = args.fn or ("poly2:1,1", "geometric", "x_exp")
-    if len(names) != 3:
-        raise UsageError("associativity needs exactly three --fn designators")
-    tables = [
-        composita_from_series(_series(name, order), order) for name in names
-    ]
-    return identities.check_associativity(*tables, fault=args.perturb)
-
-
-def _verify_derivative(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    name = args.fn[0] if args.fn else "geometric"
-    f = _series(name, order)
-    table = _perturbed(composita_from_series(f, order), args.perturb)
-    return identities.check_derivative_identity(f, table)
-
-
-def _verify_inverse(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    name = args.fn[0] if args.fn else "x_exp"
-    f = _series(name, order)
-    table = composita_from_series(f, order)
-    inv = calculus.inverse_series(f, table)
-    inv_table = _perturbed(composita_from_series(inv, order), args.perturb)
-    return identities.check_inverse_identity(table, inv_table)
-
-
-def _verify_lambert(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    return identities.check_lambert_identity(order, fault=args.perturb)
-
-
-def _verify_funceq(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    g = _series(args.g or "1,1", order - 1)
-    table = _perturbed(composita_from_series(g.times_x(), order), args.perturb)
-    return identities.check_funceq_identity(table, args.m, args.max_n, args.max_r)
-
-
-def _verify_reciprocal(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    b = _series(args.b or "sin_over_x", order - 1)
-    table = calculus.reciprocal_composita(b, order)
-    return identities.check_reciprocal_identity(b, table, fault=args.perturb)
-
-
-# identity -> (--max-n when not given, sweep).  A sweep builds its tables to
-# the order it is given: --max-n, except that funceq reads the triangle of
-# x*G to (m + 1) * max_n + max_r.  --perturb indexes into that table.
-_SWEEPS: dict[
-    str, tuple[int, Callable[[SimpleNamespace, int], identities.IdentityReport]]
-] = {
-    "associativity": (8, _verify_associativity),
-    "derivative": (10, _verify_derivative),
-    "inverse": (10, _verify_inverse),
-    "lambert": (10, _verify_lambert),
-    "funceq": (6, _verify_funceq),
-    "reciprocal": (10, _verify_reciprocal),
-}
-IDENTITY_NAMES = tuple(_SWEEPS)
-
-
 def _cmd_verify(args: SimpleNamespace) -> tuple[str, int]:
-    identity = args.identity
-    default_max_n, sweep = _SWEEPS[identity]
-    if args.max_n is None:
-        args.max_n = default_max_n
-    order = _require_order(args.max_n, "--max-n")
-    if identity == "funceq":
-        if args.max_r is None:
-            args.max_r = args.max_n
-        _require_order(args.max_r, "--max-r")
-        if args.m < 1:  # before any series is built: the order needed depends on m
-            raise ValueError("the identity is stated for m >= 1")
-        order = (args.m + 1) * args.max_n + args.max_r
-    if args.perturb is not None:
-        n, k, _ = args.perturb
-        if not 1 <= k <= n <= order:
-            raise UsageError(
-                f"--perturb N,K,DELTA needs 1 <= K <= N <= {order} for this {identity} sweep"
-            )
-    report = sweep(args, order)
+    from ._verify import verify  # only verify compiles the sweeps
 
-    if args.format == "records":
-        import json  # only this format needs it; the CLI starts without it
-
-        text = json.dumps(report.to_record())
-    elif report.verified:
-        text = "verified"
-    else:
-        params, lhs, rhs = report.first_failure
-        where = ",".join(str(p) for p in params)
-        text = f"counterexample at ({where}): lhs={lhs} rhs={rhs}"
-    return text, 0 if report.verified else 3
-
-
-def _write_output(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it
-    over ``path``: a failed write leaves no partial file and leaves an
-    existing ``path`` unchanged.  A path that exists but is not a regular
-    file (a device, a pipe, a directory) is opened and written directly."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return
-    path = os.path.realpath(path)  # through a symlink, replace the file it names
-    temp = f"{path}.{os.getpid()}.tmp"
-    handle = open(temp, "x", encoding="utf-8")
-    try:
-        if os.path.exists(path):  # the new file keeps the permissions of the old
-            os.chmod(temp, os.stat(path).st_mode & 0o7777)
-        with handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-    except BaseException:
-        try:
-            os.remove(temp)
-        except OSError:
-            pass
-        raise
+    return verify(args)
 
 
 _HANDLERS: dict[str, Callable[[SimpleNamespace], tuple[str, int]]] = {
@@ -330,11 +216,16 @@ _HANDLERS: dict[str, Callable[[SimpleNamespace], tuple[str, int]]] = {
 }
 
 
+# The --identity choices: the keys of _verify.SWEEPS, written out so that
+# reading a command line does not compile the sweeps.
+IDENTITY_NAMES = ("associativity", "derivative", "inverse", "lambert", "funceq", "reciprocal")
+
 # The subcommands and their flags, described once: subcommand -> (help,
 # flags), each flag (name, kind, required, default, help), where kind is
 # "text", "int", "perturb", "append", "switch" or a tuple of choices.  Both
 # readers of a command line are made from this table: _read_argv() and the
-# argparse parser of build_parser(), whose help lists the flags in this order.
+# argparse parser of _offpath.build_parser(), whose help lists the flags in
+# this order.
 _FORMAT = (
     "--format", ("triangle", "csv", "records"), False, "triangle",
     "output shape (default: triangle / plain text)",
@@ -397,48 +288,6 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple, ...]]] = {
 }
 
 
-def build_parser():
-    """The argparse parser of ``_COMMANDS``.  ``main()`` builds it only for
-    what ``_read_argv()`` leaves to it: help, usage errors and the forms
-    that only argparse reads."""
-    import argparse  # with gettext and locale: not on a well-formed call's path
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse exits 2 on usage errors; the contract here is exit 1."""
-
-        def error(self, message: str) -> None:  # type: ignore[override]
-            self.print_usage(sys.stderr)
-            self.exit(1, f"{self.prog}: error: {message}\n")
-
-    def integer(text: str) -> int:
-        try:
-            return parse_int(text)
-        except ValueError:  # argparse's own wording for a bad type=int value
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-    def perturbation(text: str) -> tuple[int, int, Fraction]:
-        try:
-            return _perturbation(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    by_kind = {
-        "text": {},
-        "int": {"type": integer},
-        "perturb": {"type": perturbation},
-        "append": {"action": "append"},
-        "switch": {"action": "store_true"},
-    }
-    parser = _Parser(prog="compositae", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for command, (summary, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        for name, kind, required, default, text in flags:
-            options = {"choices": kind} if isinstance(kind, tuple) else by_kind[kind]
-            p.add_argument(name, required=required, default=default, help=text, **options)
-    return parser
-
-
 def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
     """The namespace argparse makes of ``argv`` when the call is well
     formed, else None.
@@ -489,6 +338,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:  # help, a usage error, or a form only argparse reads
+        from ._offpath import build_parser
+
         try:
             args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         except SystemExit as exc:
@@ -509,8 +360,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     if args.output:
+        from ._offpath import write_output
+
         try:
-            _write_output(args.output, text + "\n")
+            write_output(args.output, text + "\n")
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return 1

@@ -2,11 +2,15 @@
 
 Three shapes for triangles (plain rows, CSV, JSON-record lines) and the
 same three for coefficient sequences.  Values always render as exact
-rationals: "p/q", or bare "p" for integers.  ``parse_triangle_csv`` is the
-strict inverse of ``triangle_csv`` for composita triangles and Riordan
-arrays alike: it reads the base index from the smallest row number and
-rejects a missing, repeated or out-of-triangle entry, so a round trip
-reproduces a table exactly or fails.
+rationals: "p/q", or bare "p" for integers.  A record line is written
+directly, not through ``json``, whose import would cost every records
+call a few milliseconds: it holds only ints and the ASCII text of a
+rational, so it is byte-for-byte what ``json.dumps`` makes of the same
+dict.  ``parse_triangle_csv`` is the strict inverse of ``triangle_csv``
+for composita triangles and Riordan arrays alike: it reads the base index
+from the smallest row number and rejects a missing, repeated or
+out-of-triangle entry, so a round trip reproduces a table exactly or
+fails.
 """
 
 from __future__ import annotations
@@ -30,11 +34,8 @@ def triangle_csv(table: CompositaTable) -> str:
 
 
 def triangle_records(table: CompositaTable) -> str:
-    import json  # only this format needs it; the CLI starts without it
-
     return "\n".join(
-        json.dumps({"n": n, "k": k, "value": str(v)})
-        for n, k, v in table.entries()
+        f'{{"n": {n}, "k": {k}, "value": "{v!s}"}}' for n, k, v in table.entries()
     )
 
 
@@ -49,11 +50,8 @@ def series_csv(values: Sequence[Fraction], start: int = 0) -> str:
 
 
 def series_records(values: Sequence[Fraction], start: int = 0) -> str:
-    import json  # only this format needs it; the CLI starts without it
-
     return "\n".join(
-        json.dumps({"n": n, "value": str(v)})
-        for n, v in enumerate(values, start=start)
+        f'{{"n": {n}, "value": "{v!s}"}}' for n, v in enumerate(values, start=start)
     )
 
 

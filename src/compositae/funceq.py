@@ -8,8 +8,10 @@ of G and needs G only to the requested order; no triangle of x*G is built.
 The m = 1 case is classical Lagrange inversion (the paper's "right
 composita" (k/n) * T_xG(2n - k, n)).  Negative m is routed through
 reciprocals: solve F = R(xF^w) with w = -m and R = 1/G, then flip the
-answer back with the reciprocal-triangle transform.  The paper's
-functional-equation identity on the triangle of x*G is swept by
+answer back with the reciprocal-triangle transform.  That transform is
+the one use of ``calculus`` here, imported in the m < 0 branch, so that
+``compositae solve`` with m >= 0 does not compile ``calculus``.  The
+paper's functional-equation identity on the triangle of x*G is swept by
 ``identities.check_funceq_identity``.
 
 Two applications with non-obvious setups live here as well: triangles for
@@ -23,7 +25,6 @@ from fractions import Fraction
 
 from ._record import Record
 from ._rows import Row, combine, scalars
-from .calculus import reciprocal_composita
 from .catalog import make_spec
 from .combinatorics import binomial
 from .errors import InsufficientOrder, ZeroConstantTerm
@@ -96,6 +97,8 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
             rows.append(tuple(row))
         a_table = CompositaTable(tuple(rows))
     else:
+        from .calculus import reciprocal_composita  # only m < 0 runs calculus
+
         inner = solve_functional_equation(PowerSeries.one(order) / g, -m, order)
         a_table = reciprocal_composita(inner.a_series, table_order)
 

@@ -139,19 +139,19 @@ def composita_oracle(f: PowerSeries, n: int, k: int) -> Fraction:
         raise ValueError("the part count k must satisfy 1 <= k <= n")
     coeffs = f.coeffs
     total = Fraction(0)
-
-    def extend(remaining: int, parts: int, acc: Fraction) -> None:
-        nonlocal total
+    # Depth first over the parts chosen so far, with an explicit stack: a
+    # composition has up to n parts, more than the recursion limit allows.
+    stack = [(n, k, Fraction(1))]  # (remaining sum, parts left, product so far)
+    while stack:
+        remaining, parts, acc = stack.pop()
         if parts == 1:
             total += acc * coeffs[remaining]
-            return
+            continue
         # each of the remaining parts needs at least 1
         for part in range(1, remaining - parts + 2):
             c = coeffs[part]
             if c:
-                extend(remaining - part, parts - 1, acc * c)
-
-    extend(n, k, Fraction(1))
+                stack.append((remaining - part, parts - 1, acc * c))
     return total
 
 

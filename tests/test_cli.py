@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import errno
 import functools
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compositae import cli
+from compositae import _offpath, _verify, cli
 from compositae.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -291,6 +292,14 @@ class TestSeriesCommands:
         assert out == ""
         assert "unrecognized arguments: --format" in err
 
+    def test_oracle_enumerates_more_parts_than_the_recursion_limit(self, capsys):
+        # C(n - 1, k - 1) = 1199 compositions of 1200 into 1199 parts: the
+        # enumeration goes 1199 parts deep, past the default recursion limit
+        code, out, err = run(
+            capsys, "oracle", "--fn", "geometric", "--n", "1200", "--k", "1199"
+        )
+        assert (code, out, err) == (0, "1199\n", "")
+
     def test_oracle_bad_k(self, capsys):
         code, _, err = run(
             capsys, "oracle", "--fn", "geometric", "--n", "5", "--k", "6"
@@ -326,6 +335,10 @@ class TestVerify:
         "reciprocal": ("4,2,1", "counterexample at (4,2): lhs=1/3 rhs=4/3"),
     }
 
+    def test_sweep_table_keys_are_the_identity_choices(self):
+        flags = {flag[0]: flag for flag in cli._COMMANDS["verify"][1]}
+        assert tuple(_verify.SWEEPS) == flags["--identity"][1] == cli.IDENTITY_NAMES
+
     @pytest.mark.parametrize("identity", cli.IDENTITY_NAMES)
     def test_default_sweep_verifies_and_finds_a_planted_fault(self, capsys, identity):
         code, out, _ = run(capsys, "verify", "--identity", identity)
@@ -335,6 +348,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--identity", identity, "--perturb", perturb)
         assert code == 3
         assert out == line + "\n"
+
+    @pytest.mark.parametrize("identity", cli.IDENTITY_NAMES)
+    def test_records_report_is_the_json_dumps_line(self, capsys, identity):
+        perturb, _ = self.PLANTED[identity]
+        for extra, code in (((), 0), (("--perturb", perturb), 3)):
+            got = run(capsys, "verify", "--identity", identity, *extra, "--format", "records")
+            assert got[0] == code
+            record = json.loads(got[1])
+            assert got[1] == json.dumps(record) + "\n"
+            assert ("failure" in record) == (code == 3)
 
     def test_lambert_verified(self, capsys):
         code, out, _ = run(
@@ -588,7 +611,7 @@ class TestContract:
 
 @functools.cache
 def _parser():
-    return cli.build_parser()
+    return _offpath.build_parser()
 
 
 def _argparse_vars(argv: list[str]):
@@ -648,7 +671,7 @@ def _modules_loaded(code: str) -> set[str]:
     return set(_fresh_stderr(code + "\nsys.stderr.write(' '.join(sys.modules))").split())
 
 
-def _package_files_run(*argv: str) -> set[str]:
+def _package_files_run(*argv: str, code: int = 0) -> set[str]:
     """Names of the package files whose module bodies run during one CLI
     call in a fresh interpreter, from the audit hook's ``exec`` events.
     A lazily loaded module sits in sys.modules before its body runs, so
@@ -661,12 +684,12 @@ def _package_files_run(*argv: str) -> set[str]:
         "        ran.add(args[0].co_filename)\n"
         "sys.addaudithook(hook)\n"
         "from compositae.cli import main\n"
-        f"assert main({list(argv)!r}) == 0\n"
+        f"assert main({list(argv)!r}) == {code}\n"
         f"package = {os.path.join(SRC, 'compositae')!r}\n"
-        "sys.stderr.write(' '.join(\n"
+        "sys.stderr.write('\\n' + ' '.join(\n"
         "    os.path.basename(f) for f in ran if os.path.dirname(f) == package\n"
         "))"
-    ).split())
+    ).splitlines()[-1].split())
 
 
 def _module_call(*argv: str) -> tuple[int, str, str]:
@@ -739,18 +762,71 @@ class TestProcessEntry:
         assert scripts.split() == ["compositae", "=", '"compositae.__main__:run"']
 
 
+# One call per subcommand in each output shape (oracle has one), and an
+# unknown designator, whose error lists the catalog's names.
+_SEEDED_CALLS = [
+    [command, *flags, "--format", fmt]
+    for command, flags in (
+        ("composita", ("--fn", "x_exp", "--n", "5")),
+        ("compose", ("--r", "fib", "--fn", "0,1,1", "--n", "6")),
+        ("inverse", ("--fn", "x_exp", "--order", "6")),
+        ("reciprocal", ("--b", "sin_over_x", "--order", "5")),
+        ("solve", ("--g", "3/7,2", "--m", "-2", "--order", "5", "--table")),
+        ("riordan", ("--g", "1,1", "--fn", "geometric", "--n", "4")),
+        ("verify", ("--identity", "funceq", "--m", "2", "--perturb", "3,2,1")),
+    )
+    for fmt in ("triangle", "csv", "records")
+] + [["oracle", "--fn", "fib", "--n", "8", "--k", "3"], ["composita", "--fn", "nosuch", "--n", "3"]]
+
+
+def _calls_under_hash_seed(seed: str) -> list:
+    """hash('compositae'), then (exit code, stdout, stderr) of each of
+    ``_SEEDED_CALLS``, run by ``main()`` in one fresh interpreter with
+    PYTHONHASHSEED=seed."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from compositae.cli import main\n"
+        "results = [hash('compositae')]\n"
+        f"for argv in {_SEEDED_CALLS!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    results.append((code, out.getvalue(), err.getvalue()))\n"
+        "sys.stdout.write(repr(results))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+    )
+    return ast.literal_eval(done.stdout)
+
+
+class TestHashSeed:
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        zero, other = _calls_under_hash_seed("0"), _calls_under_hash_seed("4242")
+        assert zero[0] != other[0]  # the two processes really hash strings apart
+        assert zero[1:] == other[1:]
+        assert [code for code, _, _ in zero[1:]] == [0] * 18 + [3] * 3 + [0, 1]
+        assert all(out for _, out, _ in zero[1:-1])
+
+
 class TestStartup:
     """One well-formed CLI call loads neither argparse (with the gettext
     and locale it imports; only help and usage errors need it) nor
-    dataclasses (which pulls in inspect) nor, unless it writes records,
-    json, nor the paper's closed forms and theorems, and runs only the
-    submodules its subcommand uses: every call pays for what it runs."""
+    dataclasses (which pulls in inspect) nor json (records are written
+    without it), nor the paper's closed forms and theorems, and runs only
+    the submodules its subcommand uses: every call pays for what it runs.
+    The parser and the ``--output`` writer (``_offpath``) run only for
+    help, usage errors and ``--output``; the sweeps (``_verify``) only for
+    ``verify``; ``calculus`` only for the subcommands that use it and for
+    ``solve`` with m < 0."""
 
     HEAVY = {
         "argparse", "gettext", "locale", "dataclasses", "inspect", "json",
         "compositae.theorems",
     }
     LAZY = {"calculus.py", "funceq.py", "identities.py", "riordan.py"}
+    RARE = {"_offpath.py", "_verify.py"}
 
     def _cli_modules(self, *argv: str) -> set[str]:
         return _modules_loaded(
@@ -758,28 +834,48 @@ class TestStartup:
         )
 
     @pytest.mark.parametrize(
-        "argv, runs, skips",
+        "argv, code, runs, skips",
         [
             (
-                ("composita", "--fn", "geometric", "--n", "1"),
+                ("composita", "--fn", "geometric", "--n", "1"), 0,
                 set(),
-                LAZY | {"combinatorics.py"},
+                LAZY | RARE | {"combinatorics.py"},
             ),
             (
-                ("solve", "--g", "1,1", "--m", "2", "--order", "5"),
+                ("reciprocal", "--b", "sin_over_x", "--order", "4"), 0,
+                {"calculus.py"},
+                {"funceq.py", "identities.py", "riordan.py"} | RARE,
+            ),
+            (
+                ("solve", "--g", "1,1", "--m", "2", "--order", "5"), 0,
+                {"funceq.py"},
+                {"calculus.py", "identities.py", "riordan.py"} | RARE,
+            ),
+            (
+                ("solve", "--g", "1,1", "--m", "-1", "--order", "5"), 0,
                 {"calculus.py", "funceq.py"},
-                {"identities.py", "riordan.py"},
+                {"identities.py", "riordan.py"} | RARE,
             ),
             (
-                ("verify", "--identity", "derivative"),
-                {"calculus.py", "identities.py"},
-                {"funceq.py", "riordan.py"},
+                ("verify", "--identity", "derivative"), 0,
+                {"calculus.py", "identities.py", "_verify.py"},
+                {"funceq.py", "riordan.py", "_offpath.py"},
+            ),
+            (("composita", "--help"), 0, {"_offpath.py"}, LAZY | {"_verify.py"}),
+            (("composita", "--fn", "geometric"), 1, {"_offpath.py"}, LAZY | {"_verify.py"}),
+            (
+                ("composita", "--fn", "geometric", "--n", "1", "--output", os.devnull), 0,
+                {"_offpath.py"},
+                LAZY | {"_verify.py"},
             ),
         ],
-        ids=["composita", "solve", "verify"],
+        ids=[
+            "composita", "reciprocal", "solve-m2", "solve-m-1", "verify", "help",
+            "usage-error", "output",
+        ],
     )
-    def test_call_runs_only_the_submodules_it_uses(self, argv, runs, skips):
-        ran = _package_files_run(*argv)
+    def test_call_runs_only_the_submodules_it_uses(self, argv, code, runs, skips):
+        ran = _package_files_run(*argv, code=code)
         assert {"cli.py", "triangle.py"} | runs <= ran
         assert ran & skips == set()
 
@@ -858,8 +954,16 @@ class TestStartup:
 
         assert set(compositae.__all__) <= set(dir(compositae))
 
-    def test_records_call_imports_json(self):
-        loaded = self._cli_modules(
-            "composita", "--fn", "geometric", "--n", "1", "--format", "records"
-        )
-        assert "json" in loaded
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("composita", "--fn", "geometric", "--n", "3"),
+            ("solve", "--g", "1,1", "--m", "-1", "--order", "3"),
+            ("verify", "--identity", "lambert", "--max-n", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_records_call_imports_no_json(self, argv):
+        bare = _modules_loaded("import sys")
+        loaded = self._cli_modules(*argv, "--format", "records")
+        assert "json" not in loaded - bare

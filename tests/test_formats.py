@@ -7,8 +7,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from compositae import PowerSeries, composita_from_series, riordan_build
+from compositae import (
+    CompositaTable,
+    IdentityReport,
+    PowerSeries,
+    composita_from_series,
+    riordan_build,
+)
+from compositae._verify import record_line
+from compositae.cli import IDENTITY_NAMES
 from compositae.formats import (
     parse_triangle_csv,
     series_csv,
@@ -142,3 +151,51 @@ def test_renderings_are_deterministic(f):
     table = composita_from_series(f, f.order)
     for render in (triangle_text, triangle_csv, triangle_records):
         assert render(table) == render(table)
+
+
+# Record lines are written without json; they must be exactly what
+# json.dumps makes of the same dicts.  Values: zero, negatives, and
+# numerators and denominators up to 500 bits.
+_exact = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(2**500), 2**500), st.integers(1, 2**500)),
+)
+
+
+@st.composite
+def _tables(draw) -> CompositaTable:
+    """A table of any entries, from (1, 1) like a composita triangle or
+    from (0, 0) like a Riordan array."""
+    size = draw(st.integers(1, 5))
+    rows = [draw(st.lists(_exact, min_size=n, max_size=n)) for n in range(1, size + 1)]
+    return CompositaTable(rows, base=draw(st.sampled_from((0, 1))))
+
+
+@given(table=_tables())
+def test_triangle_records_equal_json_dumps(table):
+    assert triangle_records(table) == "\n".join(
+        json.dumps({"n": n, "k": k, "value": str(v)}) for n, k, v in table.entries()
+    )
+
+
+@given(values=st.lists(_exact, min_size=1, max_size=8), start=st.integers(-3, 2**70))
+def test_series_records_equal_json_dumps(values, start):
+    assert series_records(values, start=start) == "\n".join(
+        json.dumps({"n": n, "value": str(v)}) for n, v in enumerate(values, start=start)
+    )
+
+
+@given(
+    name=st.sampled_from(IDENTITY_NAMES),
+    bounds=st.lists(st.integers(1, 2**40), min_size=3, max_size=3),
+    checked=st.integers(0, 2**40),
+    failure=st.none() | st.tuples(
+        st.lists(st.integers(-3, 2**40), min_size=2, max_size=3).map(tuple), _exact, _exact
+    ),
+)
+def test_verify_record_line_equals_json_dumps(name, bounds, checked, failure):
+    m, n, r = bounds
+    for rng in (f"1 <= m <= n <= {n}", f"m={m}, 1 <= n <= {n}, 1 <= r <= min(n, {r})"):
+        status = "verified" if failure is None else "counterexample"
+        record = IdentityReport(name, rng, status, failure, checked).to_record()
+        assert record_line(record) == json.dumps(record)
