@@ -5,6 +5,10 @@ term integration, series division).  Where the paper gives a closed form
 for the entry's composita triangle, the spec's ``closed_form`` is a
 callable that loads that formula from ``theorems`` on its first call: no
 CLI call evaluates one, so no CLI call compiles that module.
+
+The CLI loads this module only for a designator that names an entry and
+for the list of names after an unknown designator: a raw coefficient list
+is read by ``series.raw_coefficients`` and expanded without it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from ._record import Record
 from .errors import UnknownFunction
-from .series import CoeffLike, PowerSeries, as_rational, parse_rational
+from .series import CoeffLike, PowerSeries, as_rational, parse_rational, raw_coefficients
 
 
 class FunctionSpec(Record):
@@ -240,15 +244,14 @@ def raw_spec(coeffs: Sequence[Fraction]) -> FunctionSpec:
     return FunctionSpec("raw", values, _polynomial_series(values), None)
 
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz_0123456789")
-
-
 def parse_function_spec(text: str) -> FunctionSpec:
     """Parse a designator: a catalog name, 'name:p1,p2,...', or a raw
-    comma-separated coefficient list such as '0,1,1'."""
+    comma-separated coefficient list such as '0,1,1' (in the grammar of
+    ``series.raw_coefficients``)."""
+    coeffs = raw_coefficients(text)
+    if coeffs is not None:
+        return raw_spec(coeffs)
     text = text.strip()
-    if not text:
-        raise UnknownFunction("empty function designator")
     if ":" in text:
         name, _, arg_text = text.partition(":")
         name = name.strip()
@@ -257,15 +260,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
         except ValueError as exc:
             raise UnknownFunction(f"malformed parameters in {text!r} ({exc})") from exc
         return make_spec(name, params)
-    if set(text) <= _NAME_CHARS and not text[0].isdigit():
-        return make_spec(text)
-    try:
-        coeffs = [parse_rational(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise UnknownFunction(
-            f"not a catalog name or coefficient list: {text!r} ({exc})"
-        ) from exc
-    return raw_spec(coeffs)
+    return make_spec(text)
 
 
 def registry_names() -> tuple[str, ...]:

@@ -25,22 +25,25 @@ Every call starts a fresh interpreter and, with no bytecode cache, compiles
 what it runs, so a call compiles only the code its subcommand, format and
 options run.  What loads when:
 
-* every call: this module, ``catalog``, ``series``, ``triangle``,
-  ``formats`` (record lines are written without ``json``) and the small
-  modules they import;
+* every call: this module, ``series``, ``triangle``, ``formats`` (record
+  lines are written without ``json``) and the small modules they import;
 * help, a usage error, or ``--output``: ``_offpath``, which holds the
   argparse parser and the ``--output`` writer; only the parser imports
   ``argparse`` (with ``gettext`` and ``locale``);
 * ``verify``: ``_verify``, the sweep table and the report writer;
-* ``calculus``, ``funceq``, ``identities`` and ``riordan`` on first use.
-  Importing this module puts each one in ``sys.modules`` (and on the
-  package) as a module whose file is read, compiled and run when a
-  handler first reads an attribute from it, so ``composita`` runs none
-  of them, ``solve`` runs ``funceq`` alone for m >= 0 (it imports
-  ``calculus`` only for m < 0), and only ``verify`` runs ``identities``.
-  They are placed in ``sys.modules`` rather than imported inside the
-  handlers because ``perfbench/tracing.py`` looks each span module up
-  there right after ``import compositae.cli``;
+* on first use: ``catalog`` (for catalog names and for the unknown-designator
+  hint, the list of names printed after an unknown designator),
+  ``calculus``, ``funceq``, ``identities`` and ``riordan``.  Importing this
+  module puts each one in ``sys.modules`` (and on the package) as a module
+  whose file is read, compiled and run when a handler first reads an
+  attribute from it.  So ``composita`` runs none of the last four,
+  ``solve`` runs ``funceq`` alone for m >= 0 (it imports ``calculus`` only
+  for m < 0), and only ``verify`` runs ``identities``.  A raw coefficient
+  list ("1,1") is read by ``series.raw_coefficients``, the grammar the
+  catalog's parser also uses, and expanded by ``_series``, so ``solve --g
+  1,1`` runs no ``catalog``.  These modules are placed in ``sys.modules``
+  rather than imported inside the handlers because ``perfbench/tracing.py``
+  looks each span module up there right after ``import compositae.cli``;
 * never: ``theorems`` (the paper's closed forms and theorems, which only
   the tests and ``scripts/verify_catalog.py`` evaluate) and
   ``dataclasses`` (the value types are plain slotted classes).
@@ -60,7 +63,6 @@ from fractions import Fraction
 from types import ModuleType, SimpleNamespace
 from typing import Callable, Optional
 
-from .catalog import catalog_series, parse_function_spec, registry_names
 from .errors import CompositaeError, UnknownFunction
 from .formats import (
     series_csv,
@@ -70,7 +72,7 @@ from .formats import (
     triangle_records,
     triangle_text,
 )
-from .series import PowerSeries, parse_int, parse_rational
+from .series import PowerSeries, parse_int, parse_rational, raw_coefficients
 from .triangle import composita_from_series, composita_oracle
 
 
@@ -92,6 +94,7 @@ def _lazy_submodule(name: str) -> ModuleType:
     return module
 
 
+catalog = _lazy_submodule("catalog")
 calculus = _lazy_submodule("calculus")
 funceq = _lazy_submodule("funceq")
 identities = _lazy_submodule("identities")
@@ -115,7 +118,13 @@ def _perturbation(text: str) -> tuple[int, int, Fraction]:
 
 
 def _series(designator: str, order: int) -> PowerSeries:
-    return catalog_series(parse_function_spec(designator), order)
+    """The series ``designator`` names, to ``order``; a raw coefficient list
+    is read as a polynomial, as ``catalog.raw_spec`` does, without the
+    catalog."""
+    coeffs = raw_coefficients(designator)
+    if coeffs is None:
+        return catalog.catalog_series(catalog.parse_function_spec(designator), order)
+    return PowerSeries.of(coeffs[: order + 1], order=order)
 
 
 def _render_triangle(table, fmt: str) -> str:
@@ -348,7 +357,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         text, code = _HANDLERS[args.subcommand](args)
     except UnknownFunction as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(f"known functions: {', '.join(registry_names())}", file=sys.stderr)
+        print(f"known functions: {', '.join(catalog.registry_names())}", file=sys.stderr)
         return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,9 @@ paper's functional-equation identity on the triangle of x*G is swept by
 
 Two applications with non-obvious setups live here as well: triangles for
 1 - (1-x)^(1/m) and for arcsin(x), both solutions of A = G(xA) (m = 1)
-for a G that is the reciprocal of a simple series.
+for a G that is the reciprocal of a simple series.  They alone read
+``combinatorics`` and ``catalog``, which they import when called, so
+``compositae solve`` compiles neither.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from fractions import Fraction
 
 from ._record import Record
 from ._rows import Row, combine, scalars
-from .catalog import make_spec
-from .combinatorics import binomial
 from .errors import InsufficientOrder, ZeroConstantTerm
 from .series import PowerSeries
 from .triangle import CompositaTable
@@ -117,6 +117,8 @@ def radical_composita(m: int, order: int) -> CompositaTable:
         raise ValueError("radical index m must be >= 1")
     if order < 1:
         raise ValueError("a composita table needs order >= 1")
+    from .combinatorics import binomial
+
     # (1 - (1-x)^m)/x = sum_{j=1}^{m} C(m, j) (-1)^(j+1) x^(j-1), cut at x^(order-1)
     denom = PowerSeries.of(
         [(-1) ** (j + 1) * binomial(m, j) for j in range(1, min(m, order) + 1)],
@@ -130,5 +132,7 @@ def arcsin_composita(order: int) -> CompositaTable:
     A = G(xA) with G = x/sin(x), the reciprocal of the catalog's sin(x)/x."""
     if order < 1:
         raise ValueError("a composita table needs order >= 1")
+    from .catalog import make_spec
+
     b = make_spec("sin_over_x").series_generator(order - 1)
     return solve_functional_equation(PowerSeries.one(order - 1) / b, 1, order - 1).a_table

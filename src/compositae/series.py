@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 from ._record import Record
-from .errors import DivisionByNonUnit
+from .errors import DivisionByNonUnit, UnknownFunction
 
 CoeffLike = Union[Fraction, int, str]
 
@@ -239,6 +239,34 @@ def parse_series(text: str, order: int | None = None) -> PowerSeries:
     except ValueError as exc:
         raise ValueError(f"malformed coefficient list: {text!r} ({exc})") from exc
     return PowerSeries.of(coeffs, order=order)
+
+
+# A designator made of these alone, not starting with a digit, is a catalog
+# name.
+_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz_0123456789")
+
+
+def raw_coefficients(text: str) -> list[Fraction] | None:
+    """The coefficients of a raw designator such as '0,1,1' (a polynomial,
+    index 0 first), or None when ``text`` names a catalog entry ('name' or
+    'name:p1,p2,...').
+
+    This is the one grammar of raw designators: ``catalog.parse_function_spec``
+    reads them with it, and so does the CLI, which expands a raw list
+    without loading the catalog.  Empty text and a list whose parts do not
+    parse (see ``parse_rational``) raise ``UnknownFunction``.
+    """
+    text = text.strip()
+    if not text:
+        raise UnknownFunction("empty function designator")
+    if ":" in text or (set(text) <= _NAME_CHARS and not text[0].isdigit()):
+        return None
+    try:
+        return [parse_rational(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise UnknownFunction(
+            f"not a catalog name or coefficient list: {text!r} ({exc})"
+        ) from exc
 
 
 def format_series(series: PowerSeries) -> str:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compositae import _offpath, _verify, cli
+from compositae.catalog import catalog_series, parse_function_spec, registry_names
 from compositae.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -299,6 +300,16 @@ class TestSeriesCommands:
             capsys, "oracle", "--fn", "geometric", "--n", "1200", "--k", "1199"
         )
         assert (code, out, err) == (0, "1199\n", "")
+
+    def test_oracle_refuses_an_enumeration_over_its_cap(self):
+        # C(40, 19) - 1, about 1.3e11 prefixes: refused before the first one,
+        # in a subprocess whose timeout stops a run that does start
+        code, out, err = _module_call("oracle", "--fn", "geometric", "--n", "40", "--k", "20")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the oracle would enumerate up to 131282408399 composition"
+            " prefixes for n=40, k=20; its cap is 1000000\n"
+        )
 
     def test_oracle_bad_k(self, capsys):
         code, _, err = run(
@@ -656,6 +667,61 @@ class TestArgvReader:
         assert vars(read) == _argparse_vars(argv)
 
 
+# A designator grammar: coefficient parts inside and outside the rational
+# grammar, raw lists of them, catalog names (known or not) with or without
+# parameters, and empty or whitespace-only text.
+_PARTS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(-9, 99)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from((
+        "1.5", "-0.25", ".5", "+3", "-3", " 2 ", "", " ", "1e5", "2E-1", "1_0", "_",
+        "\u0663", "\uff11", "x", "1/", "/2", "1//2", "--1", "inf", "nan",
+    )),
+)
+_SPACE = st.sampled_from(("", " ", "  ", "\t"))
+
+
+@st.composite
+def _designators(draw) -> str:
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        text = ",".join(draw(st.lists(_PARTS, min_size=1, max_size=5)))
+    elif kind == 3:
+        return draw(_SPACE)
+    else:
+        name = draw(st.one_of(
+            st.sampled_from(registry_names() + ("nosuch", "Geometric", "1fib", "_")),
+            st.text("abcxyz_019", min_size=1, max_size=6),
+        ))
+        if kind == 1:
+            text = name
+        else:
+            params = ",".join(draw(st.lists(_PARTS, min_size=1, max_size=4)))
+            text = f"{name}{draw(_SPACE)}:{params}"
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+def _outcome(fn):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestDesignatorGrammar:
+    """The CLI expands a raw coefficient list without the catalog; the
+    catalog's parser reads raw lists with the same function.  Whatever the
+    text, both routes give the same series or the same error."""
+
+    @settings(max_examples=400)
+    @given(text=_designators(), order=st.integers(0, 8))
+    def test_cli_series_equals_the_catalog_route(self, text, order):
+        assert _outcome(lambda: cli._series(text, order)) == _outcome(
+            lambda: catalog_series(parse_function_spec(text), order)
+        )
+
+
 def _fresh_stderr(code: str) -> str:
     """What ``code`` writes to stderr in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -819,7 +885,9 @@ class TestStartup:
     The parser and the ``--output`` writer (``_offpath``) run only for
     help, usage errors and ``--output``; the sweeps (``_verify``) only for
     ``verify``; ``calculus`` only for the subcommands that use it and for
-    ``solve`` with m < 0."""
+    ``solve`` with m < 0; ``catalog`` only for a catalog name and for the
+    list of names after an unknown designator, and ``combinatorics`` for
+    no call that names raw coefficient lists alone."""
 
     HEAVY = {
         "argparse", "gettext", "locale", "dataclasses", "inspect", "json",
@@ -827,6 +895,7 @@ class TestStartup:
     }
     LAZY = {"calculus.py", "funceq.py", "identities.py", "riordan.py"}
     RARE = {"_offpath.py", "_verify.py"}
+    CATALOG = {"catalog.py", "combinatorics.py"}
 
     def _cli_modules(self, *argv: str) -> set[str]:
         return _modules_loaded(
@@ -838,23 +907,48 @@ class TestStartup:
         [
             (
                 ("composita", "--fn", "geometric", "--n", "1"), 0,
-                set(),
+                {"catalog.py"},
                 LAZY | RARE | {"combinatorics.py"},
             ),
             (
+                ("composita", "--fn", "0,1,1", "--n", "3"), 0,
+                set(),
+                LAZY | RARE | CATALOG,
+            ),
+            (
                 ("reciprocal", "--b", "sin_over_x", "--order", "4"), 0,
-                {"calculus.py"},
+                {"calculus.py", "catalog.py"},
                 {"funceq.py", "identities.py", "riordan.py"} | RARE,
+            ),
+            (
+                ("reciprocal", "--b", "1,1", "--order", "4"), 0,
+                {"calculus.py"},
+                {"funceq.py", "identities.py", "riordan.py"} | RARE | CATALOG,
             ),
             (
                 ("solve", "--g", "1,1", "--m", "2", "--order", "5"), 0,
                 {"funceq.py"},
-                {"calculus.py", "identities.py", "riordan.py"} | RARE,
+                {"calculus.py", "identities.py", "riordan.py"} | RARE | CATALOG,
             ),
             (
                 ("solve", "--g", "1,1", "--m", "-1", "--order", "5"), 0,
                 {"calculus.py", "funceq.py"},
-                {"identities.py", "riordan.py"} | RARE,
+                {"identities.py", "riordan.py"} | RARE | CATALOG,
+            ),
+            (
+                ("verify", "--identity", "funceq", "--g", "1,1"), 0,
+                {"identities.py", "_verify.py"},
+                {"funceq.py", "riordan.py", "_offpath.py"} | CATALOG,
+            ),
+            (
+                ("composita", "--fn", "nosuch", "--n", "3"), 1,
+                {"catalog.py"},
+                LAZY | RARE | {"combinatorics.py"},
+            ),
+            (
+                ("composita", "--fn", "1,x", "--n", "3"), 1,
+                {"catalog.py"},
+                LAZY | RARE | {"combinatorics.py"},
             ),
             (
                 ("verify", "--identity", "derivative"), 0,
@@ -870,8 +964,9 @@ class TestStartup:
             ),
         ],
         ids=[
-            "composita", "reciprocal", "solve-m2", "solve-m-1", "verify", "help",
-            "usage-error", "output",
+            "composita", "composita-raw", "reciprocal", "reciprocal-raw", "solve-m2",
+            "solve-m-1", "verify-funceq-raw", "unknown-name", "malformed-raw", "verify",
+            "help", "usage-error", "output",
         ],
     )
     def test_call_runs_only_the_submodules_it_uses(self, argv, code, runs, skips):
@@ -913,7 +1008,7 @@ class TestStartup:
         )
         assert {"cli.main", "funceq.solve", "calculus.reciprocal"} <= set(out.split())
 
-    @pytest.mark.parametrize("name", ["calculus", "funceq", "identities", "riordan"])
+    @pytest.mark.parametrize("name", ["catalog", "calculus", "funceq", "identities", "riordan"])
     def test_one_module_object_per_submodule(self, name):
         _fresh_stderr(
             "import sys\n"
@@ -927,6 +1022,7 @@ class TestStartup:
     @pytest.mark.parametrize(
         "name, attr",
         [
+            ("catalog", "registry_names"),
             ("calculus", "compose_series"),
             ("funceq", "solve_functional_equation"),
             ("identities", "check_lambert_identity"),
