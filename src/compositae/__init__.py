@@ -41,8 +41,6 @@ _EXPORTS = {
     ),
     "funceq": (
         "FuncEqSolution",
-        "arcsin_composita",
-        "radical_composita",
         "solve_functional_equation",
     ),
     "identities": (

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from . import calculus, identities
 from .cli import UsageError, _require_order, _series
-from .triangle import CompositaTable, composita_from_series
+from .triangle import MAX_TABLE_ENTRIES, CompositaTable, composita_from_series
 
 
 def _perturbed(
@@ -70,7 +70,9 @@ def _verify_reciprocal(args: SimpleNamespace, order: int) -> identities.Identity
 
 # identity -> (--max-n when not given, sweep).  A sweep builds its tables to
 # the order it is given: --max-n, except that funceq reads the triangle of
-# x*G to (m + 1) * max_n + max_r.  --perturb indexes into that table.
+# x*G to (m + 1) * max_n + max_r, and refuses a triangle of more than
+# triangle.MAX_TABLE_ENTRIES entries before it builds one.  --perturb
+# indexes into that table.
 SWEEPS: dict[
     str, tuple[int, Callable[[SimpleNamespace, int], identities.IdentityReport]]
 ] = {
@@ -115,6 +117,11 @@ def verify(args: SimpleNamespace) -> tuple[str, int]:
         if args.m < 1:  # before any series is built: the order needed depends on m
             raise ValueError("the identity is stated for m >= 1")
         order = (args.m + 1) * args.max_n + args.max_r
+        if order * (order + 1) // 2 > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"the sweep reads the triangle of x*G to order {order}, which has"
+                f" {order * (order + 1) // 2} entries; its cap is {MAX_TABLE_ENTRIES}"
+            )
     if args.perturb is not None:
         n, k, _ = args.perturb
         if not 1 <= k <= n <= order:

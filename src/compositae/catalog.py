@@ -1,10 +1,12 @@
 """Catalog of named generating functions: designator -> exact series.
 
 Each entry's series generator works from first principles (factorials,
-term integration, series division).  Where the paper gives a closed form
-for the entry's composita triangle, the spec's ``closed_form`` is a
-callable that loads that formula from ``theorems`` on its first call: no
-CLI call evaluates one, so no CLI call compiles that module.
+term integration, series division, term ratios) and builds coefficients
+up to the requested order only, so a large parameter such as
+``radical:1000000`` costs what its order costs.  Where the paper gives a
+closed form for the entry's composita triangle, the spec's ``closed_form``
+is a callable that loads that formula from ``theorems`` on its first
+call: no CLI call evaluates one, so no CLI call compiles that module.
 
 The CLI loads this module only for a designator that names an entry and
 for the list of names after an unknown designator: a raw coefficient list
@@ -99,28 +101,17 @@ def _expm1_series(order: int) -> PowerSeries:
     )
 
 
-def _sin_series(order: int) -> PowerSeries:
+def _sin_series(order: int, sign: int = -1, shift: int = 0) -> PowerSeries:
+    # sin(x), and sinh(x) for sign = 1; shift = 1 gives x*cos(x), x*cosh(x)
     out = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1, 2):
-        j = (n - 1) // 2
-        out[n] = Fraction(-1 if j % 2 else 1, factorial(n))
+        out[n] = Fraction(sign ** ((n - 1) // 2), factorial(n - shift))
     return PowerSeries(tuple(out))
-
-
-def _cos_series(order: int) -> PowerSeries:
-    out = [Fraction(0)] * (order + 1)
-    for n in range(0, order + 1, 2):
-        j = n // 2
-        out[n] = Fraction(-1 if j % 2 else 1, factorial(n))
-    return PowerSeries(tuple(out))
-
-
-def _x_cos_series(order: int) -> PowerSeries:
-    return _cos_series(order - 1).times_x() if order >= 1 else PowerSeries.zero(0)
 
 
 def _tan_series(order: int) -> PowerSeries:
-    return _sin_series(order) / _cos_series(order)
+    # sin(x)/cos(x) with cos = sin'
+    return _sin_series(order) / _sin_series(order + 1).derivative()
 
 
 def _arctan_series(order: int) -> PowerSeries:
@@ -133,26 +124,32 @@ def _arctan_series(order: int) -> PowerSeries:
     return PowerSeries(tuple(inner)).integral()
 
 
-def _sinh_series(order: int) -> PowerSeries:
-    out = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1, 2):
-        out[n] = Fraction(1, factorial(n))
-    return PowerSeries(tuple(out))
-
-
-def _x_cosh_series(order: int) -> PowerSeries:
-    out = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1, 2):
-        out[n] = Fraction(1, factorial(n - 1))
-    return PowerSeries(tuple(out))
-
-
 def _sin_over_x_series(order: int) -> PowerSeries:
+    return PowerSeries(_sin_series(order + 1).coeffs[1:])
+
+
+def _arcsin_series(order: int) -> PowerSeries:
+    # a(1) = 1, a(2k+3) = a(2k+1) * (2k+1)^2 / ((2k+2)(2k+3))
     out = [Fraction(0)] * (order + 1)
-    for n in range(0, order + 1, 2):
-        j = n // 2
-        out[n] = Fraction(-1 if j % 2 else 1, factorial(n + 1))
+    term = Fraction(1)
+    for n in range(1, order + 1, 2):
+        out[n] = term
+        term = term * n * n / ((n + 1) * (n + 2))
     return PowerSeries(tuple(out))
+
+
+def _radical_series(m: int) -> Callable[[int], PowerSeries]:
+    # 1 - (1-x)^(1/m): r(0) = 0 and r(n) = -c(n) for the binomial series of
+    # (1-x)^(1/m), c(0) = 1, c(n+1) = c(n) * (n - 1/m) / (n + 1)
+    def gen(order: int) -> PowerSeries:
+        out = [Fraction(0)] * (order + 1)
+        c = Fraction(1)
+        for n in range(order):
+            c = c * (n * m - 1) / (m * (n + 1))
+            out[n + 1] = -c
+        return PowerSeries(tuple(out))
+
+    return gen
 
 
 def _fib_series(order: int) -> PowerSeries:
@@ -174,23 +171,26 @@ _FIXED: dict[str, Callable[[int], PowerSeries]] = {
     "log1p": _log1p_series,
     "expm1": _expm1_series,
     "sin": _sin_series,
-    "x_cos": _x_cos_series,
+    "x_cos": lambda order: _sin_series(order, shift=1),
     "tan": _tan_series,
     "arctan": _arctan_series,
-    "sinh": _sinh_series,
-    "x_cosh": _x_cosh_series,
+    "arcsin": _arcsin_series,
+    "sinh": lambda order: _sin_series(order, sign=1),
+    "x_cosh": lambda order: _sin_series(order, sign=1, shift=1),
     "sin_over_x": _sin_over_x_series,
     "fib": _fib_series,
 }
 
-# the one entry whose triangle has no closed form in ``theorems``
-_NO_CLOSED_FORM = frozenset({"sin_over_x"})
+# the entries whose triangle has no closed form in ``theorems``
+_NO_CLOSED_FORM = frozenset({"sin_over_x", "arcsin", "radical"})
 
 # parameterized entries: name -> the coefficient index each parameter
-# sets; the arity is the number of indices.  monomial:m is x^m: its one
-# parameter is the exponent, so it sets no fixed index.
+# sets; the arity is the number of indices.  monomial:m is x^m and
+# radical:m is 1 - (1-x)^(1/m): each one parameter is a positive integer
+# (the exponent, the index), which sets no fixed index.
 _PARAMETERIZED: dict[str, tuple[Optional[int], ...]] = {
     "monomial": (None,),
+    "radical": (None,),
     "poly2": (1, 2),
     "poly3": (1, 2, 3),
     "poly13": (1, 3),
@@ -227,15 +227,18 @@ def make_spec(name: str, params: Sequence[Fraction] = ()) -> FunctionSpec:
     positions = _PARAMETERIZED[name]
     if len(plist) != len(positions):
         raise UnknownFunction(f"{name} takes {len(positions)} parameters, got {len(plist)}")
-    if name == "monomial":
+    cf = None if name in _NO_CLOSED_FORM else _closed_form(name, plist)
+    if positions == (None,):
         (m,) = plist
         if m.denominator != 1 or m < 1:
-            raise UnknownFunction("monomial exponent must be a positive integer")
-        return FunctionSpec(name, plist, _monomial_series(int(m)), _closed_form(name, plist))
+            word = "exponent" if name == "monomial" else "index"
+            raise UnknownFunction(f"{name} {word} must be a positive integer")
+        series = _monomial_series if name == "monomial" else _radical_series
+        return FunctionSpec(name, plist, series(int(m)), cf)
     coeffs = [0] * (positions[-1] + 1)
     for index, value in zip(positions, plist):
         coeffs[index] = value
-    return FunctionSpec(name, plist, _polynomial_series(coeffs), _closed_form(name, plist))
+    return FunctionSpec(name, plist, _polynomial_series(coeffs), cf)
 
 
 def raw_spec(coeffs: Sequence[Fraction]) -> FunctionSpec:

@@ -4,8 +4,9 @@ Eight subcommands cover the whole surface: triangle construction
 (``composita``, ``oracle``), series transforms (``compose``, ``inverse``,
 ``reciprocal``), functional equations (``solve``), Riordan arrays
 (``riordan``), and identity sweeps (``verify``).  Functions are named by
-catalog designators ("geometric", "poly2:1,1") or raw coefficient lists
-("0,1,1"); output is byte-deterministic.
+catalog designators ("geometric", "poly2:1,1", "radical:3", "arcsin") or
+raw coefficient lists ("0,1,1"); every subcommand takes every designator,
+and output is byte-deterministic.
 
 Every subcommand and flag is described once, in the flag table
 ``_COMMANDS``.  A well-formed call (the subcommand, then exact ``--flag
@@ -20,6 +21,9 @@ flags.
 Exit codes: 0 success, 1 usage (including unknown designators),
 2 precondition violation, 3 identity counterexample, 4 internal error
 (an unexpected exception, reported in one line without a traceback).
+Where ``--m`` would make the work grow without bound (``solve``'s power
+table, the triangle that ``verify --identity funceq`` reads), the call is
+refused with exit 2 before the work starts.
 
 Every call starts a fresh interpreter and, with no bytecode cache, compiles
 what it runs, so a call compiles only the code its subcommand, format and
@@ -38,7 +42,8 @@ options run.  What loads when:
   whose file is read, compiled and run when a handler first reads an
   attribute from it.  So ``composita`` runs none of the last four,
   ``solve`` runs ``funceq`` alone for m >= 0 (it imports ``calculus`` only
-  for m < 0), and only ``verify`` runs ``identities``.  A raw coefficient
+  for m < 0), and only ``verify`` runs ``identities`` (of the sweeps, only
+  associativity and inverse run ``calculus``).  A raw coefficient
   list ("1,1") is read by ``series.raw_coefficients``, the grammar the
   catalog's parser also uses, and expanded by ``_series``, so ``solve --g
   1,1`` runs no ``catalog``.  These modules are placed in ``sys.modules``

@@ -14,11 +14,10 @@ the one use of ``calculus`` here, imported in the m < 0 branch, so that
 paper's functional-equation identity on the triangle of x*G is swept by
 ``identities.check_funceq_identity``.
 
-Two applications with non-obvious setups live here as well: triangles for
-1 - (1-x)^(1/m) and for arcsin(x), both solutions of A = G(xA) (m = 1)
-for a G that is the reciprocal of a simple series.  They alone read
-``combinatorics`` and ``catalog``, which they import when called, so
-``compositae solve`` compiles neither.
+The module is ``FuncEqSolution``, the power table and the solver alone.
+Series that the paper derives as solutions of such an equation, such as
+the radicals 1 - (1-x)^(1/m) and arcsin(x), are catalog entries built from
+their own coefficients, like every other named function.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from ._record import Record
 from ._rows import Row, combine, scalars
 from .errors import InsufficientOrder, ZeroConstantTerm
 from .series import PowerSeries
-from .triangle import CompositaTable
+from .triangle import MAX_TABLE_ENTRIES, CompositaTable
 
 
 class FuncEqSolution(Record):
@@ -74,6 +73,10 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
     solved first and the answer flipped back with
     ``reciprocal_composita``, mirroring how the paper reduces the
     negative case to the positive one.
+
+    Before any work, a call whose power table would hold more than
+    ``triangle.MAX_TABLE_ENTRIES`` entries, estimated as
+    (max(|m|, 1) * order + 1) * (order + 1), raises ValueError.
     """
     if g.coeffs[0] == 0:
         raise ZeroConstantTerm("G must have a nonzero constant term")
@@ -81,6 +84,12 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
         raise ValueError("order must be >= 0")
     if g.order < order:
         raise InsufficientOrder(f"g is needed to order {order}, got {g.order}")
+    entries = (max(abs(m), 1) * order + 1) * (order + 1)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"solving with m={m} to order {order} needs a power table of about"
+            f" {entries} entries; its cap is {MAX_TABLE_ENTRIES}"
+        )
     g = g.truncate(order)
 
     table_order = order + 1  # triangle of x*A(x); column 1 holds a(0)..a(order)
@@ -104,35 +113,3 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
 
     a_series = PowerSeries(tuple(a_table[n, 1] for n in range(1, table_order + 1)))
     return FuncEqSolution(m=m, a_table=a_table, a_series=a_series)
-
-
-def radical_composita(m: int, order: int) -> CompositaTable:
-    """Triangle of 1 - (1-x)^(1/m) for integer m >= 1.
-
-    Column 1 of the result holds the series coefficients.  The wanted
-    triangle is that of x*A for A = (1 - (1-x)^(1/m))/x, which solves
-    A = G(xA) with G = x/(1 - (1-x)^m); G is needed only to ``order - 1``.
-    """
-    if m < 1:
-        raise ValueError("radical index m must be >= 1")
-    if order < 1:
-        raise ValueError("a composita table needs order >= 1")
-    from .combinatorics import binomial
-
-    # (1 - (1-x)^m)/x = sum_{j=1}^{m} C(m, j) (-1)^(j+1) x^(j-1), cut at x^(order-1)
-    denom = PowerSeries.of(
-        [(-1) ** (j + 1) * binomial(m, j) for j in range(1, min(m, order) + 1)],
-        order=order - 1,
-    )
-    return solve_functional_equation(PowerSeries.one(order - 1) / denom, 1, order - 1).a_table
-
-
-def arcsin_composita(order: int) -> CompositaTable:
-    """Triangle of arcsin(x), that of x*A for A = arcsin(x)/x, which solves
-    A = G(xA) with G = x/sin(x), the reciprocal of the catalog's sin(x)/x."""
-    if order < 1:
-        raise ValueError("a composita table needs order >= 1")
-    from .catalog import make_spec
-
-    b = make_spec("sin_over_x").series_generator(order - 1)
-    return solve_functional_equation(PowerSeries.one(order - 1) / b, 1, order - 1).a_table

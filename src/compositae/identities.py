@@ -30,7 +30,6 @@ from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from ._record import Record
-from .calculus import composita_compose
 from .errors import DivisionByNonUnit, InsufficientOrder, OrderMismatch
 from .series import PowerSeries
 from .triangle import CompositaTable
@@ -125,6 +124,8 @@ def check_associativity(
     ``fault`` = (n, m, delta) adds delta to entry (n, m) of the
     intermediate product tf*tr before the second multiplication.
     """
+    from .calculus import composita_compose  # only two sweeps compile calculus
+
     if not tf.order == tr.order == tg.order:
         raise OrderMismatch(f"orders differ: {tf.order}, {tr.order}, {tg.order}")
     name, rng = "associativity", f"1 <= m <= n <= {tf.order}"
@@ -161,6 +162,8 @@ def check_derivative_identity(f: PowerSeries, tf: CompositaTable) -> IdentityRep
 def check_inverse_identity(tf: CompositaTable, tinv: CompositaTable) -> IdentityReport:
     """Triangles of mutually inverse functions multiply to the delta table
     in both orders."""
+    from .calculus import composita_compose
+
     if tf.order != tinv.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tinv.order}")
     name, rng = "inverse", f"1 <= m <= n <= {tf.order}"

@@ -235,7 +235,8 @@ def _fib_cf(n: int, m: int) -> Fraction:
 
 
 # catalog entries without parameters, and builders taking the parameters
-# of those with them; an entry in neither (sin_over_x) has no closed form
+# of those with them; an entry in neither (sin_over_x, arcsin, radical) has
+# no closed form
 _FIXED: dict[str, ClosedForm] = {
     "geometric": _geometric_cf,
     "x_exp": _x_exp_cf,
@@ -292,6 +293,8 @@ def default_instances() -> list[FunctionSpec]:
         make_spec("x_cosh"),
         make_spec("sin_over_x"),
         make_spec("fib"),
+        make_spec("arcsin"),
+        make_spec("radical", (two,)),
     ]
 
 

@@ -131,6 +131,11 @@ def _table_order(f: PowerSeries, order: int | None) -> int:
 # second or two of work (n = 1200, k = 1199 has 719,399).
 ORACLE_MAX_PREFIXES = 10**6
 
+# The most entries a table built for one call may hold when its size grows
+# with an exponent as well as with the order: the power table of
+# funceq.solve_functional_equation and the triangle of the funceq sweep.
+MAX_TABLE_ENTRIES = 10**6
+
 
 def composita_oracle(f: PowerSeries, n: int, k: int) -> Fraction:
     """Sum of coefficient products over all k-part compositions of n.

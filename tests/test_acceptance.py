@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from compositae import (
     PowerSeries,
-    arcsin_composita,
     catalog_series,
     check_associativity,
     check_closed_form,
@@ -29,7 +28,6 @@ from compositae import (
     composita_oracle,
     inverse_series,
     make_spec,
-    radical_composita,
     riordan_apply,
     riordan_build,
     solve_functional_equation,
@@ -246,11 +244,11 @@ def test_criterion_07_closed_form_catalog():
 
 def test_criterion_08_radical_and_arcsin():
     order = 10
-    cube = radical_composita(3, order)
+    cube = composita_from_series(catalog_series(make_spec("radical", [3]), order), order)
     for n in range(1, order + 1):
         assert cube[n, 1] == -((-1) ** n) * gb(Fraction(1, 3), n)
 
-    arcsin = arcsin_composita(9)
+    arcsin = composita_from_series(catalog_series(make_spec("arcsin"), 9), 9)
     expected = {
         1: Fraction(1), 2: Fraction(0), 3: Fraction(1, 6), 4: Fraction(0),
         5: Fraction(3, 40), 6: Fraction(0), 7: Fraction(15, 336), 8: Fraction(0),
@@ -258,7 +256,7 @@ def test_criterion_08_radical_and_arcsin():
     }
     for n, value in expected.items():
         assert arcsin[n, 1] == value
-    print("PASS criterion 8: 1-(1-x)^(1/3) column through n=10 and "
+    print("PASS criterion 8: radical:3 (1-(1-x)^(1/3)) column through n=10 and "
           "arcsin column through n=9")
 
 

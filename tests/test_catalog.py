@@ -64,6 +64,12 @@ class TestSpecParsing:
             ("monomial", (0,), "monomial exponent must be a positive integer"),
             ("monomial", ("1/2",), "monomial exponent must be a positive integer"),
             ("monomial", (1, 2), "monomial takes 1 parameters, got 2"),
+            ("radical", (0,), "radical index must be a positive integer"),
+            ("radical", ("1/2",), "radical index must be a positive integer"),
+            ("radical", (-1,), "radical index must be a positive integer"),
+            ("radical", (), "radical takes 1 parameters, got 0"),
+            ("radical", (1, 2), "radical takes 1 parameters, got 2"),
+            ("arcsin", (1,), "arcsin takes no parameters"),
             ("poly124", (1, 2), "poly124 takes 3 parameters, got 2"),
             ("nope", (), "no catalog entry named 'nope'"),
             ("sin", (1,), "sin takes no parameters"),
@@ -105,6 +111,8 @@ class TestSpecParsing:
             "x_cosh",
             "sin_over_x",
             "fib",
+            "arcsin",
+            "radical",
         ]:
             assert expected in names
 
@@ -141,6 +149,29 @@ class TestSeriesGenerators:
             tracemalloc.stop()
         assert series.coeffs == (0, 0, 0, 0)
         assert peak < 1_000_000
+
+    def test_radical(self):
+        # 1 - sqrt(1 - x) = x/2 + x^2/8 + x^3/16 + 5x^4/128
+        series = catalog_series(make_spec("radical", [2]), 4)
+        assert series.coeffs == (0, Fraction(1, 2), Fraction(1, 8), Fraction(1, 16), Fraction(5, 128))
+        assert catalog_series(make_spec("radical", [1]), 3).coeffs == (0, 1, 0, 0)
+
+    def test_large_radical_costs_what_its_order_costs(self):
+        # the binomial series of (1 - x)^(1/m) is built to the order only
+        tracemalloc.start()
+        try:
+            series = catalog_series(parse_function_spec("radical:3000000"), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series[1] == Fraction(1, 3000000)
+        assert peak < 1_000_000
+
+    def test_arcsin(self):
+        arc = catalog_series(make_spec("arcsin"), 9)
+        assert arc.coeffs == (
+            0, 1, 0, Fraction(1, 6), 0, Fraction(3, 40), 0, Fraction(5, 112), 0, Fraction(35, 1152)
+        )
 
 
 class TestClosedForms:
@@ -206,6 +237,11 @@ class TestClosedForms:
         with pytest.raises(NoClosedForm):
             catalog_closed_form(make_spec("sin_over_x"), 3, 1)
 
+    @pytest.mark.parametrize("text", ["arcsin", "radical:2"])
+    def test_no_closed_form_for_arcsin_and_radical(self, text):
+        with pytest.raises(NoClosedForm):
+            catalog_closed_form(parse_function_spec(text), 3, 1)
+
     def test_raw_spec_has_no_closed_form(self):
         with pytest.raises(NoClosedForm):
             catalog_closed_form(raw_spec([0, 1, 1]), 2, 1)
@@ -258,7 +294,8 @@ class TestVerifyCatalogScript:
         lines = capsys.readouterr().out.splitlines()
         labels = [s.label() for s in default_instances()]
         assert [line.split()[0] for line in lines[:-1]] == labels
-        assert lines[labels.index("sin_over_x")].endswith("skipped (no closed form)")
+        for label in ("sin_over_x", "arcsin", "radical:2"):
+            assert lines[labels.index(label)].endswith("skipped (no closed form)")
         assert lines[-1] == "0 mismatching entries"
 
     def test_wrong_closed_form_exits_1(self, capsys, monkeypatch):

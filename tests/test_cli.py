@@ -33,8 +33,8 @@ PASCAL_SIX = "1\n1 1\n1 2 1\n1 3 3 1\n1 4 6 4 1\n1 5 10 10 5 1"
 # values inside and outside each flag's grammar.  Orders stay <= 8 so that
 # running a call is fast.
 _DESIGNATORS = (
-    "geometric", "fib", "x_exp", "sin_over_x", "poly2:1,-1", "monomial:3", "0,1,1",
-    "1,1", "1,0,1", "3/7,2/13", "-1,2", "-1", "nosuch", "1e5", "0,1_0", "",
+    "geometric", "fib", "x_exp", "sin_over_x", "poly2:1,-1", "monomial:3", "radical:3",
+    "arcsin", "0,1,1", "1,1", "1,0,1", "3/7,2/13", "-1,2", "-1", "nosuch", "1e5", "0,1_0", "",
 )
 _INTEGERS = ("1", "3", "8", "0", "-2", "-0", " 3", "+3", "03", "-1.5", "1_0", "\u0663", "abc", "")
 _PERTURBS = ("3,2,1", "2,1,-1/2", "9,9,1", "2,1", "x,1,1", "1,1,1/0", "-1,2")
@@ -123,6 +123,28 @@ class TestComposita:
     def test_missing_flag_exits_1(self, capsys):
         code, _, err = run(capsys, "composita", "--fn", "geometric")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            ("radical:0", "radical index must be a positive integer"),
+            ("radical:1/2", "radical index must be a positive integer"),
+            ("radical:-1", "radical index must be a positive integer"),
+            ("radical", "radical takes 1 parameters, got 0"),
+            ("radical:1,2", "radical takes 1 parameters, got 2"),
+        ],
+    )
+    def test_bad_radical_exits_1_with_hint(self, capsys, fn, message):
+        code, out, err = run(capsys, "composita", "--fn", fn, "--n", "3")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {message}", f"known functions: {', '.join(registry_names())}"
+        ]
+
+    def test_radical_triangle(self, capsys):
+        # 1 - (1-x)^(1/3) = x/3 + x^2/9 + 5x^3/81 + ...
+        code, out, _ = run(capsys, "composita", "--fn", "radical:3", "--n", "3")
+        assert (code, out) == (0, "1/3\n1/9 1/9\n5/81 2/27 1/27\n")
 
     def test_order_must_be_positive(self, capsys):
         code, _, err = run(capsys, "composita", "--fn", "geometric", "--n", "0")
@@ -253,6 +275,27 @@ class TestSeriesCommands:
         code, out, _ = run(capsys, "inverse", "--fn", "x_exp", "--order", "5")
         assert code == 0
         assert out == "1,-1,3/2,-8/3,125/24\n"
+
+    @pytest.mark.parametrize(
+        "fn, inverse",
+        [
+            ("arcsin", "1,0,-1/6,0,1/120,0,-1/5040,0"),  # sin
+            ("radical:2", "2,-1,0,0,0,0,0,0"),  # 1 - (1 - x)^2
+        ],
+    )
+    def test_inverse_of_a_catalog_radical_or_arcsin(self, capsys, fn, inverse):
+        code, out, _ = run(capsys, "inverse", "--fn", fn, "--order", "8")
+        assert (code, out) == (0, inverse + "\n")
+
+    def test_solve_refuses_a_power_table_over_its_cap(self):
+        # 2 * 10^8 rows of powers of G: refused before the first, in a
+        # subprocess whose timeout stops a run that does start
+        code, out, err = _module_call("solve", "--g", "1,1", "--m", "99999999", "--order", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: solving with m=99999999 to order 2 needs a power table of about"
+            " 599999997 entries; its cap is 1000000\n"
+        )
 
     def test_inverse_needs_linear_term(self, capsys):
         code, _, err = run(capsys, "inverse", "--fn", "0,0,1", "--order", "5")
@@ -430,6 +473,25 @@ class TestVerify:
             "status": "verified",
             "checked": 21,
         }
+
+    def test_funceq_refuses_a_triangle_over_its_cap(self):
+        # the triangle of x*G to order 10^8 + 1: refused before any series
+        # is built, in a subprocess whose timeout stops a run that does start
+        code, out, err = _module_call(
+            "verify", "--identity", "funceq", "--m", "99999999", "--max-n", "1", "--max-r", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the sweep reads the triangle of x*G to order 100000001, which has"
+            " 5000000150000001 entries; its cap is 1000000\n"
+        )
+
+    @pytest.mark.parametrize("cap, code", [(21, 0), (20, 2)])
+    def test_funceq_cap_counts_the_triangle_entries(self, capsys, monkeypatch, cap, code):
+        # m = 1, --max-n 2, --max-r 2 read the triangle of x*G to order 6: 21 entries
+        monkeypatch.setattr(_verify, "MAX_TABLE_ENTRIES", cap)
+        argv = ("verify", "--identity", "funceq", "--m", "1", "--max-n", "2", "--max-r", "2")
+        assert run(capsys, *argv)[0] == code
 
     @pytest.mark.parametrize("max_r", ["0", "-3"])
     def test_funceq_needs_a_positive_max_r(self, capsys, max_r):
@@ -821,6 +883,17 @@ class TestProcessEntry:
         assert written == (tmp_path / "main.csv").read_bytes()
         assert written.startswith(b"n,k,value\n1,1,1\n")
 
+    def test_results_past_the_int_string_limit_print(self, capsys):
+        # T(800, 800) of 10^6 x is 10^4800, past the 4,300 digits that Python
+        # 3.10.7 and later convert between int and str by default: the process
+        # entry lifts that limit, and main() leaves it to its host process
+        argv = ("oracle", "--fn", "0,1000000", "--n", "800", "--k", "800")
+        assert _module_call(*argv) == (0, "1" + "0" * 4800 + "\n", "")
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4801:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "integer string conversion" in err
+
     def test_console_script_names_the_process_entry(self):
         # read as text: Python 3.10 has no tomllib
         text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
@@ -884,8 +957,8 @@ class TestStartup:
     the submodules its subcommand uses: every call pays for what it runs.
     The parser and the ``--output`` writer (``_offpath``) run only for
     help, usage errors and ``--output``; the sweeps (``_verify``) only for
-    ``verify``; ``calculus`` only for the subcommands that use it and for
-    ``solve`` with m < 0; ``catalog`` only for a catalog name and for the
+    ``verify``; ``calculus`` only for the subcommands and sweeps that use
+    it and for ``solve`` with m < 0; ``catalog`` only for a catalog name and for the
     list of names after an unknown designator, and ``combinatorics`` for
     no call that names raw coefficient lists alone."""
 
@@ -938,7 +1011,12 @@ class TestStartup:
             (
                 ("verify", "--identity", "funceq", "--g", "1,1"), 0,
                 {"identities.py", "_verify.py"},
-                {"funceq.py", "riordan.py", "_offpath.py"} | CATALOG,
+                {"calculus.py", "funceq.py", "riordan.py", "_offpath.py"} | CATALOG,
+            ),
+            (
+                ("verify", "--identity", "lambert"), 0,
+                {"identities.py", "_verify.py"},
+                {"calculus.py", "funceq.py", "riordan.py", "_offpath.py"} | CATALOG,
             ),
             (
                 ("composita", "--fn", "nosuch", "--n", "3"), 1,
@@ -952,6 +1030,11 @@ class TestStartup:
             ),
             (
                 ("verify", "--identity", "derivative"), 0,
+                {"identities.py", "_verify.py"},
+                {"calculus.py", "funceq.py", "riordan.py", "_offpath.py"},
+            ),
+            (
+                ("verify", "--identity", "associativity", "--max-n", "3"), 0,
                 {"calculus.py", "identities.py", "_verify.py"},
                 {"funceq.py", "riordan.py", "_offpath.py"},
             ),
@@ -965,8 +1048,8 @@ class TestStartup:
         ],
         ids=[
             "composita", "composita-raw", "reciprocal", "reciprocal-raw", "solve-m2",
-            "solve-m-1", "verify-funceq-raw", "unknown-name", "malformed-raw", "verify",
-            "help", "usage-error", "output",
+            "solve-m-1", "verify-funceq-raw", "lambert", "unknown-name", "malformed-raw",
+            "verify", "associativity", "help", "usage-error", "output",
         ],
     )
     def test_call_runs_only_the_submodules_it_uses(self, argv, code, runs, skips):
@@ -1007,6 +1090,23 @@ class TestStartup:
             "sys.stderr.write(' '.join(sorted({span[0] for span in recorder.spans})))"
         )
         assert {"cli.main", "funceq.solve", "calculus.reciprocal"} <= set(out.split())
+
+    def test_tracer_wraps_the_compose_that_sweeps_import(self):
+        # check_associativity imports composita_compose when it runs, so it
+        # reads the function that the tracer put on calculus
+        perfbench = str(Path(SRC).parent / "perfbench")
+        out = _fresh_stderr(
+            "import sys\n"
+            "import compositae.cli\n"
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "import tracing\n"
+            "recorder = tracing.Recorder()\n"
+            "tracing.install(recorder)\n"
+            "argv = ['verify', '--identity', 'associativity', '--max-n', '3']\n"
+            "assert compositae.cli.main(argv) == 0\n"
+            "sys.stderr.write(' '.join(sorted({span[0] for span in recorder.spans})))"
+        )
+        assert "calculus.composita_compose" in out.split()
 
     @pytest.mark.parametrize("name", ["catalog", "calculus", "funceq", "identities", "riordan"])
     def test_one_module_object_per_submodule(self, name):

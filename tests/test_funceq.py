@@ -13,16 +13,14 @@ from compositae import (
     InsufficientOrder,
     PowerSeries,
     ZeroConstantTerm,
-    arcsin_composita,
     catalog_series,
     compose_series,
     composita_from_powers,
     composita_from_series,
     make_spec,
-    radical_composita,
     solve_functional_equation,
 )
-from compositae import triangle
+from compositae import funceq, triangle
 from compositae.combinatorics import binomial
 from helpers import catalan, gb, series_strategy
 
@@ -109,6 +107,27 @@ class TestSolver:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             solve_functional_equation(PowerSeries.of([1, 1], order=3), 1, -1)
+
+    @pytest.mark.parametrize("m, order", [(99999999, 2), (-2000, 40), (0, 1000), (1, 1000)])
+    def test_refuses_a_power_table_over_its_cap(self, monkeypatch, m, order):
+        # refused before the first power of G is built
+        monkeypatch.setattr(funceq, "_power_table", None)
+        with pytest.raises(ValueError, match=f"; its cap is {triangle.MAX_TABLE_ENTRIES}$"):
+            solve_functional_equation(PowerSeries.of([1, 1], order=order), m, order)
+
+    @pytest.mark.parametrize("cap", [6256, 6255])
+    def test_cap_reads_the_power_table_estimate(self, monkeypatch, cap):
+        # m = 3 to order 45, the largest solve in the benchmark's job lists,
+        # is estimated at (3 * 45 + 1) * (45 + 1) = 6256 entries
+        monkeypatch.setattr(funceq, "MAX_TABLE_ENTRIES", cap)
+        g = PowerSeries.of([1, 1], order=45)
+        if cap < 6256:
+            with pytest.raises(ValueError, match="about 6256 entries; its cap is 6255$"):
+                solve_functional_equation(g, 3, 45)
+        else:
+            # A = 1 + x*A^3 counts ternary trees: a(n) = C(3n, n) / (2n + 1)
+            a = solve_functional_equation(g, 3, 45).a_series
+            assert a[45] == binomial(3 * 45, 45) // (2 * 45 + 1)
 
     @pytest.mark.parametrize("m, builds", [(-3, 1), (-1, 1), (0, 0), (1, 0), (3, 0)])
     def test_triangles_built(self, monkeypatch, m, builds):
@@ -208,7 +227,33 @@ class TestSolver:
                 assert value.denominator == 1
 
 
+def radical_composita(m: int, order: int) -> CompositaTable:
+    """The triangle of the catalog's radical:m, 1 - (1-x)^(1/m)."""
+    return composita_from_series(catalog_series(make_spec("radical", [m]), order), order)
+
+
+def arcsin_composita(order: int) -> CompositaTable:
+    return composita_from_series(catalog_series(make_spec("arcsin"), order), order)
+
+
+def triangle_by_solve(b: PowerSeries, order: int) -> CompositaTable:
+    """The triangle of x*A, to ``order``, for the A that solves A = G(xA)
+    with G = 1/B: the reference route through ``solve`` with m = 1, which
+    reads B only to ``order - 1``."""
+    return solve_functional_equation(PowerSeries.one(order - 1) / b, 1, order - 1).a_table
+
+
 class TestRadical:
+    @staticmethod
+    def by_solve(m: int, order: int) -> CompositaTable:
+        # A = (1 - (1-x)^(1/m))/x solves A = G(xA) with G = x/(1 - (1-x)^m),
+        # the reciprocal of (1 - (1-x)^m)/x = sum_{j=1}^{m} C(m, j) (-1)^(j+1) x^(j-1)
+        denom = PowerSeries.of(
+            [(-1) ** (j + 1) * binomial(m, j) for j in range(1, min(m, order) + 1)],
+            order=order - 1,
+        )
+        return triangle_by_solve(denom, order)
+
     def test_cube_root_matches_binomial_expansion(self):
         t = radical_composita(3, 10)
         for n in range(1, 11):
@@ -236,9 +281,10 @@ class TestRadical:
                 )
                 assert radical_composita(m, order) == composita_from_series(series, order)
 
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            radical_composita(0, 5)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 10**6])
+    def test_designator_equals_the_solve_route(self, m):
+        for order in range(1, 41):
+            assert radical_composita(m, order) == self.by_solve(m, order), order
 
 
 class TestArcsin:
@@ -270,3 +316,10 @@ class TestArcsin:
         for order in (1, 2, 8):
             series = PowerSeries(tuple(self.arcsin_coeff(n) for n in range(order + 1)))
             assert arcsin_composita(order) == composita_from_series(series, order)
+
+    def test_designator_equals_the_solve_route(self):
+        # A = arcsin(x)/x solves A = G(xA) with G = x/sin(x), the reciprocal
+        # of the catalog's sin(x)/x
+        for order in range(1, 51):
+            sin_over_x = catalog_series(make_spec("sin_over_x"), order - 1)
+            assert arcsin_composita(order) == triangle_by_solve(sin_over_x, order), order
