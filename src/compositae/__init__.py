@@ -25,7 +25,6 @@ _EXPORTS = {
         "catalog_series",
         "make_spec",
         "parse_function_spec",
-        "raw_spec",
         "registry_names",
     ),
     "errors": (

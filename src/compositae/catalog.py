@@ -1,12 +1,15 @@
 """Catalog of named generating functions: designator -> exact series.
 
-Each entry's series generator works from first principles (factorials,
-term integration, series division, term ratios) and builds coefficients
-up to the requested order only, so a large parameter such as
-``radical:1000000`` costs what its order costs.  Where the paper gives a
-closed form for the entry's composita triangle, the spec's ``closed_form``
-is a callable that loads that formula from ``theorems`` on its first
-call: no CLI call evaluates one, so no CLI call compiles that module.
+Apart from ``tan`` (sin/cos), ``fib``, the polynomials and ``monomial:m``,
+every entry is a hypergeometric term: the ratio c(n + step)/c(n) of its
+coefficients is rational in n, and one generator, ``_term_ratio_series``,
+expands each from its first coefficient and that ratio.  Every generator
+builds coefficients up to the requested order only, so a large parameter
+such as ``radical:1000000`` costs what its order costs.
+
+The catalog knows no closed forms: a spec's ``closed_form`` asks
+``theorems`` for one when it is read, so no CLI call, which never reads
+it, compiles that module.
 
 The CLI loads this module only for a designator that names an entry and
 for the list of names after an unknown designator: a raw coefficient list
@@ -16,7 +19,6 @@ is read by ``series.raw_coefficients`` and expanded without it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Optional, Sequence
 
 from ._record import Record
@@ -25,25 +27,30 @@ from .series import CoeffLike, PowerSeries, as_rational, parse_rational, raw_coe
 
 
 class FunctionSpec(Record):
-    """A named generating function: how to expand it and, optionally, the
-    closed form of its composita triangle.  Specs compare by name and
-    parameters only."""
+    """A named generating function and how to expand it.  Specs compare by
+    name and parameters only."""
 
-    __slots__ = ("name", "parameters", "series_generator", "closed_form")
+    __slots__ = ("name", "parameters", "series_generator")
     _key = ("name", "parameters")
     name: str
     parameters: tuple[Fraction, ...]
     series_generator: Callable[[int], PowerSeries]
-    closed_form: Optional[Callable[[int, int], Fraction]]
 
     def __init__(
         self,
         name: str,
         parameters: tuple[Fraction, ...],
         series_generator: Callable[[int], PowerSeries],
-        closed_form: Optional[Callable[[int, int], Fraction]] = None,
     ) -> None:
-        self._fill(name, parameters, series_generator, closed_form)
+        self._fill(name, parameters, series_generator)
+
+    @property
+    def closed_form(self) -> Optional[Callable[[int, int], Fraction]]:
+        """The closed form of the entry's composita triangle, or None where
+        ``theorems`` has none; reading it imports that module."""
+        from .theorems import closed_form_formula
+
+        return closed_form_formula(self.name, self.parameters)
 
     def label(self) -> str:
         """Designator text for this spec, in the same form the parser accepts."""
@@ -74,82 +81,28 @@ def _monomial_series(m: int) -> Callable[[int], PowerSeries]:
     return gen
 
 
-def _geometric_series(order: int) -> PowerSeries:
-    # x/(1-x)
-    return PowerSeries.of([0] + [1] * order)
+def _term_ratio_series(
+    first: int, value: CoeffLike, step: int, ratio: Callable[[int], tuple[int, int]]
+) -> Callable[[int], PowerSeries]:
+    # a hypergeometric term: c(first) = value, c(n + step) = c(n) * p/q for
+    # (p, q) = ratio(n), and every other coefficient 0.  A step builds one
+    # Fraction, reduced once, not Fraction(p, q) and then a product.
+    def gen(order: int) -> PowerSeries:
+        out = [Fraction(0)] * (order + 1)
+        term = as_rational(value)
+        for n in range(first, order + 1, step):
+            out[n] = term
+            p, q = ratio(n)
+            term = Fraction(term.numerator * p, term.denominator * q)
+        return PowerSeries(tuple(out))
 
-
-def _x_exp_series(order: int) -> PowerSeries:
-    # x*e^x
-    return PowerSeries.of(
-        [Fraction(0)] + [Fraction(1, factorial(n - 1)) for n in range(1, order + 1)]
-    )
-
-
-def _log1p_series(order: int) -> PowerSeries:
-    # ln(1+x)
-    return PowerSeries.of(
-        [Fraction(0)]
-        + [Fraction(-1 if n % 2 == 0 else 1, n) for n in range(1, order + 1)]
-    )
-
-
-def _expm1_series(order: int) -> PowerSeries:
-    # e^x - 1
-    return PowerSeries.of(
-        [Fraction(0)] + [Fraction(1, factorial(n)) for n in range(1, order + 1)]
-    )
-
-
-def _sin_series(order: int, sign: int = -1, shift: int = 0) -> PowerSeries:
-    # sin(x), and sinh(x) for sign = 1; shift = 1 gives x*cos(x), x*cosh(x)
-    out = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1, 2):
-        out[n] = Fraction(sign ** ((n - 1) // 2), factorial(n - shift))
-    return PowerSeries(tuple(out))
+    return gen
 
 
 def _tan_series(order: int) -> PowerSeries:
     # sin(x)/cos(x) with cos = sin'
-    return _sin_series(order) / _sin_series(order + 1).derivative()
-
-
-def _arctan_series(order: int) -> PowerSeries:
-    # term integration of 1/(1+x^2)
-    if order < 1:
-        return PowerSeries.zero(order)
-    inner = [Fraction(0)] * order
-    for n in range(0, order, 2):
-        inner[n] = Fraction(-1 if (n // 2) % 2 else 1)
-    return PowerSeries(tuple(inner)).integral()
-
-
-def _sin_over_x_series(order: int) -> PowerSeries:
-    return PowerSeries(_sin_series(order + 1).coeffs[1:])
-
-
-def _arcsin_series(order: int) -> PowerSeries:
-    # a(1) = 1, a(2k+3) = a(2k+1) * (2k+1)^2 / ((2k+2)(2k+3))
-    out = [Fraction(0)] * (order + 1)
-    term = Fraction(1)
-    for n in range(1, order + 1, 2):
-        out[n] = term
-        term = term * n * n / ((n + 1) * (n + 2))
-    return PowerSeries(tuple(out))
-
-
-def _radical_series(m: int) -> Callable[[int], PowerSeries]:
-    # 1 - (1-x)^(1/m): r(0) = 0 and r(n) = -c(n) for the binomial series of
-    # (1-x)^(1/m), c(0) = 1, c(n+1) = c(n) * (n - 1/m) / (n + 1)
-    def gen(order: int) -> PowerSeries:
-        out = [Fraction(0)] * (order + 1)
-        c = Fraction(1)
-        for n in range(order):
-            c = c * (n * m - 1) / (m * (n + 1))
-            out[n + 1] = -c
-        return PowerSeries(tuple(out))
-
-    return gen
+    sin = _FIXED["sin"]
+    return sin(order) / sin(order + 1).derivative()
 
 
 def _fib_series(order: int) -> PowerSeries:
@@ -165,24 +118,34 @@ def _fib_series(order: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 # registry
 
+# the entries without parameters; every one but tan and fib is a term ratio
+# c(n + step)/c(n) = p/q, listed with its coefficient c(n)
 _FIXED: dict[str, Callable[[int], PowerSeries]] = {
-    "geometric": _geometric_series,
-    "x_exp": _x_exp_series,
-    "log1p": _log1p_series,
-    "expm1": _expm1_series,
-    "sin": _sin_series,
-    "x_cos": lambda order: _sin_series(order, shift=1),
+    # x/(1-x): 1
+    "geometric": _term_ratio_series(1, 1, 1, lambda n: (1, 1)),
+    # x*e^x: 1/(n-1)!
+    "x_exp": _term_ratio_series(1, 1, 1, lambda n: (1, n)),
+    # ln(1+x): (-1)^(n+1)/n
+    "log1p": _term_ratio_series(1, 1, 1, lambda n: (-n, n + 1)),
+    # e^x - 1: 1/n!
+    "expm1": _term_ratio_series(1, 1, 1, lambda n: (1, n + 1)),
+    # sin(x), odd n: (-1)^((n-1)/2)/n!
+    "sin": _term_ratio_series(1, 1, 2, lambda n: (-1, (n + 1) * (n + 2))),
+    # x*cos(x), odd n: (-1)^((n-1)/2)/(n-1)!
+    "x_cos": _term_ratio_series(1, 1, 2, lambda n: (-1, n * (n + 1))),
     "tan": _tan_series,
-    "arctan": _arctan_series,
-    "arcsin": _arcsin_series,
-    "sinh": lambda order: _sin_series(order, sign=1),
-    "x_cosh": lambda order: _sin_series(order, sign=1, shift=1),
-    "sin_over_x": _sin_over_x_series,
+    # arctan(x), odd n: (-1)^((n-1)/2)/n
+    "arctan": _term_ratio_series(1, 1, 2, lambda n: (-n, n + 2)),
+    # arcsin(x), odd n = 2k+1: C(2k,k)/(4^k*(2k+1))
+    "arcsin": _term_ratio_series(1, 1, 2, lambda n: (n * n, (n + 1) * (n + 2))),
+    # sinh(x), odd n: 1/n!
+    "sinh": _term_ratio_series(1, 1, 2, lambda n: (1, (n + 1) * (n + 2))),
+    # x*cosh(x), odd n: 1/(n-1)!
+    "x_cosh": _term_ratio_series(1, 1, 2, lambda n: (1, n * (n + 1))),
+    # sin(x)/x, even n: (-1)^(n/2)/(n+1)!
+    "sin_over_x": _term_ratio_series(0, 1, 2, lambda n: (-1, (n + 2) * (n + 3))),
     "fib": _fib_series,
 }
-
-# the entries whose triangle has no closed form in ``theorems``
-_NO_CLOSED_FORM = frozenset({"sin_over_x", "arcsin", "radical"})
 
 # parameterized entries: name -> the coefficient index each parameter
 # sets; the arity is the number of indices.  monomial:m is x^m and
@@ -199,61 +162,42 @@ _PARAMETERIZED: dict[str, tuple[Optional[int], ...]] = {
 }
 
 
-def _closed_form(name: str, params: tuple[Fraction, ...] = ()) -> Callable[[int, int], Fraction]:
-    """The entry's closed form, looked up in ``theorems`` on the first call."""
-    formula = None
-
-    def cf(n: int, k: int) -> Fraction:
-        nonlocal formula
-        if formula is None:
-            from .theorems import closed_form_formula
-
-            formula = closed_form_formula(name, params)
-        return formula(n, k)
-
-    return cf
-
-
 def make_spec(name: str, params: Sequence[Fraction] = ()) -> FunctionSpec:
     """Resolve a catalog name plus parameters to a FunctionSpec."""
     plist = tuple(as_rational(p) for p in params)
     if name in _FIXED:
         if plist:
             raise UnknownFunction(f"{name} takes no parameters")
-        cf = None if name in _NO_CLOSED_FORM else _closed_form(name)
-        return FunctionSpec(name, (), _FIXED[name], cf)
+        return FunctionSpec(name, (), _FIXED[name])
     if name not in _PARAMETERIZED:
         raise UnknownFunction(f"no catalog entry named {name!r}")
     positions = _PARAMETERIZED[name]
     if len(plist) != len(positions):
         raise UnknownFunction(f"{name} takes {len(positions)} parameters, got {len(plist)}")
-    cf = None if name in _NO_CLOSED_FORM else _closed_form(name, plist)
     if positions == (None,):
         (m,) = plist
         if m.denominator != 1 or m < 1:
             word = "exponent" if name == "monomial" else "index"
             raise UnknownFunction(f"{name} {word} must be a positive integer")
-        series = _monomial_series if name == "monomial" else _radical_series
-        return FunctionSpec(name, plist, series(int(m)), cf)
+        m = int(m)
+        if name == "monomial":
+            return FunctionSpec(name, plist, _monomial_series(m))
+        # 1 - (1-x)^(1/m): c(1) = 1/m, c(n + 1) = c(n) * (n - 1/m)/(n + 1)
+        series = _term_ratio_series(1, Fraction(1, m), 1, lambda n: (n * m - 1, m * (n + 1)))
+        return FunctionSpec(name, plist, series)
     coeffs = [0] * (positions[-1] + 1)
     for index, value in zip(positions, plist):
         coeffs[index] = value
-    return FunctionSpec(name, plist, _polynomial_series(coeffs), cf)
-
-
-def raw_spec(coeffs: Sequence[Fraction]) -> FunctionSpec:
-    """Wrap a literal coefficient list (read as a polynomial) as a spec."""
-    values = tuple(as_rational(c) for c in coeffs)
-    return FunctionSpec("raw", values, _polynomial_series(values), None)
+    return FunctionSpec(name, plist, _polynomial_series(coeffs))
 
 
 def parse_function_spec(text: str) -> FunctionSpec:
     """Parse a designator: a catalog name, 'name:p1,p2,...', or a raw
     comma-separated coefficient list such as '0,1,1' (in the grammar of
-    ``series.raw_coefficients``)."""
+    ``series.raw_coefficients``), which is read as a polynomial."""
     coeffs = raw_coefficients(text)
     if coeffs is not None:
-        return raw_spec(coeffs)
+        return FunctionSpec("raw", tuple(coeffs), _polynomial_series(coeffs))
     text = text.strip()
     if ":" in text:
         name, _, arg_text = text.partition(":")

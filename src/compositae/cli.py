@@ -124,8 +124,8 @@ def _perturbation(text: str) -> tuple[int, int, Fraction]:
 
 def _series(designator: str, order: int) -> PowerSeries:
     """The series ``designator`` names, to ``order``; a raw coefficient list
-    is read as a polynomial, as ``catalog.raw_spec`` does, without the
-    catalog."""
+    is read as a polynomial, as ``catalog.parse_function_spec`` does, without
+    the catalog."""
     coeffs = raw_coefficients(designator)
     if coeffs is None:
         return catalog.catalog_series(catalog.parse_function_spec(designator), order)

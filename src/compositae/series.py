@@ -22,9 +22,12 @@ CoeffLike = Union[Fraction, int, str]
 
 
 def as_rational(value: CoeffLike) -> Fraction:
-    """Coerce ints and 'p/q' strings to Fraction; Fractions pass through."""
+    """Coerce ints and 'p/q' strings to Fraction; Fractions pass through.
+    A string is read in the CLI's grammar (``parse_rational``)."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 

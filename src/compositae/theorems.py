@@ -2,8 +2,9 @@
 
 No CLI subcommand imports this module: the CLI builds every triangle by
 the recurrence, and these formulas are a second, independent route that
-the tests and ``scripts/verify_catalog.py`` compare it with.  A catalog
-spec's ``closed_form`` loads this module on its first call.
+the tests and ``scripts/verify_catalog.py`` compare it with.  This is the
+one module that knows which catalog entries have a closed form: a catalog
+spec's ``closed_form`` property imports it and asks ``closed_form_formula``.
 
 * Closed-form composita triangles for the catalog entries (polynomials,
   trigonometric and hyperbolic functions, logs and exponentials,
@@ -235,8 +236,8 @@ def _fib_cf(n: int, m: int) -> Fraction:
 
 
 # catalog entries without parameters, and builders taking the parameters
-# of those with them; an entry in neither (sin_over_x, arcsin, radical) has
-# no closed form
+# of those with them; an entry in neither (sin_over_x, arcsin, radical, a
+# raw list) has no closed form.  No other module records which have one.
 _FIXED: dict[str, ClosedForm] = {
     "geometric": _geometric_cf,
     "x_exp": _x_exp_cf,
@@ -300,11 +301,17 @@ def default_instances() -> list[FunctionSpec]:
 
 def catalog_closed_form(spec: FunctionSpec, n: int, k: int) -> Fraction:
     """Evaluate the entry's closed-form triangle at (n, k)."""
-    if spec.closed_form is None:
-        raise NoClosedForm(f"{spec.label()} has no closed-form composita")
+    formula = _formula_of(spec)
     if not 1 <= k <= n:
         raise ValueError("closed forms are defined for 1 <= k <= n")
-    return spec.closed_form(n, k)
+    return formula(n, k)
+
+
+def _formula_of(spec: FunctionSpec) -> ClosedForm:
+    formula = closed_form_formula(spec.name, spec.parameters)
+    if formula is None:
+        raise NoClosedForm(f"{spec.label()} has no closed-form composita")
+    return formula
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +385,6 @@ def check_riordan_identity(rio: CompositaTable, t_xf: CompositaTable) -> Identit
 def check_closed_form(spec: FunctionSpec, table: CompositaTable) -> IdentityReport:
     """The catalog's closed form against ``table``, the triangle of the
     spec's series: lhs is the table's entry, rhs the closed form's."""
-    if spec.closed_form is None:
-        raise NoClosedForm(f"{spec.label()} has no closed-form composita")
+    formula = _formula_of(spec)
     rng = f"{spec.label()}, 1 <= k <= n <= {table.order}"
-    return _sweep("closed_form", rng, table, spec.closed_form)
+    return _sweep("closed_form", rng, table, formula)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from compositae import (
     DivisionByNonUnit,
     PowerSeries,
+    as_rational,
     format_series,
     parse_series,
 )
@@ -43,6 +45,30 @@ class TestConstruction:
         s = S(1, 2, 3)
         assert s.truncate(1).coeffs == (1, 2)
         assert s.extended(4).coeffs == (1, 2, 3, 0, 0)
+
+    # a string coefficient is read in the CLI's grammar: bare Fraction would
+    # build a 2,000,001-digit integer, read '1_0' as 10 and '٣' as 3
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1e2000000", "exponent notation"), ("1_0", "'_' and non-ASCII"),
+         ("\u0663", "'_' and non-ASCII")],
+    )
+    def test_string_coefficients_refuse_what_the_cli_refuses(self, text, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                PowerSeries.of([text])
+            with pytest.raises(ValueError, match=message):
+                as_rational(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_string_coefficients_still_read(self):
+        series = PowerSeries.of(["1/2", "-4/6", "0.5"])
+        assert series.coeffs == (Fraction(1, 2), Fraction(-2, 3), Fraction(1, 2))
+        assert all(type(c) is Fraction for c in series.coeffs)
 
 
 class TestArithmetic:

@@ -1,7 +1,7 @@
 """Value semantics of the package's five immutable record types.
 
 Each type is compared and hashed by its data fields only: a table's
-``source`` label and a spec's generator and closed form take no part,
+``source`` label and a spec's generator take no part,
 while a table's ``base`` does: a composita triangle (base 1) never equals
 a Riordan array (base 0) with the same rows.
 Every type rejects assignment and deletion of a field, accepts its
@@ -60,7 +60,7 @@ CASES = {
         lambda: CompositaTable(PASCAL3, "pascal"),
     ),
     "FunctionSpec": (
-        lambda: FunctionSpec("f", (Fraction(1),), _gen, lambda n, k: Fraction(1)),
+        lambda: FunctionSpec("f", (Fraction(1),), _gen),
         lambda: FunctionSpec(
             name="f", parameters=(Fraction(1),), series_generator=_other_gen
         ),
@@ -94,7 +94,7 @@ FIELDS = {
     "PowerSeries": ("coeffs",),
     "CompositaTable": ("rows", "source", "base"),
     "CompositaTable(base=0)": ("rows", "source", "base"),
-    "FunctionSpec": ("name", "parameters", "series_generator", "closed_form"),
+    "FunctionSpec": ("name", "parameters", "series_generator"),
     "FuncEqSolution": ("m", "a_table", "a_series"),
     "IdentityReport": ("identity_name", "parameter_range", "status", "first_failure", "checked"),
 }
@@ -164,6 +164,17 @@ def test_ignored_fields_are_kept():
     assert spec.series_generator is _other_gen
     assert spec.closed_form is None
     assert IdentityReport("x", "1..1", "verified").first_failure is None
+
+
+def test_a_spec_reads_its_closed_form_from_theorems():
+    # no constructor argument and no field: the property asks theorems
+    with pytest.raises(TypeError):
+        FunctionSpec("f", (), _gen, lambda n, k: Fraction(1))
+    geometric = make_spec("geometric")
+    assert geometric.closed_form(5, 2) == 4
+    with pytest.raises(AttributeError):
+        geometric.closed_form = None
+    assert make_spec("arcsin").closed_form is None
 
 
 def test_catalog_specs_compare_by_name_and_parameters():
