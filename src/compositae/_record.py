@@ -1,10 +1,11 @@
 """Base class of the package's immutable value types.
 
 A subclass names its fields in ``__slots__`` and fills them through
-``_fill`` from its own ``__init__``.  Equality and hash run over the
-fields in ``_key`` (all of them unless the class narrows it).  It stands
-in for ``dataclass(frozen=True)``, whose import and per-class code
-generation every CLI call would pay for at start-up.
+``_fill`` from its own ``__init__``.  Equality, hash, pickling and repr
+all run over every field in ``__slots__``: a type stores each datum once
+and keeps no field that takes no part in equality.  It stands in for
+``dataclass(frozen=True)``, whose import and per-class code generation
+every CLI call would pay for at start-up.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 
 class Record:
     __slots__ = ()
-    _key: tuple[str, ...] = ()
 
     def _fill(self, *values: object) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._key or self.__slots__)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -35,7 +35,7 @@ class Record:
     __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

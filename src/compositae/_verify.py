@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Optional
 
 from . import calculus, identities
 from .cli import UsageError, _require_order, _series
@@ -36,16 +36,22 @@ def _verify_associativity(args: SimpleNamespace, order: int) -> identities.Ident
     return identities.check_associativity(*tables, fault=args.perturb)
 
 
+def _one_function(args: SimpleNamespace, default: str) -> str:
+    """The one --fn designator of a derivative or inverse sweep."""
+    names = args.fn or [default]
+    if len(names) != 1:
+        raise UsageError(f"{args.identity} takes one --fn designator, got {len(names)}")
+    return names[0]
+
+
 def _verify_derivative(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    name = args.fn[0] if args.fn else "geometric"
-    f = _series(name, order)
+    f = _series(_one_function(args, "geometric"), order)
     table = _perturbed(composita_from_series(f, order), args.perturb)
     return identities.check_derivative_identity(f, table)
 
 
 def _verify_inverse(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    name = args.fn[0] if args.fn else "x_exp"
-    f = _series(name, order)
+    f = _series(_one_function(args, "x_exp"), order)
     table = composita_from_series(f, order)
     inv = calculus.inverse_series(f, table)
     inv_table = _perturbed(composita_from_series(inv, order), args.perturb)
@@ -68,20 +74,20 @@ def _verify_reciprocal(args: SimpleNamespace, order: int) -> identities.Identity
     return identities.check_reciprocal_identity(b, table, fault=args.perturb)
 
 
-# identity -> (--max-n when not given, sweep).  A sweep builds its tables to
-# the order it is given: --max-n, except that funceq reads the triangle of
-# x*G to (m + 1) * max_n + max_r, and refuses a triangle of more than
-# triangle.MAX_TABLE_ENTRIES entries before it builds one.  --perturb
-# indexes into that table.
-SWEEPS: dict[
-    str, tuple[int, Callable[[SimpleNamespace, int], identities.IdentityReport]]
-] = {
-    "associativity": (8, _verify_associativity),
-    "derivative": (10, _verify_derivative),
-    "inverse": (10, _verify_inverse),
-    "lambert": (10, _verify_lambert),
-    "funceq": (6, _verify_funceq),
-    "reciprocal": (10, _verify_reciprocal),
+# identity -> (--max-n when not given, the input flags it reads, sweep).  A
+# call that gives one of INPUT_FLAGS its sweep does not read is refused.  A
+# sweep builds its tables to the order it is given: --max-n, except that
+# funceq reads the triangle of x*G to (m + 1) * max_n + max_r, and refuses a
+# triangle of more than triangle.MAX_TABLE_ENTRIES entries before it builds
+# one.  --perturb indexes into that table.
+INPUT_FLAGS = ("--fn", "--g", "--m", "--max-r", "--b")
+SWEEPS = {
+    "associativity": (8, ("--fn",), _verify_associativity),
+    "derivative": (10, ("--fn",), _verify_derivative),
+    "inverse": (10, ("--fn",), _verify_inverse),
+    "lambert": (10, (), _verify_lambert),
+    "funceq": (6, ("--g", "--m", "--max-r"), _verify_funceq),
+    "reciprocal": (10, ("--b",), _verify_reciprocal),
 }
 
 
@@ -106,11 +112,16 @@ def verify(args: SimpleNamespace) -> tuple[str, int]:
     """The text and exit code of ``compositae verify``: 0 when the identity
     holds over the sweep, 3 with the first counterexample when it does not."""
     identity = args.identity
-    default_max_n, sweep = SWEEPS[identity]
+    default_max_n, reads, sweep = SWEEPS[identity]
+    for flag in INPUT_FLAGS:
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"the {identity} sweep does not read {flag}")
     if args.max_n is None:
         args.max_n = default_max_n
     order = _require_order(args.max_n, "--max-n")
     if identity == "funceq":
+        if args.m is None:
+            args.m = 1
         if args.max_r is None:
             args.max_r = args.max_n
         _require_order(args.max_r, "--max-r")

@@ -56,7 +56,7 @@ def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
     return CompositaTable(tuple(rows))
 
 
-def reciprocal_composita(b: PowerSeries, order: int, source: str = "") -> CompositaTable:
+def reciprocal_composita(b: PowerSeries, order: int) -> CompositaTable:
     """Triangle of x * A(x) where A(x) B(x) = 1 and b(0) != 0.
 
     A is computed by series division, with B truncated to ``order - 1``,
@@ -73,7 +73,7 @@ def reciprocal_composita(b: PowerSeries, order: int, source: str = "") -> Compos
         raise InsufficientOrder(f"b is needed to order {order - 1}, got {b.order}")
     depth = order - 1
     a = PowerSeries.one(depth) / b.truncate(depth)
-    return composita_from_series(a.times_x(), order, source=source)
+    return composita_from_series(a.times_x(), order)
 
 
 def inverse_series(f: PowerSeries, tf: CompositaTable) -> PowerSeries:

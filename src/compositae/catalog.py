@@ -1,11 +1,14 @@
 """Catalog of named generating functions: designator -> exact series.
 
-Apart from ``tan`` (sin/cos), ``fib``, the polynomials and ``monomial:m``,
-every entry is a hypergeometric term: the ratio c(n + step)/c(n) of its
-coefficients is rational in n, and one generator, ``_term_ratio_series``,
-expands each from its first coefficient and that ratio.  Every generator
-builds coefficients up to the requested order only, so a large parameter
-such as ``radical:1000000`` costs what its order costs.
+A ``FunctionSpec`` is a name and its parameters, nothing more:
+``make_spec`` checks that the pair names an entry, and ``catalog_series``
+expands the spec from that pair.  Apart from ``tan`` (sin/cos), ``fib``,
+the polynomials and ``monomial:m``, every entry is a hypergeometric term:
+the ratio c(n + step)/c(n) of its coefficients is rational in n, and one
+generator, ``_term_ratio_series``, expands each from its first coefficient
+and that ratio.  Every expansion builds coefficients up to the requested
+order only, so a large parameter such as ``radical:1000000`` or
+``monomial:1000000`` costs what its order costs.
 
 The catalog knows no closed forms: a spec's ``closed_form`` asks
 ``theorems`` for one when it is read, so no CLI call, which never reads
@@ -27,22 +30,15 @@ from .series import CoeffLike, PowerSeries, as_rational, parse_rational, raw_coe
 
 
 class FunctionSpec(Record):
-    """A named generating function and how to expand it.  Specs compare by
-    name and parameters only."""
+    """A named generating function: a catalog name and its parameters
+    (for ``raw``, the coefficients), which ``catalog_series`` expands."""
 
-    __slots__ = ("name", "parameters", "series_generator")
-    _key = ("name", "parameters")
+    __slots__ = ("name", "parameters")
     name: str
     parameters: tuple[Fraction, ...]
-    series_generator: Callable[[int], PowerSeries]
 
-    def __init__(
-        self,
-        name: str,
-        parameters: tuple[Fraction, ...],
-        series_generator: Callable[[int], PowerSeries],
-    ) -> None:
-        self._fill(name, parameters, series_generator)
+    def __init__(self, name: str, parameters: Sequence[CoeffLike]) -> None:
+        self._fill(name, tuple(as_rational(p) for p in parameters))
 
     @property
     def closed_form(self) -> Optional[Callable[[int, int], Fraction]]:
@@ -64,21 +60,6 @@ class FunctionSpec(Record):
 
 # ---------------------------------------------------------------------------
 # series generators
-
-
-def _polynomial_series(coeffs: Sequence[CoeffLike]) -> Callable[[int], PowerSeries]:
-    def gen(order: int) -> PowerSeries:
-        return PowerSeries.of(coeffs[: order + 1], order=order)
-
-    return gen
-
-
-def _monomial_series(m: int) -> Callable[[int], PowerSeries]:
-    # x^m: no list of m + 1 coefficients, which a large m would make huge
-    def gen(order: int) -> PowerSeries:
-        return PowerSeries.of([0] * m + [1] if m <= order else [], order=order)
-
-    return gen
 
 
 def _term_ratio_series(
@@ -162,33 +143,29 @@ _PARAMETERIZED: dict[str, tuple[Optional[int], ...]] = {
 }
 
 
-def make_spec(name: str, params: Sequence[Fraction] = ()) -> FunctionSpec:
-    """Resolve a catalog name plus parameters to a FunctionSpec."""
-    plist = tuple(as_rational(p) for p in params)
+def _check_entry(name: str, params: tuple[Fraction, ...]) -> None:
+    """Raise UnknownFunction unless ``name`` with ``params`` is a catalog entry."""
     if name in _FIXED:
-        if plist:
+        if params:
             raise UnknownFunction(f"{name} takes no parameters")
-        return FunctionSpec(name, (), _FIXED[name])
+        return
     if name not in _PARAMETERIZED:
         raise UnknownFunction(f"no catalog entry named {name!r}")
     positions = _PARAMETERIZED[name]
-    if len(plist) != len(positions):
-        raise UnknownFunction(f"{name} takes {len(positions)} parameters, got {len(plist)}")
+    if len(params) != len(positions):
+        raise UnknownFunction(f"{name} takes {len(positions)} parameters, got {len(params)}")
     if positions == (None,):
-        (m,) = plist
+        (m,) = params
         if m.denominator != 1 or m < 1:
             word = "exponent" if name == "monomial" else "index"
             raise UnknownFunction(f"{name} {word} must be a positive integer")
-        m = int(m)
-        if name == "monomial":
-            return FunctionSpec(name, plist, _monomial_series(m))
-        # 1 - (1-x)^(1/m): c(1) = 1/m, c(n + 1) = c(n) * (n - 1/m)/(n + 1)
-        series = _term_ratio_series(1, Fraction(1, m), 1, lambda n: (n * m - 1, m * (n + 1)))
-        return FunctionSpec(name, plist, series)
-    coeffs = [0] * (positions[-1] + 1)
-    for index, value in zip(positions, plist):
-        coeffs[index] = value
-    return FunctionSpec(name, plist, _polynomial_series(coeffs))
+
+
+def make_spec(name: str, params: Sequence[CoeffLike] = ()) -> FunctionSpec:
+    """Resolve a catalog name plus parameters to a FunctionSpec."""
+    spec = FunctionSpec(name, params)
+    _check_entry(name, spec.parameters)
+    return spec
 
 
 def parse_function_spec(text: str) -> FunctionSpec:
@@ -197,7 +174,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
     ``series.raw_coefficients``), which is read as a polynomial."""
     coeffs = raw_coefficients(text)
     if coeffs is not None:
-        return FunctionSpec("raw", tuple(coeffs), _polynomial_series(coeffs))
+        return FunctionSpec("raw", coeffs)
     text = text.strip()
     if ":" in text:
         name, _, arg_text = text.partition(":")
@@ -215,7 +192,28 @@ def registry_names() -> tuple[str, ...]:
 
 
 def catalog_series(spec: FunctionSpec, order: int) -> PowerSeries:
-    """Expand the function exactly to the requested truncation order."""
+    """Expand the function exactly to the requested truncation order.  A
+    spec that ``make_spec`` would refuse raises UnknownFunction."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return spec.series_generator(order)
+    name, params = spec.name, spec.parameters
+    if name == "raw":
+        coeffs: Sequence[CoeffLike] = params
+    else:
+        _check_entry(name, params)
+        if name in _FIXED:
+            return _FIXED[name](order)
+        if name == "monomial":
+            # x^m: no list of m + 1 coefficients, which a large m would make huge
+            m = int(params[0])
+            return PowerSeries.of([0] * m + [1] if m <= order else [], order=order)
+        if name == "radical":
+            # 1 - (1-x)^(1/m): c(1) = 1/m, c(n + 1) = c(n) * (n - 1/m)/(n + 1)
+            m = int(params[0])
+            series = _term_ratio_series(1, Fraction(1, m), 1, lambda n: (n * m - 1, m * (n + 1)))
+            return series(order)
+        positions = _PARAMETERIZED[name]
+        coeffs = [0] * (positions[-1] + 1)
+        for index, value in zip(positions, params):
+            coeffs[index] = value
+    return PowerSeries.of(coeffs[: order + 1], order=order)

@@ -15,8 +15,8 @@ anything else (help, a usage error, an abbreviation, ``--flag=value``,
 ``--``) goes to the argparse parser that ``_offpath.build_parser`` makes
 from the same table, so argparse alone decides what such a call means and
 prints.  Handlers take the namespace as read (``verify`` fills in the
-defaults of --max-n and --max-r); each reads only its own subcommand's
-flags.
+defaults of --max-n, --max-r and --m, and refuses a flag that its sweep
+does not read); each reads only its own subcommand's flags.
 
 Exit codes: 0 success, 1 usage (including unknown designators),
 2 precondition violation, 3 identity counterexample, 4 internal error
@@ -157,7 +157,7 @@ def _require_order(value: int, flag: str) -> int:
 def _cmd_composita(args: SimpleNamespace) -> tuple[str, int]:
     n = _require_order(args.n, "--n")
     f = _series(args.fn, n)
-    table = composita_from_series(f, n, source=args.fn)
+    table = composita_from_series(f, n)
     return _render_triangle(table, args.format), 0
 
 
@@ -180,7 +180,7 @@ def _cmd_inverse(args: SimpleNamespace) -> tuple[str, int]:
 def _cmd_reciprocal(args: SimpleNamespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
     b = _series(args.b, order - 1)
-    table = calculus.reciprocal_composita(b, order, source=args.b)
+    table = calculus.reciprocal_composita(b, order)
     return _render_triangle(table, args.format), 0
 
 
@@ -285,7 +285,7 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple, ...]]] = {
         ("--identity", IDENTITY_NAMES, True, None, None),
         ("--max-n", "int", False, None, None),
         ("--max-r", "int", False, None, "funceq only"),
-        ("--m", "int", False, 1, "funceq only"),
+        ("--m", "int", False, None, "funceq only"),
         ("--g", "text", False, None, "funceq: function G (default 1,1)"),
         ("--b", "text", False, None, "reciprocal: function B (default sin_over_x)"),
         ("--fn", "append", False, None, "input function(s); associativity takes three"),

@@ -32,15 +32,20 @@ from .triangle import MAX_TABLE_ENTRIES, CompositaTable
 
 
 class FuncEqSolution(Record):
-    """Solution bundle for A(x) = G(x A(x)^m)."""
+    """Solution bundle for A(x) = G(x A(x)^m): the exponent and the
+    triangle of x*A(x), whose column 1 holds a(0)..a(order)."""
 
-    __slots__ = ("m", "a_table", "a_series")
+    __slots__ = ("m", "a_table")
     m: int
     a_table: CompositaTable  # triangle of x*A(x)
-    a_series: PowerSeries  # coefficients a(0)..a(order)
 
-    def __init__(self, m: int, a_table: CompositaTable, a_series: PowerSeries) -> None:
-        self._fill(m, a_table, a_series)
+    def __init__(self, m: int, a_table: CompositaTable) -> None:
+        self._fill(m, a_table)
+
+    @property
+    def a_series(self) -> PowerSeries:
+        """The coefficients a(0)..a(order), read off column 1 of ``a_table``."""
+        return PowerSeries(self.a_table.column(1))
 
 
 def _power_table(g: PowerSeries, count: int) -> list[Row]:
@@ -110,6 +115,4 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
 
         inner = solve_functional_equation(PowerSeries.one(order) / g, -m, order)
         a_table = reciprocal_composita(inner.a_series, table_order)
-
-    a_series = PowerSeries(tuple(a_table[n, 1] for n in range(1, table_order + 1)))
-    return FuncEqSolution(m=m, a_table=a_table, a_series=a_series)
+    return FuncEqSolution(m, a_table)

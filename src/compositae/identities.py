@@ -12,7 +12,7 @@ The reciprocal sweep is the paper's formula for an object the library
 computes by another route: it compares the production table it is given.
 The paper's sum, product, Riordan-shift and closed-form checks, which no
 CLI subcommand runs, are in ``theorems.py``; they share ``_sweep``,
-``_scaled``, ``_powers`` and ``_report`` from here.
+``_scaled`` and ``_powers`` from here.
 
 The derivative, Lambert, funceq and reciprocal sweeps compare
 cross-multiplied integers, each side summed over one lcm, and build
@@ -41,24 +41,26 @@ Scaled = tuple[list[int], int]  # numerators over one positive denominator
 
 class IdentityReport(Record):
     """Outcome of one identity sweep; ``checked`` counts the entries
-    compared, up to and including the first failure."""
+    compared, up to and including the first failure, and the sweep is
+    verified when there is no first failure."""
 
-    __slots__ = ("identity_name", "parameter_range", "status", "first_failure", "checked")
+    __slots__ = ("identity_name", "parameter_range", "checked", "first_failure")
     identity_name: str
     parameter_range: str
-    status: str  # "verified" or "counterexample"
-    first_failure: Optional[Failure]
     checked: int
+    first_failure: Optional[Failure]
 
-    def __init__(
-        self, identity_name: str, parameter_range: str, status: str,
-        first_failure: Optional[Failure] = None, checked: int = 0,
-    ) -> None:
-        self._fill(identity_name, parameter_range, status, first_failure, checked)
+    def __init__(self, identity_name: str, parameter_range: str, checked: int,
+                 first_failure: Optional[Failure] = None) -> None:
+        self._fill(identity_name, parameter_range, checked, first_failure)
 
     @property
     def verified(self) -> bool:
-        return self.status == "verified"
+        return self.first_failure is None
+
+    @property
+    def status(self) -> str:
+        return "verified" if self.verified else "counterexample"
 
     def to_record(self) -> dict:
         record: dict = {"identity": self.identity_name, "range": self.parameter_range,
@@ -67,11 +69,6 @@ class IdentityReport(Record):
             params, lhs, rhs = self.first_failure
             record["failure"] = {"parameters": list(params), "lhs": str(lhs), "rhs": str(rhs)}
         return record
-
-
-def _report(name: str, rng: str, checked: int, failure: Optional[Failure] = None):
-    status = "verified" if failure is None else "counterexample"
-    return IdentityReport(name, rng, status, failure, checked)
 
 
 def _scaled(values: Sequence[Fraction]) -> Scaled:
@@ -112,8 +109,8 @@ def _sweep(
     for checked, (n, k, lhs) in enumerate(table.entries(), 1):
         rhs = formula(n, k)
         if lhs != rhs:
-            return _report(name, rng, checked, ((n, k), lhs, rhs))
-    return _report(name, rng, checked)
+            return IdentityReport(name, rng, checked, ((n, k), lhs, rhs))
+    return IdentityReport(name, rng, checked)
 
 
 def check_associativity(
@@ -155,8 +152,8 @@ def check_derivative_identity(f: PowerSeries, tf: CompositaTable) -> IdentityRep
             lhs, rhs = n * nums[m - 1], m * acc[m - 2]
             if lhs * den != rhs * row_den:
                 failure = ((n, m), Fraction(lhs, row_den), Fraction(rhs, den))
-                return _report(name, rng, checked, failure)
-    return _report(name, rng, checked)
+                return IdentityReport(name, rng, checked, failure)
+    return IdentityReport(name, rng, checked)
 
 
 def check_inverse_identity(tf: CompositaTable, tinv: CompositaTable) -> IdentityReport:
@@ -174,8 +171,8 @@ def check_inverse_identity(tf: CompositaTable, tinv: CompositaTable) -> Identity
             checked += 1
             rhs = Fraction(1 if n == m else 0)
             if lhs != rhs:
-                return _report(name, rng, checked, ((label, n, m), lhs, rhs))
-    return _report(name, rng, checked)
+                return IdentityReport(name, rng, checked, ((label, n, m), lhs, rhs))
+    return IdentityReport(name, rng, checked)
 
 
 def check_lambert_identity(max_n: int, fault: Optional[Fault] = None) -> IdentityReport:
@@ -195,8 +192,8 @@ def check_lambert_identity(max_n: int, fault: Optional[Fault] = None) -> Identit
             if fault is not None and fault[:2] == (n, m):
                 rhs += fault[2]
             if lhs != rhs:
-                return _report(name, rng, checked, ((n, m), Fraction(lhs), Fraction(rhs)))
-    return _report(name, rng, checked)
+                return IdentityReport(name, rng, checked, ((n, m), Fraction(lhs), Fraction(rhs)))
+    return IdentityReport(name, rng, checked)
 
 
 def check_funceq_identity(g: CompositaTable, m: int, max_n: int, max_r: int) -> IdentityReport:
@@ -227,8 +224,8 @@ def check_funceq_identity(g: CompositaTable, m: int, max_n: int, max_r: int) -> 
             lhs_num, lhs_den = r * entry.numerator, (mn + r) * entry.denominator
             if lhs_num * n * den != acc[r - 1] * lhs_den:
                 failure = ((n, r), Fraction(lhs_num, lhs_den), Fraction(acc[r - 1], n * den))
-                return _report(name, rng, checked, failure)
-    return _report(name, rng, checked)
+                return IdentityReport(name, rng, checked, failure)
+    return IdentityReport(name, rng, checked)
 
 
 def check_reciprocal_identity(
@@ -281,5 +278,5 @@ def check_reciprocal_identity(
         if fault is not None and fault[:2] == (n, m):
             num, den = (Fraction(num, den) + fault[2]).as_integer_ratio()
         if lhs.numerator * den != num * lhs.denominator:
-            return _report(name, rng, checked, ((n, m), lhs, Fraction(num, den)))
-    return _report(name, rng, checked)
+            return IdentityReport(name, rng, checked, ((n, m), lhs, Fraction(num, den)))
+    return IdentityReport(name, rng, checked)

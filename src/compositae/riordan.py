@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ._rows import UNIT, combine, dot, fractions_of, scalars, to_row
 from .errors import InsufficientOrder, OrderMismatch
-from .series import PowerSeries, as_rational
+from .series import CoeffLike, PowerSeries, as_rational
 from .triangle import CompositaTable
 
 
@@ -36,7 +36,7 @@ def riordan_build(g: PowerSeries, tf: CompositaTable) -> CompositaTable:
     return CompositaTable(tuple(rows), base=0)
 
 
-def riordan_apply(r: CompositaTable, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def riordan_apply(r: CompositaTable, b: Sequence[CoeffLike]) -> tuple[Fraction, ...]:
     """Sequence a(n) = sum_{k=0}^{n} R(n, k) b(k): the coefficients of
     G(x) * B(F(x))."""
     if r.base != 0:

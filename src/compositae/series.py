@@ -23,11 +23,15 @@ CoeffLike = Union[Fraction, int, str]
 
 def as_rational(value: CoeffLike) -> Fraction:
     """Coerce ints and 'p/q' strings to Fraction; Fractions pass through.
-    A string is read in the CLI's grammar (``parse_rational``)."""
+    A string is read in the CLI's grammar (``parse_rational``).  A float
+    raises TypeError: it would be stored as its binary expansion
+    (0.1 as 3602879701896397/36028797018963968), not the number meant."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; pass a str such as '1/10' or a Fraction")
     return Fraction(value)
 
 

@@ -34,17 +34,14 @@ class CompositaTable(Record):
 
     A composita triangle is indexed from (1, 1) (``base`` 1, the default),
     a Riordan array from (0, 0) (``base`` 0); the base takes part in
-    equality, so the two never compare equal.  ``source`` is a label and
-    takes no part in equality.
+    equality, so the two never compare equal.
     """
 
-    __slots__ = ("rows", "source", "base")
-    _key = ("rows", "base")
+    __slots__ = ("rows", "base")
     rows: tuple[tuple[Fraction, ...], ...]
-    source: str
     base: int
 
-    def __init__(self, rows: Iterable[Sequence], source: str = "", base: int = 1) -> None:
+    def __init__(self, rows: Iterable[Sequence], base: int = 1) -> None:
         if base not in (0, 1):
             raise ValueError(f"a table is indexed from 0 or 1, not {base!r}")
         normalized = []
@@ -56,7 +53,7 @@ class CompositaTable(Record):
             normalized.append(tuple(as_rational(v) for v in row))
         if not normalized:
             raise ValueError("a table needs at least one row")
-        self._fill(tuple(normalized), source, base)
+        self._fill(tuple(normalized), base)
 
     @property
     def order(self) -> int:
@@ -93,7 +90,7 @@ class CompositaTable(Record):
     def truncated(self, order: int) -> CompositaTable:
         if not self.base <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} table to order {order}")
-        return CompositaTable(self.rows[: order - self.base + 1], self.source, self.base)
+        return CompositaTable(self.rows[: order - self.base + 1], self.base)
 
     def with_entry(self, n: int, k: int, value: Fraction) -> CompositaTable:
         """Copy of the table with one entry replaced (used for fault injection)."""
@@ -102,7 +99,7 @@ class CompositaTable(Record):
             raise IndexError(f"entry ({n}, {k}) outside table of order {self.order}")
         rows = [list(row) for row in self.rows]
         rows[n - base][k - base] = as_rational(value)
-        return CompositaTable(tuple(tuple(row) for row in rows), self.source, base)
+        return CompositaTable(tuple(tuple(row) for row in rows), base)
 
 
 def _require_composable(f: PowerSeries) -> None:
@@ -175,9 +172,7 @@ def composita_oracle(f: PowerSeries, n: int, k: int) -> Fraction:
     return total
 
 
-def composita_from_series(
-    f: PowerSeries, order: int | None = None, source: str = ""
-) -> CompositaTable:
+def composita_from_series(f: PowerSeries, order: int | None = None) -> CompositaTable:
     """Build the triangle by the composita recurrence."""
     n_max = _table_order(f, order)
     # rows[n] holds T(n, k) for k = 0..n, from the unit row T(0, 0) = 1:
@@ -188,14 +183,10 @@ def composita_from_series(
         rows.append(
             combine(((num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n), n + 1)
         )
-    return CompositaTable(
-        tuple(fractions_of((nums[1:], den)) for nums, den in rows[1:]), source=source
-    )
+    return CompositaTable(tuple(fractions_of((nums[1:], den)) for nums, den in rows[1:]))
 
 
-def composita_from_powers(
-    f: PowerSeries, order: int | None = None, source: str = ""
-) -> CompositaTable:
+def composita_from_powers(f: PowerSeries, order: int | None = None) -> CompositaTable:
     """Build the triangle by reading coefficients off the powers F^k."""
     n_max = _table_order(f, order)
     base = f if f.order == n_max else f.truncate(n_max)
@@ -206,7 +197,7 @@ def composita_from_powers(
             rows[n - 1][k - 1] = power.coeffs[n]
         if k < n_max:
             power = power * base
-    return CompositaTable(tuple(tuple(row) for row in rows), source=source)
+    return CompositaTable(tuple(tuple(row) for row in rows))
 
 
 def series_from_composita(table: CompositaTable) -> PowerSeries:

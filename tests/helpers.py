@@ -111,11 +111,6 @@ def series_strategy(
 # in the same order and report the same first failure and entry count.
 
 
-def _report(name, rng, checked, failure=None) -> IdentityReport:
-    status = "verified" if failure is None else "counterexample"
-    return IdentityReport(name, rng, status, failure, checked)
-
-
 def reference_derivative(f: PowerSeries, tf: CompositaTable) -> IdentityReport:
     """n * T(n, m) = m * sum_{k=1}^{n-m+1} k f(k) T(n-k, m-1) for n >= m > 1."""
     name = "derivative"
@@ -133,8 +128,8 @@ def reference_derivative(f: PowerSeries, tf: CompositaTable) -> IdentityReport:
                     rhs += k * fk * tf[n - k, m - 1]
             rhs *= m
             if lhs != rhs:
-                return _report(name, rng, checked, ((n, m), lhs, rhs))
-    return _report(name, rng, checked)
+                return IdentityReport(name, rng, checked, ((n, m), lhs, rhs))
+    return IdentityReport(name, rng, checked)
 
 
 def reference_lambert(max_n: int, fault=None) -> IdentityReport:
@@ -153,8 +148,8 @@ def reference_lambert(max_n: int, fault=None) -> IdentityReport:
             if fault is not None and fault[:2] == (n, m):
                 rhs += fault[2]
             if lhs != rhs:
-                return _report(name, rng, checked, ((n, m), lhs, rhs))
-    return _report(name, rng, checked)
+                return IdentityReport(name, rng, checked, ((n, m), lhs, rhs))
+    return IdentityReport(name, rng, checked)
 
 
 def reference_funceq(g: CompositaTable, m: int, max_n: int, max_r: int) -> IdentityReport:
@@ -177,8 +172,8 @@ def reference_funceq(g: CompositaTable, m: int, max_n: int, max_r: int) -> Ident
                 if left_factor:
                     rhs += Fraction(k, n) * left_factor * g[r + k, r]
             if lhs != rhs:
-                return _report(name, rng, checked, ((n, r), lhs, rhs))
-    return _report(name, rng, checked)
+                return IdentityReport(name, rng, checked, ((n, r), lhs, rhs))
+    return IdentityReport(name, rng, checked)
 
 
 def reference_reciprocal(b: PowerSeries, table: CompositaTable, fault=None) -> IdentityReport:
@@ -226,5 +221,5 @@ def reference_reciprocal(b: PowerSeries, table: CompositaTable, fault=None) -> I
         if fault is not None and fault[:2] == (n, m):
             rhs += fault[2]
         if lhs != rhs:
-            return _report(name, rng, checked, ((n, m), lhs, rhs))
-    return _report(name, rng, checked)
+            return IdentityReport(name, rng, checked, ((n, m), lhs, rhs))
+    return IdentityReport(name, rng, checked)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from compositae import (
+    FunctionSpec,
     NoClosedForm,
     UnknownFunction,
     catalog_closed_form,
@@ -78,6 +79,30 @@ class TestSpecParsing:
         with pytest.raises(UnknownFunction) as info:
             make_spec(name, params)
         assert str(info.value) == message
+
+    # a hand-built spec is expanded from its name and parameters, which are
+    # checked as make_spec checks them: the CLI reports UnknownFunction with
+    # exit 1, where a KeyError would be an internal error (exit 4)
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("nosuch", (), "no catalog entry named 'nosuch'"),
+            ("geometric", (1,), "geometric takes no parameters"),
+            ("monomial", ("1/2",), "monomial exponent must be a positive integer"),
+            ("radical", (0,), "radical index must be a positive integer"),
+            ("poly2", (1,), "poly2 takes 2 parameters, got 1"),
+        ],
+    )
+    def test_catalog_series_refuses_what_make_spec_refuses(self, name, params, message):
+        with pytest.raises(UnknownFunction) as info:
+            catalog_series(FunctionSpec(name, params), 5)
+        assert str(info.value) == message
+
+    def test_hand_built_specs_expand_as_parsed_ones(self):
+        for text in ("geometric", "monomial:3", "radical:2", "poly13:1,-1/2", "0,1,2"):
+            parsed = parse_function_spec(text)
+            built = FunctionSpec(parsed.name, parsed.parameters)
+            assert catalog_series(built, 7) == catalog_series(parsed, 7)
 
     @pytest.mark.parametrize("spec", default_instances(), ids=lambda s: s.label())
     def test_label_parses_back_to_the_spec(self, spec):

@@ -378,6 +378,19 @@ class TestRiordan:
         assert out == "1,2,4,8,16\n"
 
 
+# the input flags each verify sweep reads: any other one is refused, so that
+# no flag of a call is dropped without a word
+SWEEP_READS = {
+    "associativity": ("--fn",),
+    "derivative": ("--fn",),
+    "inverse": ("--fn",),
+    "lambert": (),
+    "funceq": ("--g", "--m", "--max-r"),
+    "reciprocal": ("--b",),
+}
+INPUT_VALUES = {"--fn": "geometric", "--g": "1,1", "--m": "1", "--max-r": "3", "--b": "1,1"}
+
+
 class TestVerify:
     # one in-range fault per sweep, at its default sizes, and the line it prints
     PLANTED = {
@@ -446,6 +459,40 @@ class TestVerify:
             "--fn", "geometric", "--fn", "sin",
         )
         assert code == 1
+
+    def test_sweep_table_lists_the_flags_each_sweep_reads(self):
+        assert {name: sweep[1] for name, sweep in _verify.SWEEPS.items()} == SWEEP_READS
+        assert _verify.INPUT_FLAGS == tuple(INPUT_VALUES)
+
+    @pytest.mark.parametrize(
+        "identity, flag",
+        [(i, f) for i, reads in SWEEP_READS.items() for f in INPUT_VALUES if f not in reads],
+    )
+    def test_a_flag_the_sweep_does_not_read_exits_1(self, capsys, identity, flag):
+        code, out, err = run(
+            capsys, "verify", "--identity", identity, flag, INPUT_VALUES[flag]
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: the {identity} sweep does not read {flag}\n"
+
+    def test_unread_flags_are_refused_in_any_form(self, capsys):
+        # the call that used to print "verified" and exit 0; argparse reads
+        # --m=7, and the sweep refuses the first unread flag it checks
+        for argv in (
+            ("--fn", "x_exp", "--m", "7", "--g", "1,2", "--b", "1,1", "--max-r", "3"),
+            ("--m=7",),
+        ):
+            code, out, err = run(capsys, "verify", "--identity", "lambert", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: the lambert sweep does not read --")
+
+    @pytest.mark.parametrize("identity", ["derivative", "inverse"])
+    def test_derivative_and_inverse_take_one_function(self, capsys, identity):
+        code, out, err = run(
+            capsys, "verify", "--identity", identity, "--fn", "x_exp", "--fn", "sin"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {identity} takes one --fn designator, got 2\n"
 
     def test_derivative_and_inverse(self, capsys):
         for identity in ("derivative", "inverse"):

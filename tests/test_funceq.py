@@ -197,6 +197,17 @@ class TestSolver:
         assert sol.a_table == composita_from_powers(a.times_x(), order + 1)
 
     @given(
+        g=series_strategy(min_order=6, max_order=6),
+        m=st.integers(min_value=-3, max_value=3),
+        order=st.integers(min_value=0, max_value=6),
+    )
+    def test_series_is_column_1_of_the_table(self, g, m, order):
+        sol = solve_functional_equation(unit_series(g), m, order)
+        column = tuple(sol.a_table[n, 1] for n in range(1, order + 2))
+        assert sol.a_series == PowerSeries(column)
+        assert sol.a_series.order == order
+
+    @given(
         g=series_strategy(min_order=16, max_order=16),
         m=st.integers(min_value=-2, max_value=3),
     )

@@ -48,8 +48,9 @@ def xg_table(coeffs, order):
 
 class TestReport:
     def test_verified_record(self):
-        report = IdentityReport("demo", "n <= 4", "verified")
+        report = IdentityReport("demo", "n <= 4", 0)
         assert report.verified
+        assert report.status == "verified"
         assert report.to_record() == {
             "identity": "demo",
             "range": "n <= 4",
@@ -58,10 +59,7 @@ class TestReport:
         }
 
     def test_counterexample_record(self):
-        report = IdentityReport(
-            "demo", "n <= 4", "counterexample",
-            ((3, 2), Fraction(25), Fraction(26)), 5,
-        )
+        report = IdentityReport("demo", "n <= 4", 5, ((3, 2), Fraction(25), Fraction(26)))
         assert not report.verified
         record = report.to_record()
         assert list(record) == ["identity", "range", "status", "checked", "failure"]

@@ -134,6 +134,10 @@ class TestApply:
         out = riordan_apply(pascal(7), b)
         assert out == tuple(Fraction(n) for n in range(8))
 
+    def test_a_float_term_is_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            riordan_apply(pascal(2), [1, 0.5, 0])
+
     def test_short_sequence_rejected(self):
         with pytest.raises(InsufficientOrder):
             riordan_apply(pascal(4), [Fraction(1)] * 4)

@@ -70,6 +70,21 @@ class TestConstruction:
         assert series.coeffs == (Fraction(1, 2), Fraction(-2, 3), Fraction(1, 2))
         assert all(type(c) is Fraction for c in series.coeffs)
 
+    # a float would be stored as its binary expansion: 0.1 as
+    # 3602879701896397/36028797018963968, where "0.1" reads as 1/10
+    def test_a_float_coefficient_is_refused(self):
+        with pytest.raises(TypeError, match="pass a str such as '1/10' or a Fraction"):
+            as_rational(0.1)
+        with pytest.raises(TypeError, match="float"):
+            PowerSeries.of([1, 0.1])
+        with pytest.raises(TypeError, match="float"):
+            PowerSeries.of([1, 2]) * 0.5
+        with pytest.raises(TypeError, match="float"):
+            0.5 * PowerSeries.of([1, 2])
+        with pytest.raises(TypeError, match="float"):
+            PowerSeries.of([1, 2]) / 2.0
+        assert as_rational("0.1") == Fraction(1, 10)
+
 
 class TestArithmetic:
     def test_add_disjoint_supports(self):

@@ -1,11 +1,13 @@
 """Value semantics of the package's five immutable record types.
 
-Each type is compared and hashed by its data fields only: a table's
-``source`` label and a spec's generator take no part,
-while a table's ``base`` does: a composita triangle (base 1) never equals
-a Riordan array (base 0) with the same rows.
-Every type rejects assignment and deletion of a field, accepts its
-fields positionally or by keyword, and keeps its constructor's checks.
+Each type stores each datum once, in its ``__slots__``, and compares,
+hashes, pickles and reprs by every one of them: a table's ``base`` takes
+part, so a composita triangle (base 1) never equals a Riordan array
+(base 0) with the same rows.  What can be derived from the fields is a
+read-only property: a solution's ``a_series`` (column 1 of its table) and
+a report's ``status`` and ``verified`` (whether it has a first failure).
+Every type rejects assignment and deletion of a field, accepts its fields
+positionally or by keyword, and keeps its constructor's checks.
 """
 
 from __future__ import annotations
@@ -26,23 +28,15 @@ from compositae import (
 )
 
 PASCAL3 = ((1,), (1, 1), (1, 2, 1))
-
-
-def _gen(order):
-    return PowerSeries.of([0, 1], order=order)
-
-
-def _other_gen(order):
-    return PowerSeries.of([0, 2], order=order)
+FAILURE = ((2, 1), Fraction(1), Fraction(2))
 
 
 def _solution(m=1):
-    a = CompositaTable(((1,), (1, 1)))
-    return FuncEqSolution(m, a, PowerSeries((1, 1)))
+    return FuncEqSolution(m, CompositaTable(((1,), (1, 1))))
 
 
 # one pair of equal-but-differently-built instances per type, plus one
-# instance that differs in a compared field
+# instance that differs in a field
 CASES = {
     "PowerSeries": (
         lambda: PowerSeries((0, 1, Fraction(1, 2))),
@@ -50,63 +44,63 @@ CASES = {
         lambda: PowerSeries((0, 1, Fraction(1, 3))),
     ),
     "CompositaTable": (
-        lambda: CompositaTable(PASCAL3, "geometric"),
-        lambda: CompositaTable(rows=PASCAL3, source="other label"),
+        lambda: CompositaTable(PASCAL3),
+        lambda: CompositaTable(rows=[list(row) for row in PASCAL3], base=1),
         lambda: CompositaTable(((1,), (1, 1), (1, 2, 2))),
     ),
     "CompositaTable(base=0)": (
-        lambda: CompositaTable(PASCAL3, "pascal", 0),
+        lambda: CompositaTable(PASCAL3, 0),
         lambda: CompositaTable(rows=PASCAL3, base=0),
-        lambda: CompositaTable(PASCAL3, "pascal"),
+        lambda: CompositaTable(PASCAL3),
     ),
     "FunctionSpec": (
-        lambda: FunctionSpec("f", (Fraction(1),), _gen),
-        lambda: FunctionSpec(
-            name="f", parameters=(Fraction(1),), series_generator=_other_gen
-        ),
-        lambda: FunctionSpec("f", (Fraction(2),), _gen),
+        lambda: FunctionSpec("f", (Fraction(1),)),
+        lambda: FunctionSpec(name="f", parameters=["1"]),
+        lambda: FunctionSpec("f", (Fraction(2),)),
     ),
     "FuncEqSolution": (
         lambda: _solution(),
-        lambda: FuncEqSolution(
-            m=1,
-            a_table=CompositaTable(((1,), (1, 1)), source="any"),
-            a_series=PowerSeries((1, 1)),
-        ),
+        lambda: FuncEqSolution(m=1, a_table=CompositaTable([[1], [1, 1]])),
         lambda: _solution(m=2),
     ),
     "IdentityReport": (
-        lambda: IdentityReport("lambert", "1..5", "verified"),
+        lambda: IdentityReport("lambert", "1..5", 3),
         lambda: IdentityReport(
-            identity_name="lambert",
-            parameter_range="1..5",
-            status="verified",
-            first_failure=None,
-            checked=0,
+            identity_name="lambert", parameter_range="1..5", checked=3, first_failure=None
         ),
-        lambda: IdentityReport(
-            "lambert", "1..5", "counterexample", ((2, 1), Fraction(1), Fraction(2))
-        ),
+        lambda: IdentityReport("lambert", "1..5", 3, FAILURE),
     ),
 }
 
 FIELDS = {
     "PowerSeries": ("coeffs",),
-    "CompositaTable": ("rows", "source", "base"),
-    "CompositaTable(base=0)": ("rows", "source", "base"),
-    "FunctionSpec": ("name", "parameters", "series_generator"),
-    "FuncEqSolution": ("m", "a_table", "a_series"),
-    "IdentityReport": ("identity_name", "parameter_range", "status", "first_failure", "checked"),
+    "CompositaTable": ("rows", "base"),
+    "CompositaTable(base=0)": ("rows", "base"),
+    "FunctionSpec": ("name", "parameters"),
+    "FuncEqSolution": ("m", "a_table"),
+    "IdentityReport": ("identity_name", "parameter_range", "checked", "first_failure"),
+}
+
+# values derived from the fields, and so not stored
+DERIVED = {
+    "FuncEqSolution": ("a_series",),
+    "IdentityReport": ("status", "verified"),
 }
 
 NAMES = sorted(CASES)
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_equal_across_construction_styles_and_ignored_fields(name):
+def test_fields_are_the_slots(name):
+    assert type(CASES[name][0]()).__slots__ == FIELDS[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_across_construction_styles(name):
     make, same, _ = CASES[name]
     assert make() == same()
     assert not make() != same()
+    assert repr(make()) == repr(same())
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -117,9 +111,17 @@ def test_equal_objects_hash_equal(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_a_compared_field_decides_equality(name):
+def test_a_field_decides_equality(name):
     make, _, different = CASES[name]
     assert make() != different()
+    assert repr(make()) != repr(different())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_names_every_field(name):
+    value = CASES[name][0]()
+    fields = ", ".join(f"{f}={getattr(value, f)!r}" for f in FIELDS[name])
+    assert repr(value) == f"{type(value).__name__}({fields})"
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -143,7 +145,20 @@ def test_fields_cannot_be_assigned_or_deleted(name):
         value.extra = 1
 
 
-@pytest.mark.parametrize("name", [n for n in NAMES if n != "FunctionSpec"])
+@pytest.mark.parametrize(
+    "name, attribute", [(name, a) for name, derived in DERIVED.items() for a in derived]
+)
+def test_derived_values_cannot_be_assigned(name, attribute):
+    value = CASES[name][0]()
+    before = getattr(value, attribute)
+    with pytest.raises(AttributeError):
+        setattr(value, attribute, before)
+    with pytest.raises(AttributeError):
+        delattr(value, attribute)
+    assert getattr(value, attribute) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_copies_and_pickles_are_equal(name):
     value = CASES[name][0]()
     assert copy.copy(value) == value
@@ -155,26 +170,28 @@ def test_unequal_table_types_with_equal_rows():
     assert CompositaTable(PASCAL3) != CompositaTable(PASCAL3, base=0)
 
 
-def test_ignored_fields_are_kept():
-    table = CompositaTable(PASCAL3, source="geometric")
-    assert table.source == "geometric"
-    assert CompositaTable(PASCAL3).source == ""
-    assert CompositaTable(PASCAL3, base=0).source == ""
-    spec = CASES["FunctionSpec"][1]()
-    assert spec.series_generator is _other_gen
-    assert spec.closed_form is None
-    assert IdentityReport("x", "1..1", "verified").first_failure is None
+def test_a_solution_reads_its_series_off_column_1():
+    solution = FuncEqSolution(2, CompositaTable(((3,), (5, 9))))
+    assert solution.a_series == PowerSeries((3, 5))
+
+
+def test_a_report_status_follows_its_first_failure():
+    verified, failed = CASES["IdentityReport"][0](), CASES["IdentityReport"][2]()
+    assert (verified.status, verified.verified) == ("verified", True)
+    assert (failed.status, failed.verified) == ("counterexample", False)
+    assert verified.first_failure is None
 
 
 def test_a_spec_reads_its_closed_form_from_theorems():
     # no constructor argument and no field: the property asks theorems
     with pytest.raises(TypeError):
-        FunctionSpec("f", (), _gen, lambda n, k: Fraction(1))
+        FunctionSpec("f", (), lambda n, k: Fraction(1))
     geometric = make_spec("geometric")
     assert geometric.closed_form(5, 2) == 4
     with pytest.raises(AttributeError):
         geometric.closed_form = None
     assert make_spec("arcsin").closed_form is None
+    assert CASES["FunctionSpec"][0]().closed_form is None
 
 
 def test_catalog_specs_compare_by_name_and_parameters():
@@ -182,6 +199,7 @@ def test_catalog_specs_compare_by_name_and_parameters():
     assert make_spec("poly2", (1, 1)) == make_spec("poly2", (1, 1))
     assert make_spec("poly2", (1, 1)) != make_spec("poly2", (1, 2))
     assert hash(make_spec("x_exp")) == hash(make_spec("x_exp"))
+    assert make_spec("radical", ("3",)) == FunctionSpec("radical", (Fraction(3),))
 
 
 class TestConstructorChecks:
@@ -198,6 +216,11 @@ class TestConstructorChecks:
         table = CompositaTable([[1], [1, "1/2"]])
         assert table.rows == ((Fraction(1),), (Fraction(1), Fraction(1, 2)))
         assert all(type(v) is Fraction for row in table.rows for v in row)
+
+    def test_spec_parameters_are_coerced(self):
+        spec = FunctionSpec("poly2", [1, "1/2"])
+        assert spec.parameters == (Fraction(1), Fraction(1, 2))
+        assert all(type(p) is Fraction for p in spec.parameters)
 
     def test_composita_row_length(self):
         with pytest.raises(ValueError, match="row 2 must carry exactly 2 entries"):
@@ -224,13 +247,18 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match="indexed from 0 or 1"):
             CompositaTable(PASCAL3, base=base)
 
+    def test_a_float_entry_is_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            CompositaTable([[1], [1, 0.5]])
+        with pytest.raises(TypeError, match="float"):
+            FunctionSpec("poly2", (1, 0.5))
+
     @pytest.mark.parametrize(
         "cls, args",
         [
             (PowerSeries, ()),
             (CompositaTable, ()),
             (FunctionSpec, ("f",)),
-            (FunctionSpec, ("f", ())),
             (IdentityReport, ("x",)),
             (FuncEqSolution, (1,)),
             (IdentityReport, ("x", "1..1")),
@@ -240,8 +268,16 @@ class TestConstructorChecks:
         with pytest.raises(TypeError):
             cls(*args)
 
-    def test_unknown_keyword(self):
+    @pytest.mark.parametrize(
+        "cls, args, keyword",
+        [
+            (PowerSeries, ((1,),), "order"),
+            (CompositaTable, (PASCAL3,), "source"),
+            (FunctionSpec, ("f", ()), "series_generator"),
+            (FuncEqSolution, (1, CompositaTable(PASCAL3)), "a_series"),
+            (IdentityReport, ("x", "1..1", 0), "status"),
+        ],
+    )
+    def test_unknown_keyword(self, cls, args, keyword):
         with pytest.raises(TypeError):
-            PowerSeries((1,), order=3)
-        with pytest.raises(TypeError):
-            CompositaTable(PASCAL3, label="x")
+            cls(*args, **{keyword: None})
