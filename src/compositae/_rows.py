@@ -1,4 +1,4 @@
-"""Integer row kernel behind the triangle loops.
+"""Integer row kernel behind the triangle loops and the stored tables.
 
 A row is a pair ``(nums, den)``: the entries are ``nums[j] / den`` with
 one positive denominator for the whole row, kept canonical (``den`` is
@@ -8,17 +8,16 @@ forms a linear combination of shifted rows with rational scalars: it
 takes one lcm of the term denominators, sums with plain integer
 multiply-adds, and reduces the finished row with one gcd sweep.  That
 replaces one ``Fraction`` gcd and allocation per ``+=`` with a few per
-row.
+row.  A ``CompositaTable`` stores these rows as the kernel makes them.
 
 Denominators are per row on purpose: one denominator for a whole table
 makes every entry carry the lcm of all of them, which loses badly on
 inputs such as x*e^x whose entries have factorial denominators.
 
-``Fraction`` values are converted once per entry at the boundary:
-``to_row`` and ``scalars`` on the way in, ``fractions_of`` (or one
-``Fraction(num, den)`` per entry) on the way out, and ``dot`` for single
-sums; the public table and series types keep holding reduced
-``Fraction`` entries.
+``Fraction`` values are converted at the boundary: ``to_row`` and
+``scalars`` on the way in, ``fractions_of`` on the way out (for a caller
+that reads a table's entries), and ``dot`` for the sum of a row's entries
+times ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -29,19 +28,19 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-Row = tuple[list[int], int]
+Row = tuple[tuple[int, ...], int]
 
 # (scalar numerator, scalar denominator, row, shift): the term
 # scalar * x^shift * row, where entry j of the row lands at column j + shift.
 Term = tuple[int, int, Row, int]
 
-UNIT: Row = ([1], 1)
+UNIT: Row = ((1,), 1)
 
 
 def to_row(values: Sequence[Fraction]) -> Row:
     """The canonical row holding ``values``."""
     den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def scalars(values: Sequence[Fraction]) -> list[tuple[int, int, int]]:
@@ -52,8 +51,6 @@ def scalars(values: Sequence[Fraction]) -> list[tuple[int, int, int]]:
 def fractions_of(row: Row) -> tuple[Fraction, ...]:
     """The row's entries as reduced ``Fraction`` values."""
     nums, den = row
-    if den == 1:
-        return tuple(map(Fraction, nums))
     return tuple(Fraction(v, den) for v in nums)
 
 
@@ -61,7 +58,8 @@ def combine(terms: Iterable[Term], width: int) -> Row:
     """Sum of ``s * x^shift * row`` over ``terms``, cut to ``width`` entries.
 
     Terms with a zero scalar or a shift at or past ``width`` are skipped;
-    entries shifted past ``width`` are dropped.
+    entries shifted past ``width`` are dropped.  Scalars need not be
+    reduced: the result is canonical.
     """
     live = [t for t in terms if t[0] and t[3] < width]
     den = lcm(*(s_den * row[1] for _, s_den, row, _ in live))
@@ -75,19 +73,14 @@ def combine(terms: Iterable[Term], width: int) -> Row:
         acc[shift:end] = map(add, acc[shift:end], map(mul, nums, repeat(scale)))
     g = gcd(den, *acc)
     if g > 1:
-        acc = [v // g for v in acc]
-        den //= g
-    return acc, den
+        return tuple([v // g for v in acc]), den // g
+    return tuple(acc), den
 
 
-def dot(scalars: Iterable[Fraction], values: Iterable[Fraction]) -> Fraction:
-    """Sum of ``s * v`` over paired ``Fraction`` values, by ``combine``."""
-    (num,), den = combine(
-        (
-            (s.numerator, s.denominator, ([v.numerator], v.denominator), 0)
-            for s, v in zip(scalars, values)
-            if v
-        ),
-        1,
-    )
-    return Fraction(num, den)
+def dot(row: Row, values: Iterable[Fraction]) -> Fraction:
+    """Sum of ``nums[j] / den * values[j]`` over the row's entries and
+    ``values`` paired, over one lcm of the values' denominators."""
+    nums, den = row
+    live = [(a * v.numerator, v.denominator) for a, v in zip(nums, values) if a]
+    common = lcm(*(b for _, b in live))
+    return Fraction(sum(a * (common // b) for a, b in live), den * common)

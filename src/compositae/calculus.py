@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._rows import combine, dot, fractions_of, to_row
+from ._rows import combine, dot
 from .errors import (
     DivisionByNonUnit,
     InsufficientOrder,
@@ -35,10 +35,7 @@ def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
     """
     n_max = min(tf.order, r.order)
     tail = r.coeffs[1:]
-    out = [r.coeffs[0]]
-    for n in range(1, n_max + 1):
-        out.append(dot(tf.rows[n - 1], tail))
-    return PowerSeries(tuple(out))
+    return PowerSeries((r.coeffs[0],) + tuple(dot(row, tail) for row in tf.int_rows[:n_max]))
 
 
 def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
@@ -48,12 +45,10 @@ def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
     """
     if tf.order != tr.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tr.order}")
-    r_rows = [to_row(row) for row in tr.rows]
     rows = []
-    for n, f_row in enumerate(tf.rows, start=1):
-        terms = ((t.numerator, t.denominator, r_row, 0) for t, r_row in zip(f_row, r_rows))
-        rows.append(fractions_of(combine(terms, n)))
-    return CompositaTable(tuple(rows))
+    for n, (f_nums, f_den) in enumerate(tf.int_rows, start=1):
+        rows.append(combine(((t, f_den, r_row, 0) for t, r_row in zip(f_nums, tr.int_rows)), n))
+    return CompositaTable._of(tuple(rows), 1)
 
 
 def reciprocal_composita(b: PowerSeries, order: int) -> CompositaTable:
@@ -86,8 +81,7 @@ def inverse_series(f: PowerSeries, tf: CompositaTable) -> PowerSeries:
     if f.order < 1 or f.coeffs[1] == 0:
         raise NonInvertible("compositional inversion needs f(1) != 0")
     f1 = f.coeffs[1]
-    n_max = tf.order
     out = [Fraction(0), Fraction(1) / f1]
-    for n in range(2, n_max + 1):
-        out.append(-dot(tf.rows[n - 1], out[1:]) / f1 ** n)
+    for n, row in enumerate(tf.int_rows[1:], start=2):
+        out.append(-dot(row, out[1:]) / f1 ** n)
     return PowerSeries(tuple(out))

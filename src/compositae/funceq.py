@@ -22,7 +22,7 @@ their own coefficients, like every other named function.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from ._record import Record
 from ._rows import Row, combine, scalars
@@ -56,7 +56,7 @@ def _power_table(g: PowerSeries, count: int) -> list[Row]:
     """
     width = g.order + 1
     g_terms = scalars(g.coeffs)
-    rows: list[Row] = [([1] + [0] * (width - 1), 1)]
+    rows: list[Row] = [((1,) + (0,) * (width - 1), 1)]
     for _ in range(count):
         prev = rows[-1]
         rows.append(combine(((num, den, prev, i) for i, num, den in g_terms), width))
@@ -102,14 +102,18 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
         powers = _power_table(g, max(m * order, order) + 1)
         rows = []
         for n in range(1, table_order + 1):
-            row = []
+            # entry k - 1 is k/j * [x^d] G^j, reduced, then put over the lcm
+            # of the row's denominators: the unreduced k/j share no small lcm
+            parts = []
             for k in range(1, n + 1):
-                d = n - k
-                j = k + m * d
-                nums, den = powers[j]
-                row.append(Fraction(k * nums[d], j * den))
-            rows.append(tuple(row))
-        a_table = CompositaTable(tuple(rows))
+                j = k + m * (n - k)
+                p_nums, p_den = powers[j]
+                num, den = k * p_nums[n - k], j * p_den
+                c = gcd(num, den)
+                parts.append((num // c, den // c))
+            den = lcm(*[q for _, q in parts])
+            rows.append((tuple([p * (den // q) for p, q in parts]), den))
+        a_table = CompositaTable._of(tuple(rows), 1)
     else:
         from .calculus import reciprocal_composita  # only m < 0 runs calculus
 

@@ -17,8 +17,13 @@ CLI subcommand runs, are in ``theorems.py``; they share ``_sweep``,
 The derivative, Lambert, funceq and reciprocal sweeps compare
 cross-multiplied integers, each side summed over one lcm, and build
 ``Fraction`` values only for a failure; the powers of B behind the
-reciprocal check are integer rows too.  This arithmetic is written here,
-not taken from the kernel ``_rows``, so the checks stay independent of it.
+reciprocal check are integer rows too.  The sweeps read the tables'
+stored rows: the derivative sweep takes each integer row as it is, the
+funceq sweep reads only the entries it needs, and the associativity and
+inverse sweeps compare whole tables (exact, since equal tables store equal
+canonical rows) and walk the entries only to find the first failure.
+Their arithmetic is written here, not taken from the kernel ``_rows``, so
+the checks stay independent of it.
 """
 
 from __future__ import annotations
@@ -132,6 +137,8 @@ def check_associativity(
         front = front.with_entry(fn, fm, front[fn, fm] + delta)
     left = composita_compose(front, tg)
     right = composita_compose(tf, composita_compose(tr, tg))
+    if left == right:  # exact: equal tables store equal canonical rows
+        return IdentityReport(name, rng, tf.order * (tf.order + 1) // 2)
     return _sweep(name, rng, left, lambda n, m: right[n, m])
 
 
@@ -142,7 +149,7 @@ def check_derivative_identity(f: PowerSeries, tf: CompositaTable) -> IdentityRep
     order = tf.order
     name, rng = "derivative", f"1 < m <= n <= {order}"
     kf = [(k, k * c.numerator, c.denominator) for k in range(1, order) if (c := f.coeffs[k])]
-    rows = [_scaled(row) for row in tf.rows]  # rows[n - 1] is row n
+    rows = tf.int_rows  # rows[n - 1] is row n
     checked = 0
     for n in range(2, order + 1):
         acc, den = _sum_scaled([(a, b, rows[n - k - 1]) for k, a, b in kf if k < n], n - 1)
@@ -164,8 +171,11 @@ def check_inverse_identity(tf: CompositaTable, tinv: CompositaTable) -> Identity
     if tf.order != tinv.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tinv.order}")
     name, rng = "inverse", f"1 <= m <= n <= {tf.order}"
-    checked = 0
     products = composita_compose(tf, tinv), composita_compose(tinv, tf)
+    delta = tuple(((0,) * n + (1,), 1) for n in range(tf.order))
+    if products[0].int_rows == products[1].int_rows == delta:
+        return IdentityReport(name, rng, tf.order * (tf.order + 1))
+    checked = 0
     for label, product in enumerate(products):
         for n, m, lhs in product.entries():
             checked += 1
@@ -208,19 +218,18 @@ def check_funceq_identity(g: CompositaTable, m: int, max_n: int, max_r: int) -> 
     if g.order < needed:
         raise InsufficientOrder(f"g is needed to order {needed}, got {g.order}")
     name, rng = "funceq", f"m={m}, 1 <= n <= {max_n}, 1 <= r <= min(n, {max_r})"
-    rows = g.rows  # rows[p - 1][q - 1] is g(p, q)
     width = min(max_n, max_r)
     diagonals: list[Scaled] = []  # diagonals[k - 1]: g(r + k, r) for r = 1..width
     checked = 0
     for n in range(1, max_n + 1):
-        diagonals.append(_scaled([rows[n + r - 1][r - 1] for r in range(1, width + 1)]))
+        diagonals.append(_scaled([g[n + r, r] for r in range(1, width + 1)]))
         w, mn = min(n, max_r), m * n
-        left = ((k, rows[mn + n - k - 1][mn - 1]) for k in range(1, n + 1))
+        left = ((k, g[mn + n - k, mn]) for k in range(1, n + 1))
         terms = [(k * a.numerator, a.denominator, diagonals[k - 1]) for k, a in left if a]
         acc, den = _sum_scaled(terms, w)
         for r in range(1, w + 1):
             checked += 1
-            entry = rows[mn + n + r - 1][mn + r - 1]
+            entry = g[mn + n + r, mn + r]
             lhs_num, lhs_den = r * entry.numerator, (mn + r) * entry.denominator
             if lhs_num * n * den != acc[r - 1] * lhs_den:
                 failure = ((n, r), Fraction(lhs_num, lhs_den), Fraction(acc[r - 1], n * den))

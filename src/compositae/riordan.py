@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ._rows import UNIT, combine, dot, fractions_of, scalars, to_row
+from ._rows import UNIT, combine, dot, scalars
 from .errors import InsufficientOrder, OrderMismatch
 from .series import CoeffLike, PowerSeries, as_rational
 from .triangle import CompositaTable
@@ -28,12 +28,12 @@ def riordan_build(g: PowerSeries, tf: CompositaTable) -> CompositaTable:
     if g.order < n_max:
         raise OrderMismatch(f"g is needed to order {n_max}, got {g.order}")
     g_terms = scalars(g.coeffs[: n_max + 1])
-    f_rows = [UNIT] + [to_row((Fraction(0),) + row) for row in tf.rows]
-    rows = []
-    for n in range(0, n_max + 1):
-        row = combine(((num, den, f_rows[n - i], 0) for i, num, den in g_terms if i <= n), n + 1)
-        rows.append(fractions_of(row))
-    return CompositaTable(tuple(rows), base=0)
+    f_rows = [UNIT] + [((0,) + nums, den) for nums, den in tf.int_rows]
+    rows = tuple(
+        combine(((num, den, f_rows[n - i], 0) for i, num, den in g_terms if i <= n), n + 1)
+        for n in range(0, n_max + 1)
+    )
+    return CompositaTable._of(rows, 0)
 
 
 def riordan_apply(r: CompositaTable, b: Sequence[CoeffLike]) -> tuple[Fraction, ...]:
@@ -44,4 +44,4 @@ def riordan_apply(r: CompositaTable, b: Sequence[CoeffLike]) -> tuple[Fraction, 
     if len(b) < r.order + 1:
         raise InsufficientOrder(f"b needs {r.order + 1} terms, got {len(b)}")
     values = [as_rational(v) for v in b]
-    return tuple(dot(row, values) for row in r.rows)
+    return tuple(dot(row, values) for row in r.int_rows)

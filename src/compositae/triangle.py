@@ -24,7 +24,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
-from ._rows import UNIT, Row, combine, fractions_of, scalars
+from ._rows import UNIT, Row, combine, fractions_of, scalars, to_row
 from .errors import InsufficientOrder, NonzeroConstantTerm
 from .series import PowerSeries, as_rational
 
@@ -35,62 +35,74 @@ class CompositaTable(Record):
     A composita triangle is indexed from (1, 1) (``base`` 1, the default),
     a Riordan array from (0, 0) (``base`` 0); the base takes part in
     equality, so the two never compare equal.
+
+    The table stores its rows in the row kernel's canonical form
+    (``_rows``): row n is ``(nums, den)``, one positive denominator with
+    ``gcd(den, *nums) == 1``, so equal tables store equal rows.  The
+    constructor takes ``Fraction``, ``int`` or ``str`` entries; the
+    producers hand in kernel rows through ``_of``.  ``rows``, an
+    entry, a row, a column and ``entries`` are read as ``Fraction``
+    values, built on each read.
     """
 
-    __slots__ = ("rows", "base")
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("int_rows", "base")
+    int_rows: tuple[Row, ...]
     base: int
 
     def __init__(self, rows: Iterable[Sequence], base: int = 1) -> None:
         if base not in (0, 1):
             raise ValueError(f"a table is indexed from 0 or 1, not {base!r}")
-        normalized = []
+        int_rows = []
         for offset, row in enumerate(rows):
             if len(row) != offset + 1:
                 raise ValueError(
                     f"row {offset + base} must carry exactly {offset + 1} entries, got {len(row)}"
                 )
-            normalized.append(tuple(as_rational(v) for v in row))
-        if not normalized:
+            int_rows.append(to_row([as_rational(v) for v in row]))
+        if not int_rows:
             raise ValueError("a table needs at least one row")
-        self._fill(tuple(normalized), base)
+        self._fill(tuple(int_rows), base)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every entry as a ``Fraction``, row by row, built on each read."""
+        return tuple(map(fractions_of, self.int_rows))
 
     @property
     def order(self) -> int:
-        return len(self.rows) - 1 + self.base
+        return len(self.int_rows) - 1 + self.base
 
     def __getitem__(self, index: tuple[int, int]) -> Fraction:
         n, k = index
         base = self.base
-        if not base <= n < len(self.rows) + base:
+        if not base <= n < len(self.int_rows) + base:
             raise IndexError(f"row {n} outside table of order {self.order}")
         if k < base or k > n:
             return Fraction(0)
-        return self.rows[n - base][k - base]
+        nums, den = self.int_rows[n - base]
+        return Fraction(nums[k - base], den)
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         if not self.base <= n <= self.order:
             raise IndexError(f"row {n} outside table of order {self.order}")
-        return self.rows[n - self.base]
+        return fractions_of(self.int_rows[n - self.base])
 
     def column(self, k: int) -> tuple[Fraction, ...]:
         """Entries (n, k) for n = k..order."""
         base = self.base
         if not base <= k <= self.order:
             raise IndexError(f"column {k} outside table of order {self.order}")
-        return tuple(self.rows[n - base][k - base] for n in range(k, self.order + 1))
+        return tuple(Fraction(nums[k - base], den) for nums, den in self.int_rows[k - base :])
 
     def entries(self) -> Iterator[tuple[int, int, Fraction]]:
-        base = self.base
-        for offset, row in enumerate(self.rows):
-            n = offset + base
-            for j, value in enumerate(row):
-                yield n, j + base, value
+        for n, (nums, den) in enumerate(self.int_rows, self.base):
+            for k, value in enumerate(nums, self.base):
+                yield n, k, Fraction(value, den)
 
     def truncated(self, order: int) -> CompositaTable:
         if not self.base <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} table to order {order}")
-        return CompositaTable(self.rows[: order - self.base + 1], self.base)
+        return self._of(self.int_rows[: order - self.base + 1], self.base)
 
     def with_entry(self, n: int, k: int, value: Fraction) -> CompositaTable:
         """Copy of the table with one entry replaced (used for fault injection)."""
@@ -98,8 +110,8 @@ class CompositaTable(Record):
         if not base <= k <= n <= self.order:
             raise IndexError(f"entry ({n}, {k}) outside table of order {self.order}")
         rows = [list(row) for row in self.rows]
-        rows[n - base][k - base] = as_rational(value)
-        return CompositaTable(tuple(tuple(row) for row in rows), base)
+        rows[n - base][k - base] = value
+        return CompositaTable(rows, base)
 
 
 def _require_composable(f: PowerSeries) -> None:
@@ -180,10 +192,9 @@ def composita_from_series(f: PowerSeries, order: int | None = None) -> Composita
     f_terms = scalars(f.coeffs[: n_max + 1])
     rows: list[Row] = [UNIT]
     for n in range(1, n_max + 1):
-        rows.append(
-            combine(((num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n), n + 1)
-        )
-    return CompositaTable(tuple(fractions_of((nums[1:], den)) for nums, den in rows[1:]))
+        terms = ((num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n)
+        rows.append(combine(terms, n + 1))
+    return CompositaTable._of(tuple((nums[1:], den) for nums, den in rows[1:]), 1)
 
 
 def composita_from_powers(f: PowerSeries, order: int | None = None) -> CompositaTable:
@@ -202,6 +213,4 @@ def composita_from_powers(f: PowerSeries, order: int | None = None) -> Composita
 
 def series_from_composita(table: CompositaTable) -> PowerSeries:
     """Recover the source series from the first column (constant term 0)."""
-    coeffs = [Fraction(0)]
-    coeffs.extend(table[n, 1] for n in range(1, table.order + 1))
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries((Fraction(0),) + table.column(1))

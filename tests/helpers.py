@@ -5,10 +5,13 @@ under test: plain list convolutions, math.comb, and textbook recurrences.
 When a test compares a package result against a helper, the two sides
 share no code.  The reference identity sweeps at the end read the
 package's table and series types (and the reciprocal reference multiplies
-``PowerSeries``), but share no arithmetic with the checks they test.
+``PowerSeries``), but share no arithmetic with the checks they test, and
+the reference triangle renderers print ``str(v)`` of the ``Fraction``
+entries of ``table.rows``.
 """
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -44,6 +47,15 @@ def power_coeffs(coeffs: list[Fraction], k: int, order: int) -> list[Fraction]:
     for _ in range(k):
         out = convolve(out, base, order)
     return out
+
+
+def compose_plain(r: PowerSeries, f: PowerSeries) -> PowerSeries:
+    """R(F) by Horner's rule on PowerSeries arithmetic."""
+    order = min(r.order, f.order)
+    acc = PowerSeries.of([r.coeffs[order]], order=order)
+    for k in range(order - 1, -1, -1):
+        acc = acc * f.truncate(order) + PowerSeries.of([r.coeffs[k]], order=order)
+    return acc
 
 
 def catalan(n: int) -> Fraction:
@@ -223,3 +235,29 @@ def reference_reciprocal(b: PowerSeries, table: CompositaTable, fault=None) -> I
         if lhs != rhs:
             return IdentityReport(name, rng, checked, ((n, m), lhs, rhs))
     return IdentityReport(name, rng, checked)
+
+
+# ---------------------------------------------------------------------------
+# Reference triangle renderers: ``str`` of each ``Fraction`` entry, read
+# through the table's public ``rows``.  The package prints from its stored
+# integer rows instead, and must give the same bytes.
+
+
+def _reference_cells(table: CompositaTable):
+    for n, row in enumerate(table.rows, table.base):
+        for k, value in enumerate(row, table.base):
+            yield n, k, str(value)
+
+
+def reference_triangle_text(table: CompositaTable) -> str:
+    return "\n".join(" ".join(str(v) for v in row) for row in table.rows)
+
+
+def reference_triangle_csv(table: CompositaTable) -> str:
+    return "\n".join(["n,k,value"] + [f"{n},{k},{v}" for n, k, v in _reference_cells(table)])
+
+
+def reference_triangle_records(table: CompositaTable) -> str:
+    return "\n".join(
+        json.dumps({"n": n, "k": k, "value": v}) for n, k, v in _reference_cells(table)
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from compositae import (
     composita_from_series,
     riordan_build,
 )
+from compositae import cli
 from compositae._verify import record_line
 from compositae.cli import IDENTITY_NAMES
 from compositae.formats import (
@@ -27,7 +29,12 @@ from compositae.formats import (
     triangle_records,
     triangle_text,
 )
-from helpers import series_strategy
+from helpers import (
+    reference_triangle_csv,
+    reference_triangle_records,
+    reference_triangle_text,
+    series_strategy,
+)
 
 PASCAL = composita_from_series(PowerSeries.of([0] + [1] * 4, order=4), 4)
 
@@ -198,3 +205,80 @@ def test_verify_record_line_equals_json_dumps(name, bounds, checked, failure):
     for rng in (f"1 <= m <= n <= {n}", f"m={m}, 1 <= n <= {n}, 1 <= r <= min(n, {r})"):
         record = IdentityReport(name, rng, checked, failure).to_record()
         assert record_line(record) == json.dumps(record)
+
+
+# Triangles are printed from the stored integer rows, with no Fraction:
+# the text must be byte for byte str(Fraction) of each entry.  Rows mix
+# zeros, negatives, integers and fractions (so integer-valued entries sit
+# in rows whose denominator is not 1), or hold integers alone (den == 1).
+_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(2**70), 2**70).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.builds(Fraction, st.integers(-(2**300), 2**300), st.integers(1, 2**300)),
+)
+_integer_entry = st.integers(-(2**70), 2**70).map(Fraction)
+
+
+@st.composite
+def _mixed_tables(draw) -> CompositaTable:
+    size = draw(st.integers(1, 6))
+    rows = [
+        draw(st.lists(draw(st.sampled_from((_entry, _integer_entry))), min_size=n, max_size=n))
+        for n in range(1, size + 1)
+    ]
+    return CompositaTable(rows, base=draw(st.sampled_from((0, 1))))
+
+
+@given(table=_mixed_tables())
+def test_triangle_renderings_equal_str_of_each_fraction(table):
+    assert triangle_text(table) == reference_triangle_text(table)
+    assert triangle_csv(table) == reference_triangle_csv(table)
+    assert triangle_records(table) == reference_triangle_records(table)
+
+
+def test_integer_valued_entries_of_a_fractional_row_print_bare():
+    table = CompositaTable([[Fraction(-3, 2)], [0, "4/2"], ["-6/3", "1/6", 7]], base=0)
+    assert table.int_rows[2] == ((-12, 1, 42), 6)
+    assert triangle_text(table) == "-3/2\n0 2\n-2 1/6 7"
+
+
+# sha256 of stdout at the commit before tables stored integer rows, when
+# every renderer printed str(Fraction) of stored Fraction entries.
+GOLDEN_STDOUT = {
+    ("composita", "--fn", "0,-1/2,1/3", "--n", "9"): (
+        "61d49d0f34c43f7c9e1212cc0b37afded3b6d61a9fdeeef71c1b498e250c0af2",
+        "08596835956f7ba415e5eea66c69476078791234e4b9a5e0ce0f644ba1c24e97",
+        "d953fc1e4db945c46a433b27830472c7ad9faf7cb6eba53446651c5dc6f390d9",
+    ),
+    ("riordan", "--g", "3/7,-2/13", "--fn", "log1p", "--n", "12"): (
+        "fe8238c6d7a3b43a3ee072f383fae0521b5c270553fd62293ff828dc56ca91f7",
+        "10de5d47d77497d621b95493677c783545f2896e9d07d8735115b4454b9bcd10",
+        "b1ded107cd8b55e28d01716e5ed96e79976e14d5d22a59724bf68d2f90472e56",
+    ),
+    ("solve", "--g", "3/7,2/13,-3/17", "--m", "2", "--order", "10", "--table"): (
+        "415855e6d4b1123c9d6adc59c81c02850f03b284e4698522b47b7c9eaa91b1fe",
+        "3f41e5edde65b433cdf9f42e8bd170102a50c7a72ab968c046086ef7daf2788c",
+        "c9b7101ba92d0d9dc29af8c048d38139a120d0931b8fc60a3d18aaffb8a302fb",
+    ),
+    ("compose", "--r", "x_exp", "--fn", "sinh", "--n", "20"): (
+        "d611c7276efe29e90c4b4e93f3095d36f60f299b2196009887d91197da1930c2",
+        "851689927d5645a35ed57cf11989953c77bb391ef58364e6399a65be984cc65b",
+        "95a52ab0835c0a148f5af19395a0dc1b460eebf5774baf4f9a2f7d205b8ce91a",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    [
+        (argv, fmt, digest)
+        for argv, digests in GOLDEN_STDOUT.items()
+        for fmt, digest in zip(("triangle", "csv", "records"), digests)
+    ],
+)
+def test_stdout_matches_its_golden_digest(argv, fmt, digest, capsys):
+    assert cli.main([*argv, "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -28,7 +28,7 @@ from compositae import (
 )
 from compositae._rows import combine, dot, fractions_of, to_row
 
-from helpers import convolve, power_coeffs
+from helpers import compose_plain, convolve, power_coeffs
 
 # Coefficient families: every series draws all its coefficients from one.
 INTEGERS = st.integers(min_value=-4, max_value=4).map(Fraction)
@@ -56,15 +56,6 @@ def rational_series(draw, min_order=1, max_order=8, vanishing=True, unit_linear=
     return PowerSeries(tuple(values))
 
 
-def _compose_plain(r: PowerSeries, f: PowerSeries) -> PowerSeries:
-    """R(F) by Horner's rule on PowerSeries arithmetic."""
-    order = min(r.order, f.order)
-    acc = PowerSeries.of([r.coeffs[order]], order=order)
-    for k in range(order - 1, -1, -1):
-        acc = acc * f.truncate(order) + PowerSeries.of([r.coeffs[k]], order=order)
-    return acc
-
-
 def _plain_triangle(coeffs: list[Fraction], order: int) -> list[list[Fraction]]:
     """rows[n-1][k-1] = [x^n] (sum coeffs[i] x^i)^k, by list convolution."""
     columns = [power_coeffs(coeffs, k, order) for k in range(1, order + 1)]
@@ -79,15 +70,16 @@ class TestKernel:
         doubled = combine([(2, 1, (nums, den), 0), (-1, 1, (nums, den), 0)], len(values))
         assert doubled == (nums, den)
         zero = combine([(1, 1, (nums, den), 0), (-1, 1, (nums, den), 0)], len(values))
-        assert zero == ([0] * len(values), 1)
+        assert zero == ((0,) * len(values), 1)
 
     @given(
         scalars=st.lists(COPRIME_DENOMINATORS, min_size=1, max_size=6),
         values=st.lists(SHARED_DENOMINATOR, min_size=1, max_size=6),
     )
     def test_dot_matches_fraction_sum(self, scalars, values):
+        # dot takes the scalars as one canonical row
         expected = sum((s * v for s, v in zip(scalars, values)), Fraction(0))
-        assert dot(scalars, values) == expected
+        assert dot(to_row(scalars), values) == expected
 
     def test_shifted_terms_are_cut_to_width(self):
         row = to_row([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
@@ -141,12 +133,12 @@ class TestCalculus:
         f=rational_series(max_order=8),
     )
     def test_compose_series_matches_horner(self, r, f):
-        assert compose_series(r, composita_from_series(f)) == _compose_plain(r, f)
+        assert compose_series(r, composita_from_series(f)) == compose_plain(r, f)
 
     @given(f=rational_series(min_order=2, max_order=8, unit_linear=True))
     def test_inverse_undoes_f(self, f):
         a = inverse_series(f, composita_from_series(f))
-        assert _compose_plain(f, a) == PowerSeries.of([0, 1], order=f.order)
+        assert compose_plain(f, a) == PowerSeries.of([0, 1], order=f.order)
 
     @given(
         f=rational_series(min_order=6, max_order=6),

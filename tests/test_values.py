@@ -4,8 +4,10 @@ Each type stores each datum once, in its ``__slots__``, and compares,
 hashes, pickles and reprs by every one of them: a table's ``base`` takes
 part, so a composita triangle (base 1) never equals a Riordan array
 (base 0) with the same rows.  What can be derived from the fields is a
-read-only property: a solution's ``a_series`` (column 1 of its table) and
-a report's ``status`` and ``verified`` (whether it has a first failure).
+read-only property: a table's ``rows`` (its stored integer rows read as
+``Fraction`` values) and ``order``, a solution's ``a_series`` (column 1 of
+its table) and a report's ``status`` and ``verified`` (whether it has a
+first failure).
 Every type rejects assignment and deletion of a field, accepts its fields
 positionally or by keyword, and keeps its constructor's checks.
 """
@@ -74,8 +76,8 @@ CASES = {
 
 FIELDS = {
     "PowerSeries": ("coeffs",),
-    "CompositaTable": ("rows", "base"),
-    "CompositaTable(base=0)": ("rows", "base"),
+    "CompositaTable": ("int_rows", "base"),
+    "CompositaTable(base=0)": ("int_rows", "base"),
     "FunctionSpec": ("name", "parameters"),
     "FuncEqSolution": ("m", "a_table"),
     "IdentityReport": ("identity_name", "parameter_range", "checked", "first_failure"),
@@ -83,6 +85,8 @@ FIELDS = {
 
 # values derived from the fields, and so not stored
 DERIVED = {
+    "CompositaTable": ("rows", "order"),
+    "CompositaTable(base=0)": ("rows", "order"),
     "FuncEqSolution": ("a_series",),
     "IdentityReport": ("status", "verified"),
 }
@@ -166,6 +170,15 @@ def test_copies_and_pickles_are_equal(name):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_pickles_round_trip_in_every_protocol(name):
+    value = CASES[name][0]()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(value, protocol))
+        assert restored == value and hash(restored) == hash(value)
+        assert repr(restored) == repr(value)
+
+
 def test_unequal_table_types_with_equal_rows():
     assert CompositaTable(PASCAL3) != CompositaTable(PASCAL3, base=0)
 
@@ -214,6 +227,7 @@ class TestConstructorChecks:
 
     def test_composita_rows_are_coerced(self):
         table = CompositaTable([[1], [1, "1/2"]])
+        assert table.int_rows == (((1,), 1), ((2, 1), 2))
         assert table.rows == ((Fraction(1),), (Fraction(1), Fraction(1, 2)))
         assert all(type(v) is Fraction for row in table.rows for v in row)
 
@@ -232,6 +246,7 @@ class TestConstructorChecks:
 
     def test_riordan_rows_are_coerced(self):
         table = CompositaTable([[1], ["2/4", 3]], base=0)
+        assert table.int_rows == (((1,), 1), ((1, 6), 2))
         assert table.rows == ((Fraction(1),), (Fraction(1, 2), Fraction(3)))
 
     def test_riordan_row_length(self):
