@@ -1,0 +1,137 @@
+"""Integer rows packed into one big integer (Kronecker substitution).
+
+Where every scalar and row of a linear combination is an integer, a row
+can be packed into one ``int`` with a fixed-width signed slot per entry:
+a scalar times a row, or a sum of rows, is then one big-integer operation
+instead of one per entry.  The triangle recurrence, ``riordan_build`` and
+``composita_compose`` use ``recurrence_rows``, ``riordan_rows`` and
+``compose_rows`` on integer inputs.  Each returns the same canonical
+``(nums, 1)`` rows that ``_rows.combine`` would, or None where an entry
+could need a slot wider than 64 bytes (``combine`` is faster there), and
+the caller then runs ``combine``.
+
+Callers import this module only for integer inputs with enough terms per
+row and enough work (``_rows.tries_packed``), so that other calls do not
+compile it.
+"""
+
+from __future__ import annotations
+
+import sys
+from itertools import compress
+from operator import mul
+from typing import Sequence
+
+from ._rows import Row
+
+# Entries must be below this: slots wider than 64 bytes never beat
+# combine (crossover in CHANGES.md).
+LIMIT = 1 << 511
+_WORDS = sys.byteorder == "little"
+
+
+class Slots:
+    """Rows packed with one signed slot of ``size`` bytes per entry.
+
+    Entry j of a row sits at bit ``8 * size * j``.  ``Slots(bound)`` holds
+    entries up to ``bound`` in absolute value: its slots carry the bits of
+    ``bound`` plus a sign bit (at least 8 bytes, a machine word, which is
+    unpacked in C).  A row packs as the signed sum of its slots.
+    Unpacking adds the bias 2^(8 * size - 1) to every slot, so that no
+    slot borrows from the next, and flips each slot's top bit back to read
+    it as signed.
+    """
+
+    __slots__ = ("size", "_sign")
+
+    def __init__(self, bound: int) -> None:
+        self.size = max(8, (bound.bit_length() + 8) // 8)
+        self._sign = bytes(self.size - 1) + b"\x80"
+
+    def _bias(self, width: int) -> int:
+        return int.from_bytes(self._sign * width, "little")
+
+    def pack(self, nums: Sequence[int]) -> int:
+        """The sum of ``nums[j] * 2^(8 * size * j)``."""
+        size = self.size
+        bias = self._bias(len(nums))
+        # two's-complement slots; flipping each top bit adds the bias
+        data = b"".join([v.to_bytes(size, "little", signed=True) for v in nums])
+        return (int.from_bytes(data, "little") ^ bias) - bias
+
+    def unpack(self, packed: int, width: int) -> tuple[int, ...]:
+        """The ``width`` entries of a packed row."""
+        size = self.size
+        bias = self._bias(width)
+        data = ((packed + bias) ^ bias).to_bytes(size * width, "little")
+        if size == 8 and _WORDS:
+            return tuple(memoryview(data).cast("q"))
+        from_bytes = int.from_bytes
+        return tuple([from_bytes(data[i : i + size], "little", signed=True) for i in range(0, len(data), size)])
+
+
+def recurrence_rows(f_terms: list[tuple[int, int, int]], n_max: int) -> tuple[Row, ...] | None:
+    """Rows 1..n_max of the triangle of an integer F, from its nonzero
+    ``(i, f(i), 1)`` terms.
+
+    Packed row n, with its column 0, is the sum of f(i) times packed row
+    n - i, shifted one slot; u(n) = sum |f(i)| * u(n - i), u(0) = 1,
+    bounds every entry of row n.
+    """
+    fs = [0] * f_terms[-1][0]
+    for i, num, _ in f_terms:
+        fs[i - 1] = num
+    sizes = list(map(abs, fs))
+    bound = [1]
+    for _ in range(n_max):
+        u = sum(map(mul, sizes, reversed(bound)))
+        if u >= LIMIT:
+            return None
+        bound.append(u)
+    slots = Slots(max(bound))
+    shift = 8 * slots.size
+    packed = [1]
+    rows = []
+    for n in range(1, n_max + 1):
+        acc = sum(compress(map(mul, fs, reversed(packed)), fs))
+        rows.append((slots.unpack(acc, n), 1))
+        packed.append(acc << shift)
+    return tuple(rows)
+
+
+def riordan_rows(g_terms: list[tuple[int, int, int]], f_rows: tuple[Row, ...]) -> tuple[Row, ...] | None:
+    """Rows 0..N of the Riordan array of an integer G, from its nonzero
+    ``(i, g(i), 1)`` terms, and the integer rows 1..N of F's triangle.
+    Every entry is at most sum |g(i)| times the largest entry of F's
+    triangle (or 1)."""
+    peak = max(1, *(max(map(abs, nums)) for nums, _ in f_rows))
+    bound = sum(abs(num) for _, num, _ in g_terms) * peak
+    if bound >= LIMIT:
+        return None
+    slots = Slots(bound)
+    gs = [0] * (g_terms[-1][0] + 1)
+    for i, num, _ in g_terms:
+        gs[i] = num
+    # packed row m of F's triangle, with its column 0
+    shift = 8 * slots.size
+    packed = [1] + [slots.pack(nums) << shift for nums, _ in f_rows]
+    return tuple(
+        (slots.unpack(sum(compress(map(mul, gs, packed[n::-1]), gs)), n + 1), 1)
+        for n in range(len(packed))
+    )
+
+
+def compose_rows(f_rows: tuple[Row, ...], r_rows: tuple[Row, ...]) -> tuple[Row, ...] | None:
+    """Rows of the triangle of R(F(x)) from the integer triangles of F and
+    R.  Row n is bounded by the sum of |T_F(n, k)| times the largest entry
+    of row k of T_R."""
+    peaks = [max(map(abs, nums)) for nums, _ in r_rows]
+    bound = max(max(peaks), *(sum(map(mul, map(abs, nums), peaks)) for nums, _ in f_rows))
+    if bound >= LIMIT:
+        return None
+    slots = Slots(bound)
+    packed = [slots.pack(nums) for nums, _ in r_rows]
+    return tuple(
+        (slots.unpack(sum(compress(map(mul, nums, packed), nums)), n), 1)
+        for n, (nums, _) in enumerate(f_rows, 1)
+    )

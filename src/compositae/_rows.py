@@ -3,12 +3,15 @@
 A row is a pair ``(nums, den)``: the entries are ``nums[j] / den`` with
 one positive denominator for the whole row, kept canonical (``den`` is
 the lcm of the entries' reduced denominators, so ``gcd(den, *nums)`` is
-1 and a zero row has ``den == 1``).  The single primitive, ``combine``,
-forms a linear combination of shifted rows with rational scalars: it
-takes one lcm of the term denominators, sums with plain integer
-multiply-adds, and reduces the finished row with one gcd sweep.  That
-replaces one ``Fraction`` gcd and allocation per ``+=`` with a few per
-row.  A ``CompositaTable`` stores these rows as the kernel makes them.
+1 and a zero row has ``den == 1``).  ``combine`` forms a linear
+combination of shifted rows with rational scalars: it takes one lcm of
+the term denominators, sums with plain integer multiply-adds, and reduces
+the finished row with one gcd sweep.  That replaces one ``Fraction`` gcd
+and allocation per ``+=`` with a few per row.  A ``CompositaTable`` stores
+these rows as the kernel makes them.  Where every scalar and row is an
+integer and a table has enough work, the triangle recurrence,
+``riordan_build`` and ``composita_compose`` try ``_packed`` first, which
+packs each row into one big integer.
 
 Denominators are per row on purpose: one denominator for a whole table
 makes every entry carry the lcm of all of them, which loses badly on
@@ -35,6 +38,21 @@ Row = tuple[tuple[int, ...], int]
 Term = tuple[int, int, Row, int]
 
 UNIT: Row = ((1,), 1)
+
+# Integer tables are tried on packed rows (``_packed``) only where the
+# nonzero terms per row times the rows squared reach this: below it,
+# importing ``_packed`` (about 2 ms per process, mostly compiling it)
+# costs more than packing saves (crossover in CHANGES.md).
+PACKED_MIN_WORK = 30_000
+
+
+def tries_packed(terms: float, rows: int, packs_input: bool) -> bool:
+    """Whether an integer table of ``rows`` rows, each the sum of
+    ``terms`` nonzero terms on average, is tried on packed rows.
+    Unpacking an entry costs about as much as several terms of
+    ``combine``, and a route that packs an input table as well as its own
+    rows pays that twice (crossover in CHANGES.md)."""
+    return terms >= (12 if packs_input else 5) and terms * rows * rows >= PACKED_MIN_WORK
 
 
 def to_row(values: Sequence[Fraction]) -> Row:

@@ -3,7 +3,9 @@
 A Riordan array is a ``CompositaTable`` with ``base`` 0: rows and columns
 are indexed from (0, 0), where a composita triangle starts at (1, 1).
 The paper's link between the two (the (F, xF) array shifted by one is the
-triangle of xF) is ``theorems.check_riordan_identity``.
+triangle of xF) is ``theorems.check_riordan_identity``.  An integer G and
+an integer triangle with enough work take packed rows (``_packed``), every
+other pair ``combine``.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ._rows import UNIT, combine, dot, scalars
-from .errors import InsufficientOrder, OrderMismatch
+from ._rows import UNIT, combine, dot, scalars, tries_packed
+from .errors import InsufficientOrder
 from .series import CoeffLike, PowerSeries, as_rational
 from .triangle import CompositaTable
 
@@ -26,8 +28,15 @@ def riordan_build(g: PowerSeries, tf: CompositaTable) -> CompositaTable:
     """
     n_max = tf.order
     if g.order < n_max:
-        raise OrderMismatch(f"g is needed to order {n_max}, got {g.order}")
+        raise InsufficientOrder(f"g is needed to order {n_max}, got {g.order}")
     g_terms = scalars(g.coeffs[: n_max + 1])
+    integer = all(den == 1 for _, _, den in g_terms) and all(den == 1 for _, den in tf.int_rows)
+    if tries_packed(len(g_terms), n_max, True) and integer:
+        from ._packed import riordan_rows
+
+        packed = riordan_rows(g_terms, tf.int_rows)
+        if packed is not None:
+            return CompositaTable._of(packed, 0)
     f_rows = [UNIT] + [((0,) + nums, den) for nums, den in tf.int_rows]
     rows = tuple(
         combine(((num, den, f_rows[n - i], 0) for i, num, den in g_terms if i <= n), n + 1)

@@ -14,6 +14,8 @@ Three independent construction routes are provided:
 * ``composita_from_series``- the triangle recurrence
                              T(n, 1) = f(n),
                              T(n, k) = sum_{i=1}^{n-k+1} f(i) T(n-i, k-1),
+                             on packed rows (``_packed``) for an integer F
+                             with enough work, on ``combine`` otherwise,
 * ``composita_from_powers``- direct coefficient extraction from F^k.
 """
 
@@ -24,7 +26,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
-from ._rows import UNIT, Row, combine, fractions_of, scalars, to_row
+from ._rows import UNIT, Row, combine, fractions_of, scalars, to_row, tries_packed
 from .errors import InsufficientOrder, NonzeroConstantTerm
 from .series import PowerSeries, as_rational
 
@@ -190,6 +192,12 @@ def composita_from_series(f: PowerSeries, order: int | None = None) -> Composita
     # rows[n] holds T(n, k) for k = 0..n, from the unit row T(0, 0) = 1:
     # row n is the sum of f(i) * row(n - i) shifted one column right.
     f_terms = scalars(f.coeffs[: n_max + 1])
+    if tries_packed(len(f_terms), n_max, False) and all(den == 1 for _, _, den in f_terms):
+        from ._packed import recurrence_rows
+
+        packed = recurrence_rows(f_terms, n_max)
+        if packed is not None:
+            return CompositaTable._of(packed, 1)
     rows: list[Row] = [UNIT]
     for n in range(1, n_max + 1):
         terms = ((num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n)

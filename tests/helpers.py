@@ -7,17 +7,21 @@ share no code.  The reference identity sweeps at the end read the
 package's table and series types (and the reciprocal reference multiplies
 ``PowerSeries``), but share no arithmetic with the checks they test, and
 the reference triangle renderers print ``str(v)`` of the ``Fraction``
-entries of ``table.rows``.
+entries of ``table.rows``.  ``route`` and ``takes_packed_rows`` at the end
+compute nothing: they pick or observe the route (packed rows or
+``combine``) that the package takes for an integer table.
 """
 from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import strategies as st
 
-from compositae import CompositaTable, IdentityReport, PowerSeries
+from compositae import CompositaTable, IdentityReport, PowerSeries, _packed, calculus, riordan, triangle
 from compositae.errors import DivisionByNonUnit, InsufficientOrder
 
 
@@ -261,3 +265,38 @@ def reference_triangle_records(table: CompositaTable) -> str:
     return "\n".join(
         json.dumps({"n": n, "k": k, "value": v}) for n, k, v in _reference_cells(table)
     )
+
+
+# ---------------------------------------------------------------------------
+# Route forcing: the same integer input on packed rows and on ``combine``.
+
+
+@contextmanager
+def route(packed: bool):
+    """Send every integer input with a nonzero term to packed rows (any
+    slot width), or every input to ``combine``."""
+    tries = (lambda terms, rows, packs_input: terms > 0) if packed else (lambda *args: False)
+    with ExitStack() as stack:
+        for module in (triangle, riordan, calculus):
+            stack.enter_context(patch.object(module, "tries_packed", tries))
+        stack.enter_context(patch.object(_packed, "LIMIT", float("inf")))
+        yield
+
+
+def takes_packed_rows(build) -> bool:
+    """Whether ``build()`` returns a table made on packed rows."""
+    made = []
+
+    def spy(real):
+        def call(*args):
+            rows = real(*args)
+            made.append(rows is not None)
+            return rows
+
+        return call
+
+    with ExitStack() as stack:
+        for name in ("recurrence_rows", "riordan_rows", "compose_rows"):
+            stack.enter_context(patch.object(_packed, name, spy(getattr(_packed, name))))
+        build()
+    return any(made)

@@ -1006,14 +1006,15 @@ class TestStartup:
     help, usage errors and ``--output``; the sweeps (``_verify``) only for
     ``verify``; ``calculus`` only for the subcommands and sweeps that use
     it and for ``solve`` with m < 0; ``catalog`` only for a catalog name and for the
-    list of names after an unknown designator, and ``combinatorics`` for
-    no call that names raw coefficient lists alone."""
+    list of names after an unknown designator, ``combinatorics`` for
+    no call that names raw coefficient lists alone, and packed rows
+    (``_packed``) only for an integer table with enough work."""
 
     HEAVY = {
         "argparse", "gettext", "locale", "dataclasses", "inspect", "json",
         "compositae.theorems",
     }
-    LAZY = {"calculus.py", "funceq.py", "identities.py", "riordan.py"}
+    LAZY = {"calculus.py", "funceq.py", "identities.py", "riordan.py", "_packed.py"}
     RARE = {"_offpath.py", "_verify.py"}
     CATALOG = {"catalog.py", "combinatorics.py"}
 
@@ -1032,6 +1033,16 @@ class TestStartup:
             ),
             (
                 ("composita", "--fn", "0,1,1", "--n", "3"), 0,
+                set(),
+                LAZY | RARE | CATALOG,
+            ),
+            (
+                ("composita", "--fn", "geometric", "--n", "40"), 0,
+                {"catalog.py", "_packed.py"},
+                LAZY - {"_packed.py"} | RARE | {"combinatorics.py"},
+            ),
+            (
+                ("composita", "--fn", "0,1/2,1,1,1,1,1,1", "--n", "80"), 0,
                 set(),
                 LAZY | RARE | CATALOG,
             ),
@@ -1094,7 +1105,7 @@ class TestStartup:
             ),
         ],
         ids=[
-            "composita", "composita-raw", "reciprocal", "reciprocal-raw", "solve-m2",
+            "composita", "composita-raw", "composita-packed", "composita-rational", "reciprocal", "reciprocal-raw", "solve-m2",
             "solve-m-1", "verify-funceq-raw", "lambert", "unknown-name", "malformed-raw",
             "verify", "associativity", "help", "usage-error", "output",
         ],

@@ -33,7 +33,9 @@ from helpers import (
     reference_triangle_csv,
     reference_triangle_records,
     reference_triangle_text,
+    route,
     series_strategy,
+    takes_packed_rows,
 )
 
 PASCAL = composita_from_series(PowerSeries.of([0] + [1] * 4, order=4), 4)
@@ -266,6 +268,22 @@ GOLDEN_STDOUT = {
         "851689927d5645a35ed57cf11989953c77bb391ef58364e6399a65be984cc65b",
         "95a52ab0835c0a148f5af19395a0dc1b460eebf5774baf4f9a2f7d205b8ce91a",
     ),
+    # integer inputs, recorded when every table was built by combine
+    ("composita", "--fn", "0,2,-3,1,-2,3", "--n", "40"): (
+        "6d33c9dc24706dc79833ce8a3911b98abbe401d813c4727038bbc04c4ae2c96c",
+        "6cc333b8852e7149feb448e837a1ae2046c25f3897ca7100fea38a87e0018f52",
+        "e4b41ba0424fd9ea4acf38525aec3319503d96d1d74c418fa3977c70e8106d0f",
+    ),
+    ("riordan", "--g", "1,2,-3,1", "--fn", "fib", "--n", "30"): (
+        "d7b20bc28054fe93d2caebb83942c89ca1da63d1a92ed0b73a44742ca33a3ca1",
+        "9d44f6441de4286863597df51a79f1e97f04410549897fdf210f2932078e0e20",
+        "a7f0ac7bc086c2085a98071dd351e572f47bc60d67ed369a77edde9a4f1a696a",
+    ),
+    ("compose", "--r", "fib", "--fn", "0,-2,3,1,2", "--n", "30"): (
+        "1a721f6429862177cd36ace8f37c0697bd6a5fa5e37d558652e0f5bcb1176fa6",
+        "3610000d360f56a6cc784bb82e27e8180aa1558f207382e72eeae4b867beadda",
+        "04339760cb7e6c8fbee8980bc8a12df23cc4d8dd7ea26828637b4978d61273cd",
+    ),
 }
 
 
@@ -282,3 +300,16 @@ def test_stdout_matches_its_golden_digest(argv, fmt, digest, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT)[-3:])
+def test_integer_golden_digests_hold_on_packed_rows(argv, capsys):
+    # these orders are too small to pick packed rows by themselves
+    for fmt, digest in zip(("triangle", "csv", "records"), GOLDEN_STDOUT[argv]):
+        codes = []
+        with route(packed=True):
+            assert takes_packed_rows(lambda: codes.append(cli.main([*argv, "--format", fmt])))
+        assert codes == [0]
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

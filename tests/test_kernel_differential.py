@@ -6,11 +6,17 @@ the triangle, plain list convolutions from ``tests/helpers.py``,
 ``PowerSeries`` arithmetic, and the paper's sum and product theorems as
 checked in ``identities.py``.  The random series mix zeros, f(1) = 0,
 negative values, coprime and shared denominators, and all-integer lists.
+
+Integer inputs may take packed rows (``_rows.Slots``) instead of
+``combine``; ``TestPackedRows`` runs both routes on the same integer
+inputs, forcing each in turn, with entries up to 2^200 so that slots
+wider than a machine word are exercised.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -26,9 +32,10 @@ from compositae import (
     inverse_series,
     riordan_build,
 )
+from compositae._packed import Slots
 from compositae._rows import combine, dot, fractions_of, to_row
 
-from helpers import compose_plain, convolve, power_coeffs
+from helpers import compose_plain, convolve, power_coeffs, route, takes_packed_rows
 
 # Coefficient families: every series draws all its coefficients from one.
 INTEGERS = st.integers(min_value=-4, max_value=4).map(Fraction)
@@ -160,3 +167,158 @@ class TestCalculus:
         total = composita_from_series(f + g)
         tf, tg = composita_from_series(f), composita_from_series(g)
         assert check_sum_identity(tf, tg, total).verified
+
+
+# -- packed rows ---------------------------------------------------------------
+
+
+def both_routes(build):
+    """``build()`` on packed rows and on ``combine``, checked equal."""
+    with route(packed=True):
+        packed = build()
+    with route(packed=False):
+        combined = build()
+    assert packed == combined
+    return packed
+
+
+@st.composite
+def integer_series(draw, min_order=1, max_order=40, vanishing=True):
+    """Integer series with a drawn number of nonzero places and magnitudes
+    spread on a log scale up to about 2^2, 2^8, 2^64 or 2^200;
+    ``vanishing`` forces f(0) = 0 and sometimes f(1) = 0."""
+    order = draw(st.integers(min_value=min_order, max_value=max_order))
+    bits = draw(st.sampled_from([0, 6, 62, 198]))
+    digit = st.integers(min_value=-3, max_value=3)
+    places = draw(st.permutations(range(order + 1)))
+    values = [0] * (order + 1)
+    for i in places[: draw(st.integers(min_value=0, max_value=order + 1))]:
+        values[i] = draw(digit) * 2 ** draw(st.integers(min_value=0, max_value=bits)) + draw(digit)
+    if vanishing:
+        values[0] = 0
+        if draw(st.booleans()):
+            values[1] = 0
+    return PowerSeries.of(values)
+
+
+class TestSlots:
+    @pytest.mark.parametrize("size", [8, 9, 16, 26, 64])
+    def test_slot_boundary_values_round_trip(self, size):
+        top = 2 ** (8 * size - 1)  # a slot holds -top..top - 1
+        slots = Slots(top - 1)
+        assert slots.size == size
+        values = [top - 1, -(top - 1), -top, 0, 1, -1]
+        packed = slots.pack(values)
+        assert packed == sum(v << (8 * size * j) for j, v in enumerate(values))
+        assert slots.unpack(packed, len(values)) == tuple(values)
+
+    @pytest.mark.parametrize("bits", range(56, 209, 8))
+    def test_a_slot_holds_its_bound(self, bits):
+        # 2^(bits - 1) - 1 and 2^(bits - 1) straddle a byte: the second
+        # needs one more byte, for its sign bit
+        for bound in (2 ** (bits - 1) - 1, 2 ** (bits - 1)):
+            slots = Slots(bound)
+            assert 2 ** (8 * slots.size - 1) > bound
+            values = [bound, -bound, 0, bound, -bound]
+            assert slots.unpack(slots.pack(values), len(values)) == tuple(values)
+
+    @given(
+        bits=st.sampled_from([8, 63, 64, 65, 200]),
+        data=st.data(),
+    )
+    def test_sums_of_packed_rows_are_sums_of_rows(self, bits, data):
+        entry = st.integers(min_value=-(2**bits), max_value=2**bits)
+        a = data.draw(st.lists(entry, min_size=1, max_size=12))
+        b = data.draw(st.lists(entry, min_size=len(a), max_size=len(a)))
+        s, t = data.draw(entry), data.draw(entry)
+        slots = Slots(max(abs(s) + abs(t), 1) * 2**bits)
+        expected = tuple(s * x + t * y for x, y in zip(a, b))
+        assert slots.unpack(s * slots.pack(a) + t * slots.pack(b), len(a)) == expected
+
+
+class TestPackedRows:
+    @given(f=integer_series(max_order=40))
+    def test_recurrence_routes_agree(self, f):
+        table = both_routes(lambda: composita_from_series(f))
+        assert composita_from_series(f) == table  # the route it selects
+
+    @given(f=integer_series(max_order=14))
+    def test_packed_recurrence_matches_powers(self, f):
+        with route(packed=True):
+            assert composita_from_series(f) == composita_from_powers(f)
+
+    @given(f=integer_series(max_order=8))
+    def test_packed_recurrence_matches_oracle(self, f):
+        with route(packed=True):
+            table = composita_from_series(f)
+        for n, k, value in table.entries():
+            assert value == composita_oracle(f, n, k)
+
+    @given(g=integer_series(min_order=30, max_order=30, vanishing=False), data=st.data())
+    def test_riordan_routes_agree(self, g, data):
+        f = data.draw(integer_series(max_order=30))
+        tf = composita_from_series(f)
+        rio = both_routes(lambda: riordan_build(g, tf))
+        assert riordan_build(g, tf) == rio
+
+    @given(g=integer_series(min_order=6, max_order=6, vanishing=False), f=integer_series(max_order=6))
+    def test_packed_riordan_columns_are_g_times_powers(self, g, f):
+        n_max = f.order
+        with route(packed=True):
+            rio = riordan_build(g, composita_from_series(f))
+        g_coeffs = list(g.coeffs)
+        for k in range(n_max + 1):
+            column = convolve(g_coeffs, power_coeffs(list(f.coeffs), k, n_max), n_max)
+            for n in range(k, n_max + 1):
+                assert rio[n, k] == column[n]
+
+    @given(f=integer_series(min_order=25, max_order=25), r=integer_series(min_order=25, max_order=25))
+    def test_compose_routes_agree(self, f, r):
+        tf, tr = composita_from_series(f), composita_from_series(r)
+        table = both_routes(lambda: composita_compose(tf, tr))
+        assert composita_compose(tf, tr) == table
+
+    @given(f=integer_series(min_order=6, max_order=6), r=integer_series(min_order=6, max_order=6))
+    def test_packed_compose_matches_convolution_triangle(self, f, r):
+        n_max = 6
+        outer = [Fraction(0)] * (n_max + 1)
+        for k in range(1, n_max + 1):
+            power = power_coeffs(list(f.coeffs), k, n_max)
+            outer = [a + r.coeffs[k] * p for a, p in zip(outer, power)]
+        with route(packed=True):
+            table = composita_compose(composita_from_series(f), composita_from_series(r))
+        assert [list(row) for row in table.rows] == _plain_triangle(outer, n_max)
+
+    @pytest.mark.parametrize("size", [8, 9, 16])
+    def test_an_entry_at_the_bound_fits(self, size):
+        # 2^(8 * size - 1) needs one byte more than 2^(8 * size - 1) - 1,
+        # and each table below has an entry equal to its route's bound
+        v = 2 ** (8 * size - 1)
+        tv = both_routes(lambda: composita_from_series(PowerSeries.of([0, v])))
+        assert tv.int_rows == (((v,), 1),)
+        rio = both_routes(lambda: riordan_build(PowerSeries.of([1, 0]), tv))
+        assert rio.int_rows == (((1,), 1), ((0, v), 1))
+        tx = composita_from_series(PowerSeries.of([0, 1]))
+        assert both_routes(lambda: composita_compose(tx, tv)) == tv
+
+    def test_a_rational_input_stays_on_combine(self):
+        f = PowerSeries.of([0, Fraction(1, 2), 1, 1])
+        with route(packed=True):
+            assert composita_from_series(f) == composita_from_powers(f)
+
+    @pytest.mark.parametrize(
+        "coeffs, order, packed",
+        [
+            ([0] + [1] * 80, 80, True),  # geometric: 11-byte slots, 80 terms
+            ([0, 2, -3, 1, -2, 3], 100, True),  # 5 terms, 21-byte slots
+            ([0] + [1] * 30, 30, False),  # too little work to repay importing _packed
+            ([0] + [10**6] * 5, 100, False),  # slots would pass 64 bytes
+            ([0, 0, 1], 200, False),  # monomial:2: one term per row
+            ([0, 1, 1], 200, False),  # x + x^2
+            ([0, 3, -2, 1], 200, False),
+            ([0, 10**6], 300, False),  # 10^6 x
+        ],
+    )
+    def test_recurrence_route_selection(self, coeffs, order, packed):
+        f = PowerSeries.of(coeffs, order=order)
+        assert takes_packed_rows(lambda: composita_from_series(f)) == packed

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from compositae import (
     InsufficientOrder,
-    OrderMismatch,
     CompositaTable,
     PowerSeries,
     catalog_series,
@@ -120,7 +119,7 @@ class TestBuild:
 
     def test_short_g_rejected(self):
         tf = composita_from_series(geometric(6), 6)
-        with pytest.raises(OrderMismatch):
+        with pytest.raises(InsufficientOrder):
             riordan_build(ones(5), tf)
 
 
