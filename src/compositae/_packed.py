@@ -3,12 +3,14 @@
 Where every scalar and row of a linear combination is an integer, a row
 can be packed into one ``int`` with a fixed-width signed slot per entry:
 a scalar times a row, or a sum of rows, is then one big-integer operation
-instead of one per entry.  The triangle recurrence, ``riordan_build`` and
-``composita_compose`` use ``recurrence_rows``, ``riordan_rows`` and
-``compose_rows`` on integer inputs.  Each returns the same canonical
-``(nums, 1)`` rows that ``_rows.combine`` would, or None where an entry
-could need a slot wider than 64 bytes (``combine`` is faster there), and
-the caller then runs ``combine``.
+instead of one per entry.  There are two routines: ``recurrence_rows``
+for the triangle recurrence, and ``product_rows``, the product of two
+lower-triangular tables, for ``composita_compose`` and ``riordan_build``
+(a Riordan array is G's Toeplitz rows times F's triangle bordered by the
+unit row).  Each returns the same canonical ``(nums, 1)`` rows that
+``_rows.combine`` would, or None where an entry could need a slot wider
+than 64 bytes (``combine`` is faster there), and the caller then runs
+``combine``.
 
 Callers import this module only for integer inputs with enough terms per
 row and enough work (``_rows.tries_packed``), so that other calls do not
@@ -99,39 +101,17 @@ def recurrence_rows(f_terms: list[tuple[int, int, int]], n_max: int) -> tuple[Ro
     return tuple(rows)
 
 
-def riordan_rows(g_terms: list[tuple[int, int, int]], f_rows: tuple[Row, ...]) -> tuple[Row, ...] | None:
-    """Rows 0..N of the Riordan array of an integer G, from its nonzero
-    ``(i, g(i), 1)`` terms, and the integer rows 1..N of F's triangle.
-    Every entry is at most sum |g(i)| times the largest entry of F's
-    triangle (or 1)."""
-    peak = max(1, *(max(map(abs, nums)) for nums, _ in f_rows))
-    bound = sum(abs(num) for _, num, _ in g_terms) * peak
+def product_rows(left: Sequence[Row], right: Sequence[Row]) -> tuple[Row, ...] | None:
+    """Rows of the lower-triangular product of two integer tables: row n
+    is the sum of ``left[n][k]`` times ``right[k]``, as wide as
+    ``left[n]``.  Row n is bounded by the sum of |left[n][k]| times the
+    largest entry of ``right[k]``; the slots also hold ``right``."""
+    peaks = [max(map(abs, nums)) for nums, _ in right]
+    bound = max(max(peaks), *(sum(map(mul, map(abs, nums), peaks)) for nums, _ in left))
     if bound >= LIMIT:
         return None
     slots = Slots(bound)
-    gs = [0] * (g_terms[-1][0] + 1)
-    for i, num, _ in g_terms:
-        gs[i] = num
-    # packed row m of F's triangle, with its column 0
-    shift = 8 * slots.size
-    packed = [1] + [slots.pack(nums) << shift for nums, _ in f_rows]
+    packed = [slots.pack(nums) for nums, _ in right]
     return tuple(
-        (slots.unpack(sum(compress(map(mul, gs, packed[n::-1]), gs)), n + 1), 1)
-        for n in range(len(packed))
-    )
-
-
-def compose_rows(f_rows: tuple[Row, ...], r_rows: tuple[Row, ...]) -> tuple[Row, ...] | None:
-    """Rows of the triangle of R(F(x)) from the integer triangles of F and
-    R.  Row n is bounded by the sum of |T_F(n, k)| times the largest entry
-    of row k of T_R."""
-    peaks = [max(map(abs, nums)) for nums, _ in r_rows]
-    bound = max(max(peaks), *(sum(map(mul, map(abs, nums), peaks)) for nums, _ in f_rows))
-    if bound >= LIMIT:
-        return None
-    slots = Slots(bound)
-    packed = [slots.pack(nums) for nums, _ in r_rows]
-    return tuple(
-        (slots.unpack(sum(compress(map(mul, nums, packed), nums)), n), 1)
-        for n, (nums, _) in enumerate(f_rows, 1)
+        (slots.unpack(sum(compress(map(mul, nums, packed), nums)), len(nums)), 1) for nums, _ in left
     )

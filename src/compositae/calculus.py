@@ -9,7 +9,8 @@ F + G, F * B, alpha * F and F(alpha * x) have no route here: each is
 ``composita_from_series`` of that series.  The paper's sum and product
 formulas are checks in ``theorems.py``, its reciprocal formula a sweep in
 ``identities.py``.  The composition of two integer triangles with enough
-work runs on packed rows (``_packed``), every other on ``combine``.
+work runs on packed rows (``_packed.product_rows``, the table product
+that ``riordan_build`` uses too), every other on ``combine``.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
     if all(den == 1 for _, den in tf.int_rows) and all(den == 1 for _, den in tr.int_rows):
         terms = sum(len(nums) - nums.count(0) for nums, _ in tf.int_rows) / tf.order
         if tries_packed(terms, tf.order, True):
-            from ._packed import compose_rows
+            from ._packed import product_rows
 
-            packed = compose_rows(tf.int_rows, tr.int_rows)
+            packed = product_rows(tf.int_rows, tr.int_rows)
             if packed is not None:
                 return CompositaTable._of(packed, 1)
     rows = []

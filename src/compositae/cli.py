@@ -41,9 +41,9 @@ options run.  What loads when:
   module puts each one in ``sys.modules`` (and on the package) as a module
   whose file is read, compiled and run when a handler first reads an
   attribute from it.  So ``composita`` runs none of the last four,
-  ``solve`` runs ``funceq`` alone for m >= 0 (it imports ``calculus`` only
-  for m < 0), and only ``verify`` runs ``identities`` (of the sweeps, only
-  associativity and inverse run ``calculus``).  A raw coefficient
+  ``solve`` runs ``funceq`` alone (for any m; it never compiles
+  ``calculus``), and only ``verify`` runs ``identities`` (of the sweeps,
+  only associativity and inverse run ``calculus``).  A raw coefficient
   list ("1,1") is read by ``series.raw_coefficients``, the grammar the
   catalog's parser also uses, and expanded by ``_series``, so ``solve --g
   1,1`` runs no ``catalog``.  These modules are placed in ``sys.modules``

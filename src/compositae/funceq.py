@@ -8,10 +8,10 @@ of G and needs G only to the requested order; no triangle of x*G is built.
 The m = 1 case is classical Lagrange inversion (the paper's "right
 composita" (k/n) * T_xG(2n - k, n)).  Negative m is routed through
 reciprocals: solve F = R(xF^w) with w = -m and R = 1/G, then flip the
-answer back with the reciprocal-triangle transform.  That transform is
-the one use of ``calculus`` here, imported in the m < 0 branch, so that
-``compositae solve`` with m >= 0 does not compile ``calculus``.  The
-paper's functional-equation identity on the triangle of x*G is swept by
+answer back by building the triangle of x/F with the composita
+recurrence (the body of ``calculus.reciprocal_composita``), so that
+``compositae solve`` never compiles ``calculus``.  The paper's
+functional-equation identity on the triangle of x*G is swept by
 ``identities.check_funceq_identity``.
 
 The module is ``FuncEqSolution``, the power table and the solver alone.
@@ -28,7 +28,7 @@ from ._record import Record
 from ._rows import Row, combine, scalars
 from .errors import InsufficientOrder, ZeroConstantTerm
 from .series import PowerSeries
-from .triangle import MAX_TABLE_ENTRIES, CompositaTable
+from .triangle import MAX_TABLE_ENTRIES, CompositaTable, composita_from_series
 
 
 class FuncEqSolution(Record):
@@ -75,9 +75,9 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
     on the triangle of x*G), so only the band d <= order of the powers of
     G is built: a table of [x^d] G^j for j <= max(m*order, order) + 1.
     For m < 0 the reciprocal equation F = R(xF^w) with w = -m, R = 1/G is
-    solved first and the answer flipped back with
-    ``reciprocal_composita``, mirroring how the paper reduces the
-    negative case to the positive one.
+    solved first and the answer flipped back with the triangle of x/F,
+    as ``calculus.reciprocal_composita`` builds it, mirroring how the
+    paper reduces the negative case to the positive one.
 
     Before any work, a call whose power table would hold more than
     ``triangle.MAX_TABLE_ENTRIES`` entries, estimated as
@@ -115,8 +115,7 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
             rows.append((tuple([p * (den // q) for p, q in parts]), den))
         a_table = CompositaTable._of(tuple(rows), 1)
     else:
-        from .calculus import reciprocal_composita  # only m < 0 runs calculus
-
         inner = solve_functional_equation(PowerSeries.one(order) / g, -m, order)
-        a_table = reciprocal_composita(inner.a_series, table_order)
+        reciprocal = PowerSeries.one(order) / inner.a_series
+        a_table = composita_from_series(reciprocal.times_x(), table_order)
     return FuncEqSolution(m, a_table)

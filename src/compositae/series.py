@@ -274,9 +274,3 @@ def raw_coefficients(text: str) -> list[Fraction] | None:
         raise UnknownFunction(
             f"not a catalog name or coefficient list: {text!r} ({exc})"
         ) from exc
-
-
-def format_series(series: PowerSeries) -> str:
-    """Render in the same comma-separated format accepted by parse_series."""
-    return ",".join(str(c) for c in series.coeffs)
-

@@ -8,8 +8,9 @@ spec's ``closed_form`` property imports it and asks ``closed_form_formula``.
 
 * Closed-form composita triangles for the catalog entries (polynomials,
   trigonometric and hyperbolic functions, logs and exponentials,
-  Fibonacci), looked up by ``closed_form_formula``.  Conventions fixed
-  here: bracket-style first-kind Stirling values are signed,
+  Fibonacci, the radicals 1 - (1-x)^(1/m) and arcsin), looked up by
+  ``closed_form_formula``.  Conventions fixed here: bracket-style
+  first-kind Stirling values are signed,
   s(n, k) = (-1)^(n-k) * c(n, k) with c the unsigned cycle count; the
   cubic polynomial triangle carries c (not b) in its final factor;
   trigonometric triangles with a parity constraint return 0 outright
@@ -225,6 +226,42 @@ def _x_cosh_cf(n: int, k: int) -> Fraction:
     return Fraction(total, 2 ** k * factorial(n - k))
 
 
+def _radical_cf(m: Fraction) -> ClosedForm:
+    # F^k = sum_j C(k, j) (-1)^j (1-x)^(j/m), so T(n, k) is
+    # sum_{j=1}^{k} (-1)^(j+n) C(k, j) C(j/m, n), where
+    # C(j/m, n) = prod_{i<n} (j - i*m) / (m^n n!); falling[j][n] is that product
+    m = int(m)
+    falling: dict[int, list[int]] = {}
+
+    def product(j: int, n: int) -> int:
+        row = falling.setdefault(j, [1])
+        while len(row) <= n:
+            row.append(row[-1] * (j - (len(row) - 1) * m))
+        return row[n]
+
+    def cf(n: int, k: int) -> Fraction:
+        total = sum((-1) ** j * binomial(k, j) * product(j, n) for j in range(1, k + 1))
+        return Fraction((-1) ** n * total, m ** n * factorial(n))
+
+    return cf
+
+
+# coefficients in a of c_n(a), where e^(a * arcsin x) = sum_n c_n(a) x^n / n!:
+# c_0 = 1, c_1 = a and c_n = c_(n-2) * (a^2 + (n-2)^2)
+_ARCSIN_POLYS: list[tuple[int, ...]] = [(1,), (0, 1)]
+
+
+def _arcsin_cf(n: int, k: int) -> Fraction:
+    # T(n, k) = (k!/n!) [a^k] c_n(a), the central factorial numbers
+    if (n - k) % 2:
+        return Fraction(0)
+    polys = _ARCSIN_POLYS
+    while len(polys) <= n:
+        prev, square = polys[-2], (len(polys) - 2) ** 2
+        polys.append(tuple(square * c + d for c, d in zip(prev + (0, 0), (0, 0) + prev)))
+    return Fraction(factorial(k) * polys[n][k], factorial(n))
+
+
 def _fib_cf(n: int, m: int) -> Fraction:
     acc = 0
     for j in range(n - m + 1):
@@ -236,8 +273,8 @@ def _fib_cf(n: int, m: int) -> Fraction:
 
 
 # catalog entries without parameters, and builders taking the parameters
-# of those with them; an entry in neither (sin_over_x, arcsin, radical, a
-# raw list) has no closed form.  No other module records which have one.
+# of those with them; an entry in neither (sin_over_x, a raw list) has no
+# closed form.  No other module records which have one.
 _FIXED: dict[str, ClosedForm] = {
     "geometric": _geometric_cf,
     "x_exp": _x_exp_cf,
@@ -250,6 +287,7 @@ _FIXED: dict[str, ClosedForm] = {
     "sinh": _sinh_cf,
     "x_cosh": _x_cosh_cf,
     "fib": _fib_cf,
+    "arcsin": _arcsin_cf,
 }
 _BUILDERS: dict[str, Callable[..., ClosedForm]] = {
     "monomial": _monomial_cf,
@@ -258,6 +296,7 @@ _BUILDERS: dict[str, Callable[..., ClosedForm]] = {
     "poly13": _poly13_cf,
     "poly124": _poly124_cf,
     "poly4": _poly4_cf,
+    "radical": _radical_cf,
 }
 
 

@@ -296,7 +296,7 @@ def takes_packed_rows(build) -> bool:
         return call
 
     with ExitStack() as stack:
-        for name in ("recurrence_rows", "riordan_rows", "compose_rows"):
+        for name in ("recurrence_rows", "product_rows"):
             stack.enter_context(patch.object(_packed, name, spy(getattr(_packed, name))))
         build()
     return any(made)

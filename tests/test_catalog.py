@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compositae import (
     FunctionSpec,
@@ -25,7 +27,7 @@ from compositae.combinatorics import stirling_first_unsigned
 from compositae import theorems
 from compositae.theorems import closed_form_formula
 
-TRIG_NAMES = {"sin", "x_cos", "tan", "arctan", "sinh", "x_cosh"}
+TRIG_NAMES = {"sin", "x_cos", "tan", "arctan", "sinh", "x_cosh", "arcsin"}
 
 
 def table_of(spec, order):
@@ -213,8 +215,7 @@ def _radical_coefficient(m):
 
 
 # every term-ratio entry and monomial:m against its coefficient formula in
-# n: for arcsin, sin_over_x and radical:m, which have no closed-form
-# triangle, this is the only second route
+# n: for sin_over_x, which has no triangle, this is the only second route
 COEFFICIENT_FORMULAS = {
     "arcsin": _odd(lambda k: Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1))),
     "sin_over_x": lambda n: 0 if n % 2 else Fraction((-1) ** (n // 2), math.factorial(n + 1)),
@@ -295,10 +296,33 @@ class TestClosedForms:
         with pytest.raises(NoClosedForm):
             catalog_closed_form(make_spec("sin_over_x"), 3, 1)
 
-    @pytest.mark.parametrize("text", ["arcsin", "radical:2"])
-    def test_no_closed_form_for_arcsin_and_radical(self, text):
-        with pytest.raises(NoClosedForm):
-            catalog_closed_form(parse_function_spec(text), 3, 1)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_radical_matches_recurrence(self, m):
+        spec = make_spec("radical", [m])
+        report = check_closed_form(spec, table_of(spec, 30))
+        assert report.verified, report.first_failure
+        assert report.checked == 30 * 31 // 2
+
+    @settings(max_examples=15, deadline=None)
+    @given(m=st.integers(min_value=1, max_value=10**6), order=st.integers(min_value=1, max_value=30))
+    def test_radical_of_any_index_matches_recurrence(self, m, order):
+        spec = make_spec("radical", [m])
+        assert check_closed_form(spec, table_of(spec, order)).verified
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 30, 60])
+    def test_arcsin_matches_recurrence(self, order):
+        spec = make_spec("arcsin")
+        report = check_closed_form(spec, table_of(spec, order))
+        assert report.verified, report.first_failure
+        assert report.checked == order * (order + 1) // 2
+
+    @pytest.mark.parametrize("text", ["arcsin", "radical:3"])
+    def test_planted_fault_in_arcsin_and_radical_is_found(self, text):
+        spec = parse_function_spec(text)
+        table = table_of(spec, 12)
+        report = check_closed_form(spec, table.with_entry(9, 5, table[9, 5] + 1))
+        assert report.first_failure == ((9, 5), table[9, 5] + 1, table[9, 5])
+        assert report.checked == 36 + 5
 
     def test_raw_spec_has_no_closed_form(self):
         with pytest.raises(NoClosedForm):
@@ -352,8 +376,10 @@ class TestVerifyCatalogScript:
         lines = capsys.readouterr().out.splitlines()
         labels = [s.label() for s in default_instances()]
         assert [line.split()[0] for line in lines[:-1]] == labels
-        for label in ("sin_over_x", "arcsin", "radical:2"):
-            assert lines[labels.index(label)].endswith("skipped (no closed form)")
+        skipped = [line.split()[0] for line in lines if line.endswith("skipped (no closed form)")]
+        assert skipped == ["sin_over_x"]
+        assert lines[labels.index("arcsin")] == "arcsin           N=5   ok"
+        assert lines[labels.index("radical:2")] == "radical:2        N=6   ok"
         assert lines[-1] == "0 mismatching entries"
 
     def test_wrong_closed_form_exits_1(self, capsys, monkeypatch):

@@ -7,7 +7,7 @@ the triangle, plain list convolutions from ``tests/helpers.py``,
 checked in ``identities.py``.  The random series mix zeros, f(1) = 0,
 negative values, coprime and shared denominators, and all-integer lists.
 
-Integer inputs may take packed rows (``_rows.Slots``) instead of
+Integer inputs may take packed rows (``_packed``) instead of
 ``combine``; ``TestPackedRows`` runs both routes on the same integer
 inputs, forcing each in turn, with entries up to 2^200 so that slots
 wider than a machine word are exercised.
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from compositae import (
     PowerSeries,
     check_product_identity,
+    check_riordan_identity,
     check_sum_identity,
     compose_series,
     composita_compose,
@@ -32,7 +33,7 @@ from compositae import (
     inverse_series,
     riordan_build,
 )
-from compositae._packed import Slots
+from compositae._packed import LIMIT, Slots, product_rows
 from compositae._rows import combine, dot, fractions_of, to_row
 
 from helpers import compose_plain, convolve, power_coeffs, route, takes_packed_rows
@@ -300,6 +301,30 @@ class TestPackedRows:
         assert rio.int_rows == (((1,), 1), ((0, v), 1))
         tx = composita_from_series(PowerSeries.of([0, 1]))
         assert both_routes(lambda: composita_compose(tx, tv)) == tv
+
+    def test_product_rows_are_as_wide_as_their_left_rows(self):
+        # row n is sum_k left[n][k] * right[k], cut to len(left[n]) entries
+        right = (((1,), 1), ((0, 5), 1), ((0, 7, 4), 1))
+        left = (((1, 3), 1), ((2,), 1), ((0, 1, -1), 1))
+        assert product_rows(left, right) == (((1, 15), 1), ((2,), 1), ((0, -2, -4), 1))
+
+    def test_a_large_g_term_packs_against_the_unit_row(self):
+        # G is 1 below x^N and about 2^400 at x^N, over geometric at N = 120.
+        # sum |g(i)| times the largest entry of F's triangle passes LIMIT,
+        # but the large term meets only the unit row, so each row's own
+        # bound stays below 2^401 and the array takes packed rows
+        n_max, big = 120, 3**252
+        g = PowerSeries.of([1] * n_max + [big])
+        tf = composita_from_series(PowerSeries.of([0] + [1] * n_max))
+        peak = max(max(nums) for nums, _ in tf.int_rows)
+        assert (n_max + big) * peak >= LIMIT
+        assert takes_packed_rows(lambda: riordan_build(g, tf))
+        rio = riordan_build(g, tf)
+        assert rio[n_max, 0] == big
+        with route(packed=False):
+            assert riordan_build(g, tf) == rio
+        # x*G is geometric up to x^N, so this array is (G, x*G)
+        assert check_riordan_identity(rio, composita_from_series(g.times_x())).verified
 
     def test_a_rational_input_stays_on_combine(self):
         f = PowerSeries.of([0, Fraction(1, 2), 1, 1])
