@@ -52,7 +52,7 @@ _EXPORTS = {
         "check_reciprocal_identity",
     ),
     "riordan": ("riordan_apply", "riordan_build"),
-    "series": ("PowerSeries", "as_rational", "parse_series"),
+    "series": ("PowerSeries", "as_rational"),
     "theorems": (
         "catalog_closed_form",
         "check_closed_form",

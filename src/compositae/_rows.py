@@ -8,10 +8,15 @@ combination of shifted rows with rational scalars: it takes one lcm of
 the term denominators, sums with plain integer multiply-adds, and reduces
 the finished row with one gcd sweep.  That replaces one ``Fraction`` gcd
 and allocation per ``+=`` with a few per row.  A ``CompositaTable`` stores
-these rows as the kernel makes them.  Where every scalar and row is an
-integer and a table has enough work, the triangle recurrence,
-``riordan_build`` and ``composita_compose`` try ``_packed`` first, which
-packs each row into one big integer.
+these rows as the kernel makes them.
+
+Tables are built through two entry points: ``recurrence``, the triangle
+recurrence, and ``product``, the product of two lower-triangular tables,
+which forms both a composition and a Riordan array.  Each one decides its
+own route: where every scalar and row is an integer and ``tries_packed``
+allows it, it tries ``_packed`` first, which packs each row into one big
+integer, and it runs ``combine`` otherwise or where ``_packed`` declines.
+No other module imports ``_packed``.
 
 Denominators are per row on purpose: one denominator for a whole table
 makes every entry carry the lcm of all of them, which loses badly on
@@ -46,9 +51,10 @@ UNIT: Row = ((1,), 1)
 PACKED_MIN_WORK = 30_000
 
 
-def tries_packed(terms: float, rows: int, packs_input: bool) -> bool:
-    """Whether an integer table of ``rows`` rows, each the sum of
-    ``terms`` nonzero terms on average, is tried on packed rows.
+def tries_packed(terms: int, rows: int, packs_input: bool) -> bool:
+    """Whether an integer table of ``rows`` rows, each the sum of at most
+    ``terms`` nonzero terms, is tried on packed rows.  Only ``recurrence``
+    and ``product`` ask, so that one rule decides every route.
     Unpacking an entry costs about as much as several terms of
     ``combine``, and a route that packs an input table as well as its own
     rows pays that twice (crossover in CHANGES.md)."""
@@ -93,6 +99,55 @@ def combine(terms: Iterable[Term], width: int) -> Row:
     if g > 1:
         return tuple([v // g for v in acc]), den // g
     return tuple(acc), den
+
+
+def recurrence(f_terms: list[tuple[int, int, int]], n_max: int) -> tuple[Row, ...]:
+    """Rows 1..n_max of the triangle of F, from its nonzero
+    ``(i, numerator, denominator)`` terms (``scalars``).
+
+    Row n, with its column 0 (the unit row T(0, 0) = 1 and zeros below
+    it), is the sum of f(i) times row n - i shifted one column right.
+    """
+    if tries_packed(len(f_terms), n_max, False) and all(den == 1 for _, _, den in f_terms):
+        from ._packed import recurrence_rows
+
+        packed = recurrence_rows(f_terms, n_max)
+        if packed is not None:
+            return packed
+    rows = [UNIT]
+    for n in range(1, n_max + 1):
+        rows.append(combine(((num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n), n + 1))
+    return tuple((nums[1:], den) for nums, den in rows[1:])
+
+
+def product(left: Sequence[Row], right: Sequence[Row]) -> tuple[Row, ...]:
+    """Rows of the lower-triangular product of two tables: row n is the
+    sum of ``left[n][k]`` times ``right[k]``, as wide as ``left[n]``.
+
+    The work is estimated as the nonzero entries of the densest left row
+    times the rows below the first, squared (row 0 is one scalar times
+    one row).  On ``combine`` each scalar is reduced first: the left rows
+    need not be canonical, and a denominator that all of a row's entries
+    share (such as that of a Toeplitz row of G) would otherwise enter the
+    lcm of every term.
+    """
+    if all(den == 1 for _, den in left) and all(den == 1 for _, den in right):
+        densest = max(len(nums) - nums.count(0) for nums, _ in left)
+        if tries_packed(densest, len(left) - 1, True):
+            from ._packed import product_rows
+
+            packed = product_rows(left, right)
+            if packed is not None:
+                return packed
+    rows = []
+    for nums, den in left:
+        terms = []
+        for a, row in zip(nums, right):
+            if a:
+                g = gcd(a, den)
+                terms.append((a // g, den // g, row, 0))
+        rows.append(combine(terms, len(nums)))
+    return tuple(rows)
 
 
 def dot(row: Row, values: Iterable[Fraction]) -> Fraction:

@@ -8,16 +8,16 @@ built from the series 1/B by the composita recurrence.  The triangles of
 F + G, F * B, alpha * F and F(alpha * x) have no route here: each is
 ``composita_from_series`` of that series.  The paper's sum and product
 formulas are checks in ``theorems.py``, its reciprocal formula a sweep in
-``identities.py``.  The composition of two integer triangles with enough
-work runs on packed rows (``_packed.product_rows``, the table product
-that ``riordan_build`` uses too), every other on ``combine``.
+``identities.py``.  Composition is the row kernel's table product
+(``_rows.product``, which ``riordan_build`` uses too), and the kernel
+picks its route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._rows import combine, dot, tries_packed
+from ._rows import dot, product
 from .errors import (
     DivisionByNonUnit,
     InsufficientOrder,
@@ -47,18 +47,7 @@ def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
     """
     if tf.order != tr.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tr.order}")
-    if all(den == 1 for _, den in tf.int_rows) and all(den == 1 for _, den in tr.int_rows):
-        terms = sum(len(nums) - nums.count(0) for nums, _ in tf.int_rows) / tf.order
-        if tries_packed(terms, tf.order, True):
-            from ._packed import product_rows
-
-            packed = product_rows(tf.int_rows, tr.int_rows)
-            if packed is not None:
-                return CompositaTable._of(packed, 1)
-    rows = []
-    for n, (f_nums, f_den) in enumerate(tf.int_rows, start=1):
-        rows.append(combine(((t, f_den, r_row, 0) for t, r_row in zip(f_nums, tr.int_rows)), n))
-    return CompositaTable._of(tuple(rows), 1)
+    return CompositaTable._of(product(tf.int_rows, tr.int_rows), 1)
 
 
 def reciprocal_composita(b: PowerSeries, order: int) -> CompositaTable:

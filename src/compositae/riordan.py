@@ -5,9 +5,8 @@ are indexed from (0, 0), where a composita triangle starts at (1, 1).
 The paper's link between the two (the (F, xF) array shifted by one is the
 triangle of xF) is ``theorems.check_riordan_identity``.  The array is a
 table product: G's Toeplitz rows times F's triangle bordered by the unit
-row.  An integer G and an integer triangle with enough work form it with
-``_packed.product_rows``, as ``composita_compose`` does; every other pair
-sums the rows with ``combine``.
+row, formed by the row kernel's ``_rows.product`` as ``composita_compose``
+is, and the kernel picks its route.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ._rows import UNIT, combine, dot, scalars, tries_packed
+from ._rows import UNIT, dot, product, to_row
 from .errors import InsufficientOrder
 from .series import CoeffLike, PowerSeries, as_rational
 from .triangle import CompositaTable
@@ -33,21 +32,10 @@ def riordan_build(g: PowerSeries, tf: CompositaTable) -> CompositaTable:
     n_max = tf.order
     if g.order < n_max:
         raise InsufficientOrder(f"g is needed to order {n_max}, got {g.order}")
-    g_terms = scalars(g.coeffs[: n_max + 1])
-    integer = all(den == 1 for _, _, den in g_terms) and all(den == 1 for _, den in tf.int_rows)
-    f_rows = [UNIT] + [((0,) + nums, den) for nums, den in tf.int_rows]
-    if tries_packed(len(g_terms), n_max, True) and integer:
-        from ._packed import product_rows
-
-        gs = [c.numerator for c in g.coeffs[: n_max + 1]]
-        packed = product_rows(tuple((tuple(gs[n::-1]), 1) for n in range(n_max + 1)), f_rows)
-        if packed is not None:
-            return CompositaTable._of(packed, 0)
-    rows = tuple(
-        combine(((num, den, f_rows[n - i], 0) for i, num, den in g_terms if i <= n), n + 1)
-        for n in range(0, n_max + 1)
-    )
-    return CompositaTable._of(rows, 0)
+    gs, den = to_row(g.coeffs[: n_max + 1])
+    toeplitz = [(gs[n::-1], den) for n in range(n_max + 1)]
+    bordered = [UNIT] + [((0,) + nums, f_den) for nums, f_den in tf.int_rows]
+    return CompositaTable._of(product(toeplitz, bordered), 0)
 
 
 def riordan_apply(r: CompositaTable, b: Sequence[CoeffLike]) -> tuple[Fraction, ...]:

@@ -6,8 +6,9 @@ of the two operand orders, so comparisons are always well defined.
 Coefficients are ``fractions.Fraction`` values throughout; nothing in
 this package ever rounds.
 
-The comma-separated text format ("0,1,1/2") parsed and rendered here is
-the one used by the command line interface and by test fixtures.
+The comma-separated text format ("0,1,1/2") is read here, by
+``raw_coefficients``, the one grammar of the command line interface and of
+the catalog's raw designators.
 """
 
 from __future__ import annotations
@@ -228,24 +229,6 @@ def parse_int(text: str) -> int:
 def _refuse_separators_and_non_ascii(text: str) -> None:
     if "_" in text or not text.isascii():
         raise ValueError(f"'_' and non-ASCII characters are not accepted: {text!r}")
-
-
-def parse_series(text: str, order: int | None = None) -> PowerSeries:
-    """Parse the comma-separated coefficient format, index 0 first.
-
-    Entries are rationals written as 'p/q' with bare integers allowed;
-    exponent notation is rejected (see ``parse_rational``).
-    When ``order`` exceeds the listed coefficients the series is zero
-    padded, i.e. the text denotes a polynomial.
-    """
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(p == "" for p in parts):
-        raise ValueError(f"malformed coefficient list: {text!r}")
-    try:
-        coeffs = [parse_rational(p) for p in parts]
-    except ValueError as exc:
-        raise ValueError(f"malformed coefficient list: {text!r} ({exc})") from exc
-    return PowerSeries.of(coeffs, order=order)
 
 
 # A designator made of these alone, not starting with a digit, is a catalog

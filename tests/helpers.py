@@ -21,7 +21,7 @@ from unittest.mock import patch
 
 from hypothesis import strategies as st
 
-from compositae import CompositaTable, IdentityReport, PowerSeries, _packed, calculus, riordan, triangle
+from compositae import CompositaTable, IdentityReport, PowerSeries, _packed, _rows
 from compositae.errors import DivisionByNonUnit, InsufficientOrder
 
 
@@ -274,12 +274,11 @@ def reference_triangle_records(table: CompositaTable) -> str:
 @contextmanager
 def route(packed: bool):
     """Send every integer input with a nonzero term to packed rows (any
-    slot width), or every input to ``combine``."""
+    slot width), or every input to ``combine``: the kernel's entry points
+    (``_rows.recurrence`` and ``_rows.product``) are the only callers of
+    ``_rows.tries_packed``, so one patch of it routes every table."""
     tries = (lambda terms, rows, packs_input: terms > 0) if packed else (lambda *args: False)
-    with ExitStack() as stack:
-        for module in (triangle, riordan, calculus):
-            stack.enter_context(patch.object(module, "tries_packed", tries))
-        stack.enter_context(patch.object(_packed, "LIMIT", float("inf")))
+    with patch.object(_rows, "tries_packed", tries), patch.object(_packed, "LIMIT", float("inf")):
         yield
 
 

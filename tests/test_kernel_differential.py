@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from compositae import (
     PowerSeries,
+    catalog_series,
     check_product_identity,
     check_riordan_identity,
     check_sum_identity,
@@ -31,10 +32,11 @@ from compositae import (
     composita_from_series,
     composita_oracle,
     inverse_series,
+    parse_function_spec,
     riordan_build,
 )
 from compositae._packed import LIMIT, Slots, product_rows
-from compositae._rows import combine, dot, fractions_of, to_row
+from compositae._rows import combine, dot, fractions_of, product, to_row
 
 from helpers import compose_plain, convolve, power_coeffs, route, takes_packed_rows
 
@@ -306,7 +308,9 @@ class TestPackedRows:
         # row n is sum_k left[n][k] * right[k], cut to len(left[n]) entries
         right = (((1,), 1), ((0, 5), 1), ((0, 7, 4), 1))
         left = (((1, 3), 1), ((2,), 1), ((0, 1, -1), 1))
-        assert product_rows(left, right) == (((1, 15), 1), ((2,), 1), ((0, -2, -4), 1))
+        expected = (((1, 15), 1), ((2,), 1), ((0, -2, -4), 1))
+        assert product_rows(left, right) == expected
+        assert both_routes(lambda: product(left, right)) == expected
 
     def test_a_large_g_term_packs_against_the_unit_row(self):
         # G is 1 below x^N and about 2^400 at x^N, over geometric at N = 120.
@@ -347,3 +351,30 @@ class TestPackedRows:
     def test_recurrence_route_selection(self, coeffs, order, packed):
         f = PowerSeries.of(coeffs, order=order)
         assert takes_packed_rows(lambda: composita_from_series(f)) == packed
+
+    @pytest.mark.parametrize(
+        "kind, outer, inner, order, packed",
+        [
+            ("riordan", "geometric", "fib", 30, False),  # too little work
+            ("riordan", "geometric", "fib", 31, False),  # 31 terms * 30 rows below row 0, squared
+            ("riordan", "geometric", "fib", 32, True),
+            ("riordan", "geometric", "fib", 40, True),
+            ("riordan", "fib", "geometric", 63, True),
+            ("riordan", "1,1,1,1,1", "geometric", 10, False),  # 5 terms per row
+            ("riordan", "3/7,2/13", "geometric", 63, False),  # a rational G
+            ("compose", "geometric", "fib", 27, False),
+            ("compose", "geometric", "fib", 33, True),  # its densest row, not its average
+            ("compose", "geometric", "fib", 41, True),
+        ],
+    )
+    def test_product_route_selection(self, kind, outer, inner, order, packed):
+        # the tables are built outside the spy, which would count their
+        # own packed recurrence
+        g = catalog_series(parse_function_spec(outer), order)
+        tf = composita_from_series(catalog_series(parse_function_spec(inner), order))
+        if kind == "riordan":
+            build = lambda: riordan_build(g, tf)
+        else:
+            tr = composita_from_series(g)
+            build = lambda: composita_compose(tf, tr)
+        assert takes_packed_rows(build) == packed

@@ -1,5 +1,6 @@
 """The package's public names: ``compositae.__all__`` lists each one once,
-in sorted order, and every listed name resolves."""
+in sorted order, and every listed name resolves.  Adding or removing one
+changes the count below on purpose."""
 
 from __future__ import annotations
 
@@ -16,3 +17,8 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_sorted_and_unique():
     assert list(compositae.__all__) == sorted(set(compositae.__all__))
+
+
+def test_public_name_count():
+    assert len(compositae.__all__) == 42
+    assert "parse_series" not in compositae.__all__  # raw_coefficients is the one grammar
