@@ -57,6 +57,7 @@ _EXPORTS = {
         "catalog_closed_form",
         "check_closed_form",
         "check_product_identity",
+        "check_riordan_formula",
         "check_riordan_identity",
         "check_sum_identity",
         "default_instances",

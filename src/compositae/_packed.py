@@ -5,10 +5,10 @@ can be packed into one ``int`` with a fixed-width signed slot per entry:
 a scalar times a row, or a sum of rows, is then one big-integer operation
 instead of one per entry.  There are two routines, one behind each of the
 row kernel's entry points: ``recurrence_rows`` behind
-``_rows.recurrence``, the triangle recurrence, and ``product_rows`` behind
-``_rows.product``, the product of two lower-triangular tables, which
-forms both ``composita_compose`` and ``riordan_build`` (a Riordan array
-is G's Toeplitz rows times F's triangle bordered by the unit row).  Each
+``_rows.recurrence``, the Riordan recurrence, which builds both
+``riordan_build``'s arrays and ``composita_from_series``'s triangles, and
+``product_rows`` behind ``_rows.product``, the product of two
+lower-triangular tables, which forms ``composita_compose``.  Each
 returns the same canonical ``(nums, 1)`` rows that ``_rows.combine``
 would, or None where an entry could need a slot wider than 64 bytes
 (``combine`` is faster there), and the kernel then runs ``combine``.
@@ -25,7 +25,7 @@ from itertools import compress
 from operator import mul
 from typing import Sequence
 
-from ._rows import Row
+from ._rows import Row, Scalars
 
 # Entries must be below this: slots wider than 64 bytes never beat
 # combine (crossover in CHANGES.md).
@@ -73,31 +73,32 @@ class Slots:
         return tuple([from_bytes(data[i : i + size], "little", signed=True) for i in range(0, len(data), size)])
 
 
-def recurrence_rows(f_terms: list[tuple[int, int, int]], n_max: int) -> tuple[Row, ...] | None:
-    """Rows 1..n_max of the triangle of an integer F, from its nonzero
-    ``(i, f(i), 1)`` terms.
+def recurrence_rows(g_terms: Scalars, f_terms: Scalars, n_max: int) -> tuple[Row, ...] | None:
+    """Rows 0..n_max of the Riordan array (G, F) of an integer G and F,
+    from their nonzero ``(i, value, 1)`` terms.
 
-    Packed row n, with its column 0, is the sum of f(i) times packed row
-    n - i, shifted one slot; u(n) = sum |f(i)| * u(n - i), u(0) = 1,
-    bounds every entry of row n.
+    Packed row n is g(n) plus the sum of f(i) times packed row n - i,
+    shifted one slot; u(n) = |g(n)| + sum |f(i)| * u(n - i) bounds every
+    entry of row n.
     """
+    seeds = {i: num for i, num, _ in g_terms}
     fs = [0] * f_terms[-1][0]
     for i, num, _ in f_terms:
         fs[i - 1] = num
     sizes = list(map(abs, fs))
-    bound = [1]
-    for _ in range(n_max):
-        u = sum(map(mul, sizes, reversed(bound)))
+    bound = []
+    for n in range(n_max + 1):
+        u = abs(seeds.get(n, 0)) + sum(map(mul, sizes, reversed(bound)))
         if u >= LIMIT:
             return None
         bound.append(u)
     slots = Slots(max(bound))
     shift = 8 * slots.size
-    packed = [1]
+    packed = []
     rows = []
-    for n in range(1, n_max + 1):
-        acc = sum(compress(map(mul, fs, reversed(packed)), fs))
-        rows.append((slots.unpack(acc, n), 1))
+    for n in range(n_max + 1):
+        acc = seeds.get(n, 0) + sum(compress(map(mul, fs, reversed(packed)), fs))
+        rows.append((slots.unpack(acc, n + 1), 1))
         packed.append(acc << shift)
     return tuple(rows)
 

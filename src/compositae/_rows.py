@@ -10,10 +10,11 @@ the finished row with one gcd sweep.  That replaces one ``Fraction`` gcd
 and allocation per ``+=`` with a few per row.  A ``CompositaTable`` stores
 these rows as the kernel makes them.
 
-Tables are built through two entry points: ``recurrence``, the triangle
-recurrence, and ``product``, the product of two lower-triangular tables,
-which forms both a composition and a Riordan array.  Each one decides its
-own route: where every scalar and row is an integer and ``tries_packed``
+Tables are built through two entry points.  ``recurrence`` is the
+Riordan recurrence: it builds the array (G, F), and with G = F/x every
+composita triangle (the array shifted by one).  ``product``, the product
+of two lower-triangular tables, forms a composition.  Each one decides
+its own route: where every scalar and row is an integer and ``tries_packed``
 allows it, it tries ``_packed`` first, which packs each row into one big
 integer, and it runs ``combine`` otherwise or where ``_packed`` declines.
 No other module imports ``_packed``.
@@ -42,6 +43,9 @@ Row = tuple[tuple[int, ...], int]
 # scalar * x^shift * row, where entry j of the row lands at column j + shift.
 Term = tuple[int, int, Row, int]
 
+# (index, numerator, denominator) of each nonzero coefficient of a series.
+Scalars = list[tuple[int, int, int]]
+
 UNIT: Row = ((1,), 1)
 
 # Integer tables are tried on packed rows (``_packed``) only where the
@@ -67,7 +71,7 @@ def to_row(values: Sequence[Fraction]) -> Row:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-def scalars(values: Sequence[Fraction]) -> list[tuple[int, int, int]]:
+def scalars(values: Sequence[Fraction]) -> Scalars:
     """(index, numerator, denominator) of each nonzero value."""
     return [(i, v.numerator, v.denominator) for i, v in enumerate(values) if v]
 
@@ -101,23 +105,26 @@ def combine(terms: Iterable[Term], width: int) -> Row:
     return tuple(acc), den
 
 
-def recurrence(f_terms: list[tuple[int, int, int]], n_max: int) -> tuple[Row, ...]:
-    """Rows 1..n_max of the triangle of F, from its nonzero
-    ``(i, numerator, denominator)`` terms (``scalars``).
+def recurrence(g_terms: Scalars, f_terms: Scalars, n_max: int) -> tuple[Row, ...]:
+    """Rows 0..n_max of the Riordan array (G, F), from the nonzero
+    ``(i, numerator, denominator)`` terms of G and F (``scalars``).
 
-    Row n, with its column 0 (the unit row T(0, 0) = 1 and zeros below
-    it), is the sum of f(i) times row n - i shifted one column right.
+    Row n is g(n) in column 0 plus the sum of f(i) times row n - i
+    shifted one column right, so column k is G * F^k.  The triangle of F
+    is the array (F/x, F) shifted by one (``composita_from_series``).
     """
-    if tries_packed(len(f_terms), n_max, False) and all(den == 1 for _, _, den in f_terms):
+    if tries_packed(len(f_terms), n_max + 1, False) and all(den == 1 for _, _, den in g_terms + f_terms):
         from ._packed import recurrence_rows
 
-        packed = recurrence_rows(f_terms, n_max)
+        packed = recurrence_rows(g_terms, f_terms, n_max)
         if packed is not None:
             return packed
-    rows = [UNIT]
-    for n in range(1, n_max + 1):
-        rows.append(combine(((num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n), n + 1))
-    return tuple((nums[1:], den) for nums, den in rows[1:])
+    seeds = {i: (num, den, UNIT, 0) for i, num, den in g_terms}
+    rows = []
+    for n in range(n_max + 1):
+        terms = [(num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n]
+        rows.append(combine([seeds.get(n, (0, 1, UNIT, 0)), *terms], n + 1))
+    return tuple(rows)
 
 
 def product(left: Sequence[Row], right: Sequence[Row]) -> tuple[Row, ...]:
@@ -126,10 +133,8 @@ def product(left: Sequence[Row], right: Sequence[Row]) -> tuple[Row, ...]:
 
     The work is estimated as the nonzero entries of the densest left row
     times the rows below the first, squared (row 0 is one scalar times
-    one row).  On ``combine`` each scalar is reduced first: the left rows
-    need not be canonical, and a denominator that all of a row's entries
-    share (such as that of a Toeplitz row of G) would otherwise enter the
-    lcm of every term.
+    one row).  On ``combine`` each scalar is reduced first, so that the
+    row's denominator enters the lcm only as far as each entry needs it.
     """
     if all(den == 1 for _, den in left) and all(den == 1 for _, den in right):
         densest = max(len(nums) - nums.count(0) for nums, _ in left)

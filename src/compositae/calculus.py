@@ -9,8 +9,8 @@ F + G, F * B, alpha * F and F(alpha * x) have no route here: each is
 ``composita_from_series`` of that series.  The paper's sum and product
 formulas are checks in ``theorems.py``, its reciprocal formula a sweep in
 ``identities.py``.  Composition is the row kernel's table product
-(``_rows.product``, which ``riordan_build`` uses too), and the kernel
-picks its route.
+(``_rows.product``, whose only caller it is), and the kernel picks its
+route.
 """
 
 from __future__ import annotations

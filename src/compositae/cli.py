@@ -197,7 +197,7 @@ def _cmd_riordan(args: SimpleNamespace) -> tuple[str, int]:
     n = _require_order(args.n, "--n")
     g = _series(args.g, n)
     f = _series(args.fn, n)
-    table = riordan.riordan_build(g, composita_from_series(f, n))
+    table = riordan.riordan_build(g, f)
     if args.b is not None:
         b = _series(args.b, n)
         return _render_series(riordan.riordan_apply(table, b.coeffs), args.format), 0

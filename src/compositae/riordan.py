@@ -1,12 +1,14 @@
-"""Riordan arrays (G(x), F(x)) built from a series G and the triangle of F.
+"""Riordan arrays (G(x), F(x)) built from the series G and F.
 
 A Riordan array is a ``CompositaTable`` with ``base`` 0: rows and columns
 are indexed from (0, 0), where a composita triangle starts at (1, 1).
-The paper's link between the two (the (F, xF) array shifted by one is the
-triangle of xF) is ``theorems.check_riordan_identity``.  The array is a
-table product: G's Toeplitz rows times F's triangle bordered by the unit
-row, formed by the row kernel's ``_rows.product`` as ``composita_compose``
-is, and the kernel picks its route.
+Column k of the array is G * F^k, so it obeys the composita recurrence
+seeded with g(n) in column 0: the row kernel's ``_rows.recurrence``,
+which builds every composita triangle as the array (F/x, F) and picks its
+route.  The paper's formulas stay as checks in ``theorems``:
+``check_riordan_formula`` (each entry as a sum of g(i) times F's
+triangle) and ``check_riordan_identity`` (the (F, xF) array shifted by
+one is the triangle of xF).
 """
 
 from __future__ import annotations
@@ -14,28 +16,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ._rows import UNIT, dot, product, to_row
+from ._rows import dot, recurrence, scalars
 from .errors import InsufficientOrder
 from .series import CoeffLike, PowerSeries, as_rational
-from .triangle import CompositaTable
+from .triangle import CompositaTable, _table_order
 
 
-def riordan_build(g: PowerSeries, tf: CompositaTable) -> CompositaTable:
-    """Array of the pair (G, F) from G's coefficients and F's triangle.
+def riordan_build(g: PowerSeries, f: PowerSeries) -> CompositaTable:
+    """Array of the pair (G, F), to F's order, from the coefficients of
+    G and F (F composable, G known to F's order).
 
-    R(n, 0) = g(n); R(n, k) = sum_{i=0}^{n-k} g(i) * F(n-i, k) for k >= 1.
-    Row n is the sum of g(i) times row n - i of F's triangle, taken with
-    its column 0 (the unit row T(0, 0) = 1 and zeros below it): the array
-    is G's Toeplitz matrix, row n = (g(n), ..., g(0)), times that
-    bordered triangle, the product that ``composita_compose`` forms.
+    R(n, 0) = g(n); R(n, k) = sum_{i=1}^{n-k+1} f(i) * R(n-i, k-1) for
+    k >= 1, so column k is G * F^k.
     """
-    n_max = tf.order
+    n_max = _table_order(f, None)
     if g.order < n_max:
         raise InsufficientOrder(f"g is needed to order {n_max}, got {g.order}")
-    gs, den = to_row(g.coeffs[: n_max + 1])
-    toeplitz = [(gs[n::-1], den) for n in range(n_max + 1)]
-    bordered = [UNIT] + [((0,) + nums, f_den) for nums, f_den in tf.int_rows]
-    return CompositaTable._of(product(toeplitz, bordered), 0)
+    g_terms, f_terms = (scalars(s.coeffs[: n_max + 1]) for s in (g, f))
+    return CompositaTable._of(recurrence(g_terms, f_terms, n_max), 0)
 
 
 def riordan_apply(r: CompositaTable, b: Sequence[CoeffLike]) -> tuple[Fraction, ...]:

@@ -15,7 +15,8 @@ spec's ``closed_form`` property imports it and asks ``closed_form_formula``.
   cubic polynomial triangle carries c (not b) in its final factor;
   trigonometric triangles with a parity constraint return 0 outright
   when n - k is odd.
-* The sum, product and Riordan-shift theorems and the closed-form check,
+* The sum, product and Riordan-shift theorems, the Riordan array formula
+  and the closed-form check,
   each comparing the production table it is given with the formula, so
   a planted fault is ``table.with_entry(...)``.
 """
@@ -419,6 +420,32 @@ def check_riordan_identity(rio: CompositaTable, t_xf: CompositaTable) -> Identit
         )
     rng = f"0 <= k <= n <= {rio.order}"
     return _sweep("riordan", rng, rio, lambda n, k: t_xf[n + 1, k + 1])
+
+
+def check_riordan_formula(rio: CompositaTable, g: PowerSeries, tf: CompositaTable) -> IdentityReport:
+    """The paper's Riordan array of the pair (G, F) from F's triangle:
+
+        R(n, 0) = g(n),  R(n, k) = sum_{i=0}^{n-k} g(i) T_F(n-i, k),
+
+    column k of G(x) * F(x)^k read off at x^n.  Every entry of ``rio``
+    (base 0) is compared with the formula, a convolution of G with column
+    k of F's triangle over one denominator; G is needed to ``rio.order``.
+    """
+    order = rio.order
+    if tf.order != order:
+        raise OrderMismatch(f"orders differ: {order} vs {tf.order}")
+    if g.order < order:
+        raise InsufficientOrder(f"g is needed to order {order}, got {g.order}")
+    g_nums, g_den = _scaled(g.coeffs[: order + 1])
+    columns = [_scaled(tf.column(k)) for k in range(1, order + 1)]
+
+    def formula(n: int, k: int) -> Fraction:
+        if k == 0:
+            return Fraction(g_nums[n], g_den)
+        (f_nums, f_den), d = columns[k - 1], n - k
+        return Fraction(sum(g_nums[i] * f_nums[d - i] for i in range(d + 1)), g_den * f_den)
+
+    return _sweep("riordan_formula", f"0 <= k <= n <= {order}", rio, formula)
 
 
 def check_closed_form(spec: FunctionSpec, table: CompositaTable) -> IdentityReport:

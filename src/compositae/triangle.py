@@ -15,7 +15,9 @@ Three independent construction routes are provided:
                              T(n, 1) = f(n),
                              T(n, k) = sum_{i=1}^{n-k+1} f(i) T(n-i, k-1),
                              run by the row kernel (``_rows.recurrence``,
-                             which picks packed rows or ``combine``),
+                             which picks packed rows or ``combine``) as
+                             the Riordan array (F/x, F), whose entry
+                             (n, k) is [x^n] (F^(k+1) / x) = T(n+1, k+1),
 * ``composita_from_powers``- direct coefficient extraction from F^k.
 """
 
@@ -187,9 +189,12 @@ def composita_oracle(f: PowerSeries, n: int, k: int) -> Fraction:
 
 
 def composita_from_series(f: PowerSeries, order: int | None = None) -> CompositaTable:
-    """Build the triangle by the composita recurrence."""
+    """Build the triangle by the composita recurrence: rows 1..N are rows
+    0..N - 1 of the Riordan array (F/x, F), whose column k - 1 is
+    F^k / x."""
     n_max = _table_order(f, order)
-    return CompositaTable._of(recurrence(scalars(f.coeffs[: n_max + 1]), n_max), 1)
+    f_terms = scalars(f.coeffs[: n_max + 1])
+    return CompositaTable._of(recurrence([(i - 1, num, den) for i, num, den in f_terms], f_terms, n_max - 1), 1)
 
 
 def composita_from_powers(f: PowerSeries, order: int | None = None) -> CompositaTable:

@@ -275,7 +275,8 @@ def reference_triangle_records(table: CompositaTable) -> str:
 def route(packed: bool):
     """Send every integer input with a nonzero term to packed rows (any
     slot width), or every input to ``combine``: the kernel's entry points
-    (``_rows.recurrence`` and ``_rows.product``) are the only callers of
+    (``_rows.recurrence``, behind every triangle and Riordan array, and
+    ``_rows.product``, behind every composition) are the only callers of
     ``_rows.tries_packed``, so one patch of it routes every table."""
     tries = (lambda terms, rows, packs_input: terms > 0) if packed else (lambda *args: False)
     with patch.object(_rows, "tries_packed", tries), patch.object(_packed, "LIMIT", float("inf")):

@@ -25,6 +25,7 @@ from compositae import (
     check_lambert_identity,
     check_product_identity,
     check_reciprocal_identity,
+    check_riordan_formula,
     check_riordan_identity,
     check_sum_identity,
     composita_from_series,
@@ -34,7 +35,7 @@ from compositae import (
     reciprocal_composita,
     riordan_build,
 )
-from helpers import series_strategy, small_fraction, small_int_fraction
+from helpers import route, series_strategy, small_fraction, small_int_fraction
 
 
 def table_for(name: str, order: int):
@@ -255,8 +256,9 @@ def sweep_and_fault(data, check, table):
 
 @pytest.mark.parametrize("coeffs", COEFFS.values(), ids=list(COEFFS))
 class TestPaperTheorems:
-    """The paper's sum, product, Riordan-shift and closed-form theorems
-    against the production triangles, on integer and rational series."""
+    """The paper's sum, product, Riordan-shift, Riordan-formula and
+    closed-form theorems against the production triangles, on integer and
+    rational series."""
 
     @given(data=st.data(), order=st.integers(min_value=1, max_value=8))
     def test_sum_identity(self, coeffs, data, order):
@@ -281,8 +283,18 @@ class TestPaperTheorems:
     def test_riordan_identity(self, coeffs, data, order):
         f = data.draw(series_strategy(order, order, coeffs=coeffs))
         shifted = composita_from_series(f.times_x())
-        rio = riordan_build(f, shifted.truncated(order))
+        rio = riordan_build(f, f.times_x().truncate(order))
         sweep_and_fault(data, lambda t: check_riordan_identity(t, shifted), rio)
+
+    @given(data=st.data(), order=st.integers(min_value=1, max_value=8), packed=st.booleans())
+    def test_riordan_formula(self, coeffs, data, order, packed):
+        # packed=True sends an integer G and F to packed rows
+        g = data.draw(series_strategy(order, order, coeffs=coeffs))
+        f = data.draw(series_strategy(order, order, zero_constant=True, coeffs=coeffs))
+        with route(packed):
+            rio = riordan_build(g, f)
+        tf = composita_from_series(f)
+        sweep_and_fault(data, lambda t: check_riordan_formula(t, g, tf), rio)
 
     @given(data=st.data(), order=st.integers(min_value=1, max_value=8))
     def test_closed_form(self, coeffs, data, order):

@@ -24,6 +24,7 @@ from compositae import (
     PowerSeries,
     catalog_series,
     check_product_identity,
+    check_riordan_formula,
     check_riordan_identity,
     check_sum_identity,
     compose_series,
@@ -116,7 +117,7 @@ class TestRiordan:
     )
     def test_columns_are_g_times_powers(self, g, f):
         n_max = f.order
-        rio = riordan_build(g, composita_from_series(f))
+        rio = riordan_build(g, f)
         g_coeffs = list(g.coeffs)
         for k in range(n_max + 1):
             column = convolve(g_coeffs, power_coeffs(list(f.coeffs), k, n_max), n_max)
@@ -260,15 +261,14 @@ class TestPackedRows:
     @given(g=integer_series(min_order=30, max_order=30, vanishing=False), data=st.data())
     def test_riordan_routes_agree(self, g, data):
         f = data.draw(integer_series(max_order=30))
-        tf = composita_from_series(f)
-        rio = both_routes(lambda: riordan_build(g, tf))
-        assert riordan_build(g, tf) == rio
+        rio = both_routes(lambda: riordan_build(g, f))
+        assert riordan_build(g, f) == rio
 
     @given(g=integer_series(min_order=6, max_order=6, vanishing=False), f=integer_series(max_order=6))
     def test_packed_riordan_columns_are_g_times_powers(self, g, f):
         n_max = f.order
         with route(packed=True):
-            rio = riordan_build(g, composita_from_series(f))
+            rio = riordan_build(g, f)
         g_coeffs = list(g.coeffs)
         for k in range(n_max + 1):
             column = convolve(g_coeffs, power_coeffs(list(f.coeffs), k, n_max), n_max)
@@ -299,7 +299,7 @@ class TestPackedRows:
         v = 2 ** (8 * size - 1)
         tv = both_routes(lambda: composita_from_series(PowerSeries.of([0, v])))
         assert tv.int_rows == (((v,), 1),)
-        rio = both_routes(lambda: riordan_build(PowerSeries.of([1, 0]), tv))
+        rio = both_routes(lambda: riordan_build(PowerSeries.of([1, 0]), PowerSeries.of([0, v])))
         assert rio.int_rows == (((1,), 1), ((0, v), 1))
         tx = composita_from_series(PowerSeries.of([0, 1]))
         assert both_routes(lambda: composita_compose(tx, tv)) == tv
@@ -312,21 +312,24 @@ class TestPackedRows:
         assert product_rows(left, right) == expected
         assert both_routes(lambda: product(left, right)) == expected
 
-    def test_a_large_g_term_packs_against_the_unit_row(self):
+    def test_a_large_g_term_bounds_only_its_own_row(self):
         # G is 1 below x^N and about 2^400 at x^N, over geometric at N = 120.
         # sum |g(i)| times the largest entry of F's triangle passes LIMIT,
-        # but the large term meets only the unit row, so each row's own
-        # bound stays below 2^401 and the array takes packed rows
+        # but g(N) enters only row N, so the recurrence's bound
+        # u(N) = |g(N)| + sum_i u(N - i) = g(N) + 2^N - 1 stays below
+        # 2^401 and the array takes packed rows
         n_max, big = 120, 3**252
         g = PowerSeries.of([1] * n_max + [big])
-        tf = composita_from_series(PowerSeries.of([0] + [1] * n_max))
+        f = PowerSeries.of([0] + [1] * n_max)
+        tf = composita_from_series(f)
         peak = max(max(nums) for nums, _ in tf.int_rows)
-        assert (n_max + big) * peak >= LIMIT
-        assert takes_packed_rows(lambda: riordan_build(g, tf))
-        rio = riordan_build(g, tf)
+        assert (n_max + big) * peak >= LIMIT > big + 2**n_max
+        assert takes_packed_rows(lambda: riordan_build(g, f))
+        rio = riordan_build(g, f)
         assert rio[n_max, 0] == big
         with route(packed=False):
-            assert riordan_build(g, tf) == rio
+            assert riordan_build(g, f) == rio
+        assert check_riordan_formula(rio, g, tf).verified
         # x*G is geometric up to x^N, so this array is (G, x*G)
         assert check_riordan_identity(rio, composita_from_series(g.times_x())).verified
 
@@ -353,28 +356,32 @@ class TestPackedRows:
         assert takes_packed_rows(lambda: composita_from_series(f)) == packed
 
     @pytest.mark.parametrize(
-        "kind, outer, inner, order, packed",
+        "g, f, order, packed",
         [
-            ("riordan", "geometric", "fib", 30, False),  # too little work
-            ("riordan", "geometric", "fib", 31, False),  # 31 terms * 30 rows below row 0, squared
-            ("riordan", "geometric", "fib", 32, True),
-            ("riordan", "geometric", "fib", 40, True),
-            ("riordan", "fib", "geometric", 63, True),
-            ("riordan", "1,1,1,1,1", "geometric", 10, False),  # 5 terms per row
-            ("riordan", "3/7,2/13", "geometric", 63, False),  # a rational G
-            ("compose", "geometric", "fib", 27, False),
-            ("compose", "geometric", "fib", 33, True),  # its densest row, not its average
-            ("compose", "geometric", "fib", 41, True),
+            ("geometric", "fib", 30, False),  # too little work
+            ("geometric", "fib", 31, True),  # 31 terms * 32 rows, squared
+            ("geometric", "fib", 40, True),
+            ("fib", "geometric", 63, True),
+            ("1,1,1,1,1", "geometric", 10, False),  # too little work
+            ("3/7,2/13", "geometric", 63, False),  # a rational G
         ],
     )
-    def test_product_route_selection(self, kind, outer, inner, order, packed):
+    def test_riordan_route_selection(self, g, f, order, packed):
+        # the work counts nnz(F) terms per row and the N + 1 rows built
+        g, f = (catalog_series(parse_function_spec(s), order) for s in (g, f))
+        assert takes_packed_rows(lambda: riordan_build(g, f)) == packed
+
+    @pytest.mark.parametrize(
+        "outer, inner, order, packed",
+        [
+            ("geometric", "fib", 27, False),
+            ("geometric", "fib", 33, True),  # its densest row, not its average
+            ("geometric", "fib", 41, True),
+        ],
+    )
+    def test_compose_route_selection(self, outer, inner, order, packed):
         # the tables are built outside the spy, which would count their
         # own packed recurrence
-        g = catalog_series(parse_function_spec(outer), order)
         tf = composita_from_series(catalog_series(parse_function_spec(inner), order))
-        if kind == "riordan":
-            build = lambda: riordan_build(g, tf)
-        else:
-            tr = composita_from_series(g)
-            build = lambda: composita_compose(tf, tr)
-        assert takes_packed_rows(build) == packed
+        tr = composita_from_series(catalog_series(parse_function_spec(outer), order))
+        assert takes_packed_rows(lambda: composita_compose(tf, tr)) == packed

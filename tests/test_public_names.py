@@ -20,5 +20,5 @@ def test_public_names_are_sorted_and_unique():
 
 
 def test_public_name_count():
-    assert len(compositae.__all__) == 42
+    assert len(compositae.__all__) == 43
     assert "parse_series" not in compositae.__all__  # raw_coefficients is the one grammar

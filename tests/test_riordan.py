@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from compositae import (
     InsufficientOrder,
     CompositaTable,
+    NonzeroConstantTerm,
+    OrderMismatch,
     PowerSeries,
     catalog_series,
+    check_riordan_formula,
     check_riordan_identity,
     compose_series,
     composita_from_series,
@@ -35,7 +38,7 @@ def geometric(order):
 
 
 def pascal(order):
-    return riordan_build(ones(order), composita_from_series(geometric(order), order))
+    return riordan_build(ones(order), geometric(order))
 
 
 class TestRiordanArray:
@@ -103,14 +106,15 @@ class TestBuild:
 
     def test_first_column_is_g(self):
         g = PowerSeries.of([5, 0, Fraction(-1, 2), 7], order=5)
-        t = riordan_build(g, composita_from_series(geometric(5), 5))
+        t = riordan_build(g, geometric(5))
         for n in range(6):
             assert t[n, 0] == g.coeffs[n]
 
     def test_unit_g_reproduces_the_triangle(self):
         # (1, F) keeps F's triangle and pads row 0 with a lone 1.
-        tf = composita_from_series(PowerSeries.of([0, 1, 1, 0, 2], order=6), 6)
-        t = riordan_build(PowerSeries.of([1], order=6), tf)
+        f = PowerSeries.of([0, 1, 1, 0, 2], order=6)
+        tf = composita_from_series(f, 6)
+        t = riordan_build(PowerSeries.of([1], order=6), f)
         assert t[0, 0] == 1
         for n in range(1, 7):
             assert t[n, 0] == 0
@@ -118,9 +122,22 @@ class TestBuild:
                 assert t[n, k] == tf[n, k]
 
     def test_short_g_rejected(self):
-        tf = composita_from_series(geometric(6), 6)
-        with pytest.raises(InsufficientOrder):
-            riordan_build(ones(5), tf)
+        with pytest.raises(InsufficientOrder, match="g is needed to order 6, got 5"):
+            riordan_build(ones(5), geometric(6))
+
+    def test_f_is_checked_as_a_triangle_is(self):
+        # the array has F's order, and F passes the triangle builder's checks
+        with pytest.raises(NonzeroConstantTerm):
+            riordan_build(ones(3), ones(3))
+        with pytest.raises(ValueError, match="order >= 1"):
+            riordan_build(ones(3), PowerSeries.of([0], order=0))
+        assert riordan_build(ones(9), geometric(4)) == pascal(4)
+
+    def test_zero_g_and_zero_f(self):
+        zero = PowerSeries.of([0], order=4)
+        assert riordan_build(zero, geometric(4)).int_rows == tuple(((0,) * (n + 1), 1) for n in range(5))
+        pure = riordan_build(ones(4), zero)
+        assert [pure.column(0), pure.column(1)] == [(1,) * 5, (0,) * 4]
 
 
 class TestApply:
@@ -156,7 +173,7 @@ class TestApply:
     def test_matches_composition_route(self, g, f, b):
         # The table transform and G(x)*B(F(x)) are the same map.
         tf = composita_from_series(f, 6)
-        table = riordan_build(g, tf)
+        table = riordan_build(g, f)
         b_series = PowerSeries.of([Fraction(v) for v in b], order=6)
         direct = g * compose_series(b_series, tf)
         assert riordan_apply(table, b_series.coeffs) == direct.coeffs
@@ -165,8 +182,8 @@ class TestApply:
 def shifted_pair(f, order):
     """The (F, xF) array to ``order`` and the triangle of xF to ``order + 1``."""
     base = f.truncate(order)
-    table = composita_from_series(base.times_x(), order + 1)
-    return riordan_build(base, table.truncated(order)), table
+    xf = base.times_x()
+    return riordan_build(base, xf.truncate(order)), composita_from_series(xf, order + 1)
 
 
 class TestCompositaCheck:
@@ -202,8 +219,21 @@ class TestCompositaCheck:
         f = catalog_series(make_spec("tan"), order)
         wrong = catalog_series(make_spec("sin"), order)
         table = composita_from_series(wrong.times_x(), order + 1)
-        rio = riordan_build(f, table.truncated(order))
+        rio = riordan_build(f, wrong.times_x().truncate(order))
         report = check_riordan_identity(rio, table)
         assert report.status == "counterexample"
         (n, k), lhs, rhs = report.first_failure
         assert lhs == rio[n, k] != rhs == table[n + 1, k + 1]
+
+
+class TestRiordanFormula:
+    """``check_riordan_formula`` needs F's triangle to the array's order
+    and G at least that far; its sweep is in ``test_identities``."""
+
+    def test_orders_are_checked(self):
+        rio = pascal(6)
+        assert check_riordan_formula(rio, ones(6), composita_from_series(geometric(6))).verified
+        with pytest.raises(OrderMismatch):
+            check_riordan_formula(rio, ones(6), composita_from_series(geometric(5)))
+        with pytest.raises(InsufficientOrder):
+            check_riordan_formula(rio, ones(5), composita_from_series(geometric(6)))

@@ -105,7 +105,7 @@ def test_riordan_array(data, order):
     f = data.draw(series(order, vanishing=True))
     columns = [(g * f**k).coeffs for k in range(order + 1)]
     rows = [[columns[k][n] for k in range(n + 1)] for n in range(order + 1)]
-    table = riordan_build(g, composita_from_series(f))
+    table = riordan_build(g, f)
     assert_stored_canonically(table, CompositaTable(rows, base=0))
 
 
