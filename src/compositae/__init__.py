@@ -51,6 +51,7 @@ _EXPORTS = {
         "check_lambert_identity",
         "check_reciprocal_identity",
     ),
+    "oracle": ("composita_oracle",),
     "riordan": ("riordan_apply", "riordan_build"),
     "series": ("PowerSeries", "as_rational"),
     "theorems": (
@@ -66,7 +67,6 @@ _EXPORTS = {
         "CompositaTable",
         "composita_from_powers",
         "composita_from_series",
-        "composita_oracle",
         "series_from_composita",
     ),
 }

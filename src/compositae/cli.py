@@ -35,6 +35,7 @@ options run.  What loads when:
   argparse parser and the ``--output`` writer; only the parser imports
   ``argparse`` (with ``gettext`` and ``locale``);
 * ``verify``: ``_verify``, the sweep table and the report writer;
+* ``oracle``: ``oracle``, the enumeration of compositions;
 * on first use: ``catalog`` (for catalog names and for the unknown-designator
   hint, the list of names printed after an unknown designator),
   ``calculus``, ``funceq``, ``identities`` and ``riordan``.  Importing this
@@ -53,14 +54,17 @@ options run.  What loads when:
   the tests and ``scripts/verify_catalog.py`` evaluate) and
   ``dataclasses`` (the value types are plain slotted classes).
 
-The process entry, ``run()`` in ``__main__``, ends the process without the
-interpreter's teardown collection (it calls ``gc.freeze()`` once
-``main()`` returns); ``main()`` itself does not freeze, since it also runs
-inside long-lived processes.
+``main()`` writes and flushes its output and returns the exit code; a
+stdout that cannot be written is reported in one line and exits 1 (a
+reader that has gone away, silently).  The process entry, ``run()`` in
+``__main__``, then ends the process with ``os._exit``, without the
+interpreter's teardown; ``main()`` itself returns normally, since it also
+runs inside long-lived processes.
 """
 
 from __future__ import annotations
 
+import errno
 import importlib.util
 import os
 import sys
@@ -78,7 +82,7 @@ from .formats import (
     triangle_text,
 )
 from .series import PowerSeries, parse_int, parse_rational, raw_coefficients
-from .triangle import composita_from_series, composita_oracle
+from .triangle import composita_from_series
 
 
 def _lazy_submodule(name: str) -> ModuleType:
@@ -205,6 +209,8 @@ def _cmd_riordan(args: SimpleNamespace) -> tuple[str, int]:
 
 
 def _cmd_oracle(args: SimpleNamespace) -> tuple[str, int]:
+    from .oracle import composita_oracle  # only oracle compiles the enumeration
+
     n = _require_order(args.n, "--n")
     if not 1 <= args.k <= n:
         raise UsageError("--k must satisfy 1 <= k <= n")
@@ -357,7 +363,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         except SystemExit as exc:
-            return int(exc.code or 0)
+            code = int(exc.code or 0)
+            # Help went to stdout (to stderr if fd 1 is closed): flush it
+            # here, where a failed write is reported.
+            if code == 0 and sys.stdout is not None and not _write_stdout(None):
+                return 1
+            return code
     try:
         text, code = _HANDLERS[args.subcommand](args)
     except UnknownFunction as exc:
@@ -382,13 +393,32 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return 1
         return code
+    return code if _write_stdout(text) else 1
+
+
+def _write_stdout(text: Optional[str]) -> bool:
+    """Print ``text``, if any, and flush stdout, so that a failed write
+    fails here and not at exit.  If it fails, say why on stderr (not for a
+    closed pipe: the reader is gone), point stdout's file descriptor at
+    devnull so that no later flush fails again with what is left in its
+    buffer, and return False."""
+    stdout = sys.stdout
     try:
-        print(text)
-        sys.stdout.flush()  # a closed pipe must fail here, not at exit
-    except BrokenPipeError:
-        # The reader is gone.  Point stdout at devnull so that the flush at
-        # interpreter exit does not fail again, and exit 1 without a traceback.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return code
+        if stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        if text is not None:
+            print(text)
+        stdout.flush()
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        try:
+            fd = stdout.fileno()
+        except (AttributeError, OSError):  # closed, or not a file (an in-process host's)
+            return False
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return False
+    return True
 

@@ -9,11 +9,9 @@ with one gcd, and no ``Fraction`` is built.  A record line is written
 directly, not through ``json``, whose import would cost every records
 call a few milliseconds: it holds only ints and the ASCII text of a
 rational, so it is byte-for-byte what ``json.dumps`` makes of the same
-dict.  ``parse_triangle_csv`` is the strict inverse of ``triangle_csv``
-for composita triangles and Riordan arrays alike: it reads the base index
-from the smallest row number and rejects a missing, repeated or
-out-of-triangle entry, so a round trip reproduces a table exactly or
-fails.
+dict.  The module writes and never reads: the strict CSV reader that the
+tests round-trip ``triangle_csv`` through is ``parse_triangle_csv`` in
+``tests/helpers.py``, so no CLI call compiles it.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .series import parse_int, parse_rational
 from .triangle import CompositaTable
 
 
@@ -67,32 +64,3 @@ def series_records(values: Sequence[Fraction], start: int = 0) -> str:
     return "\n".join(
         f'{{"n": {n}, "value": "{v!s}"}}' for n, v in enumerate(values, start=start)
     )
-
-
-def parse_triangle_csv(text: str) -> CompositaTable:
-    """Rebuild a table from ``triangle_csv`` output; the smallest n read
-    is its base index (1 for a composita triangle, 0 for a Riordan array)."""
-    entries: dict[tuple[int, int], Fraction] = {}
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line or line == "n,k,value":
-            continue
-        n_text, k_text, value_text = line.split(",")
-        key = (parse_int(n_text), parse_int(k_text))
-        if key in entries:
-            raise ValueError(f"entry {key} appears twice")
-        entries[key] = parse_rational(value_text)
-    if not entries:
-        raise ValueError("no triangle entries found")
-    base = min(n for n, _ in entries)
-    if base not in (0, 1):
-        raise ValueError(f"the first row must be n = 0 or n = 1, not n = {base}")
-    rows = []
-    for n in range(base, max(n for n, _ in entries) + 1):
-        try:
-            rows.append(tuple(entries.pop((n, k)) for k in range(base, n + 1)))
-        except KeyError as exc:
-            raise ValueError(f"entry {exc.args[0]} is missing") from None
-    if entries:
-        raise ValueError(f"entry {min(entries)} lies outside the triangle")
-    return CompositaTable(rows, base=base)

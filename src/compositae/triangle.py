@@ -6,11 +6,8 @@ f(part_1) * ... * f(part_k).  Equivalently it is the coefficient of x^n in
 F(x)^k, so the triangle rows 1 <= k <= n <= N collect the coefficients of
 all truncated powers of F at once.
 
-Three independent construction routes are provided:
+Two construction routes are provided here:
 
-* ``composita_oracle``     - literal enumeration of compositions (slow,
-                             exponential; meant as a ground truth for tests
-                             up to roughly n = 14),
 * ``composita_from_series``- the triangle recurrence
                              T(n, 1) = f(n),
                              T(n, k) = sum_{i=1}^{n-k+1} f(i) T(n-i, k-1),
@@ -19,12 +16,16 @@ Three independent construction routes are provided:
                              the Riordan array (F/x, F), whose entry
                              (n, k) is [x^n] (F^(k+1) / x) = T(n+1, k+1),
 * ``composita_from_powers``- direct coefficient extraction from F^k.
+
+The third, independent route, ``oracle.composita_oracle``, enumerates
+the compositions themselves (exponential; a ground truth for tests up to
+roughly n = 14).  No production route runs it, so it lives in its own
+module, which a CLI call compiles only for the ``oracle`` subcommand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
@@ -140,52 +141,10 @@ def _table_order(f: PowerSeries, order: int | None) -> int:
     return n_max
 
 
-# The most composition prefixes composita_oracle may have to enumerate: a
-# second or two of work (n = 1200, k = 1199 has 719,399).
-ORACLE_MAX_PREFIXES = 10**6
-
 # The most entries a table built for one call may hold when its size grows
 # with an exponent as well as with the order: the power table of
 # funceq.solve_functional_equation and the triangle of the funceq sweep.
 MAX_TABLE_ENTRIES = 10**6
-
-
-def composita_oracle(f: PowerSeries, n: int, k: int) -> Fraction:
-    """Sum of coefficient products over all k-part compositions of n.
-
-    Exponential-time reference implementation; use it to cross-check the
-    fast routes on small inputs only.  The enumeration visits at most
-    C(n, k - 1) - 1 prefixes of compositions (all of them for a dense F),
-    and a call where that bound exceeds ``ORACLE_MAX_PREFIXES`` raises
-    ValueError before it starts.
-    """
-    _require_composable(f)
-    if n > f.order:
-        raise InsufficientOrder(f"series only known to order {f.order}, asked about n={n}")
-    if not 1 <= k <= n:
-        raise ValueError("the part count k must satisfy 1 <= k <= n")
-    prefixes = comb(n, k - 1) - 1
-    if prefixes > ORACLE_MAX_PREFIXES:
-        raise ValueError(
-            f"the oracle would enumerate up to {prefixes} composition prefixes for"
-            f" n={n}, k={k}; its cap is {ORACLE_MAX_PREFIXES}"
-        )
-    coeffs = f.coeffs
-    total = Fraction(0)
-    # Depth first over the parts chosen so far, with an explicit stack: a
-    # composition has up to n parts, more than the recursion limit allows.
-    stack = [(n, k, Fraction(1))]  # (remaining sum, parts left, product so far)
-    while stack:
-        remaining, parts, acc = stack.pop()
-        if parts == 1:
-            total += acc * coeffs[remaining]
-            continue
-        # each of the remaining parts needs at least 1
-        for part in range(1, remaining - parts + 2):
-            c = coeffs[part]
-            if c:
-                stack.append((remaining - part, parts - 1, acc * c))
-    return total
 
 
 def composita_from_series(f: PowerSeries, order: int | None = None) -> CompositaTable:

@@ -7,9 +7,12 @@ share no code.  The reference identity sweeps at the end read the
 package's table and series types (and the reciprocal reference multiplies
 ``PowerSeries``), but share no arithmetic with the checks they test, and
 the reference triangle renderers print ``str(v)`` of the ``Fraction``
-entries of ``table.rows``.  ``route`` and ``takes_packed_rows`` at the end
-compute nothing: they pick or observe the route (packed rows or
-``combine``) that the package takes for an integer table.
+entries of ``table.rows``.  ``parse_triangle_csv``, the CSV reader that
+the round-trip tests use, reads numbers with the package's own grammar
+(``parse_int``, ``parse_rational``), which it is meant to share.
+``route`` and ``takes_packed_rows`` at the end compute nothing: they pick
+or observe the route (packed rows or ``combine``) that the package takes
+for an integer table.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from compositae import CompositaTable, IdentityReport, PowerSeries, _packed, _rows
 from compositae.errors import DivisionByNonUnit, InsufficientOrder
+from compositae.series import parse_int, parse_rational
 
 
 def gb(alpha: Fraction, n: int) -> Fraction:
@@ -265,6 +269,38 @@ def reference_triangle_records(table: CompositaTable) -> str:
     return "\n".join(
         json.dumps({"n": n, "k": k, "value": v}) for n, k, v in _reference_cells(table)
     )
+
+
+def parse_triangle_csv(text: str) -> CompositaTable:
+    """Rebuild a table from ``triangle_csv`` output, strictly: the smallest
+    n read is its base index (1 for a composita triangle, 0 for a Riordan
+    array), indices and values follow the CLI's number grammar, and a
+    missing, repeated or out-of-triangle entry is an error, so a round trip
+    reproduces a table exactly or fails."""
+    entries: dict[tuple[int, int], Fraction] = {}
+    for line in text.strip().splitlines():
+        line = line.strip()
+        if not line or line == "n,k,value":
+            continue
+        n_text, k_text, value_text = line.split(",")
+        key = (parse_int(n_text), parse_int(k_text))
+        if key in entries:
+            raise ValueError(f"entry {key} appears twice")
+        entries[key] = parse_rational(value_text)
+    if not entries:
+        raise ValueError("no triangle entries found")
+    base = min(n for n, _ in entries)
+    if base not in (0, 1):
+        raise ValueError(f"the first row must be n = 0 or n = 1, not n = {base}")
+    rows = []
+    for n in range(base, max(n for n, _ in entries) + 1):
+        try:
+            rows.append(tuple(entries.pop((n, k)) for k in range(base, n + 1)))
+        except KeyError as exc:
+            raise ValueError(f"entry {exc.args[0]} is missing") from None
+    if entries:
+        raise ValueError(f"entry {min(entries)} lies outside the triangle")
+    return CompositaTable(rows, base=base)
 
 
 # ---------------------------------------------------------------------------

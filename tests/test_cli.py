@@ -687,6 +687,47 @@ class TestOutputFailures:
         assert target.read_text(encoding="utf-8") == PASCAL_SIX + "\n"
         assert sorted(os.listdir(tmp_path)) == ["link.txt", "triangle.txt"]
 
+    @pytest.mark.parametrize(
+        "stdout, message",
+        [
+            ("full", "No space left on device"),
+            (None, "Bad file descriptor"),  # as sys.stdout is with fd 1 closed
+        ],
+    )
+    def test_failed_stdout_write_is_one_error_line(self, capsys, monkeypatch, stdout, message):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", Full() if stdout else None)
+        code = main(["composita", "--fn", "geometric", "--n", "3"])
+        assert (code, capsys.readouterr().err) == (1, f"error: cannot write stdout: {message}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_a_full_device_exits_1_with_one_line(self):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "compositae", "composita", "--fn", "geometric", "--n", "3"],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+            )
+        assert (done.returncode, done.stderr) == (
+            1, "error: cannot write stdout: No space left on device\n"
+        )
+
+    def test_closed_stdout_exits_1_with_one_line(self):
+        # the child closes fd 1, then starts the CLI in its place, so the
+        # CLI's interpreter starts with sys.stdout None
+        argv = [sys.executable, "-m", "compositae", "composita", "--fn", "geometric", "--n", "3"]
+        done = subprocess.run(
+            [sys.executable, "-c", f"import os, sys\nos.close(1)\nos.execv(sys.executable, {argv!r})"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: cannot write stdout: Bad file descriptor\n"
+        )
+
     def test_closed_stdout_pipe_exits_1_without_traceback(self):
         # about 100 KiB of output, more than a pipe buffer holds, so the
         # child is still writing when the reader goes away
@@ -879,19 +920,32 @@ def _module_call(*argv: str) -> tuple[int, str, str]:
 
 class TestProcessEntry:
     """``python -m compositae`` and the console script both run
-    ``compositae.__main__:run``, which freezes the collector once ``main()``
-    returns so that the process ends without the teardown collection;
-    ``main()`` itself never freezes."""
+    ``compositae.__main__:run``, which flushes the standard streams once
+    ``main()`` returns and ends the process with ``os._exit``, without the
+    interpreter's teardown; ``main()`` itself returns normally."""
 
-    def test_process_entry_freezes_before_exit(self):
-        # the atexit handler runs after run() returns, as the process ends
-        err = _fresh_stderr(
-            "import atexit, gc, runpy, sys\n"
-            "atexit.register(lambda: sys.stderr.write(f' {gc.get_freeze_count()}'))\n"
-            "sys.argv = ['compositae', 'composita', '--fn', 'geometric', '--n', '3']\n"
-            "runpy.run_module('compositae', run_name='__main__', alter_sys=True)\n"
+    def test_process_entry_skips_atexit_handlers_and_keeps_stdout(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import atexit, runpy, sys\n"
+             "atexit.register(lambda: sys.stderr.write('atexit ran'))\n"
+             "sys.argv = ['compositae', 'composita', '--fn', 'geometric', '--n', '6']\n"
+             "runpy.run_module('compositae', run_name='__main__', alter_sys=True)\n"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
         )
-        assert int(err.split()[-1]) > 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, PASCAL_SIX + "\n", "")
+
+    def test_large_output_is_complete_through_a_pipe_and_in_a_file(self, capsys, tmp_path):
+        # about 1.6 MB, far more than a pipe buffer holds: what is still
+        # buffered when main() returns must reach the reader before the exit
+        argv = ("composita", "--fn", "x_exp", "--n", "150", "--format", "records")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(out) > 1_500_000
+        assert _module_call(*argv) == (0, out, "")
+        path = tmp_path / "records.txt"
+        assert _module_call(*argv, "--output", str(path)) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == out
 
     def test_main_does_not_freeze(self):
         err = _fresh_stderr(
@@ -1004,7 +1058,8 @@ class TestStartup:
     the submodules its subcommand uses: every call pays for what it runs.
     The parser and the ``--output`` writer (``_offpath``) run only for
     help, usage errors and ``--output``; the sweeps (``_verify``) only for
-    ``verify``; ``calculus`` only for the subcommands and sweeps that use
+    ``verify``; the composition-sum oracle (``oracle``) only for ``oracle``;
+    ``calculus`` only for the subcommands and sweeps that use
     it and for ``solve`` with m < 0; ``catalog`` only for a catalog name and for the
     list of names after an unknown designator, ``combinatorics`` for
     no call that names raw coefficient lists alone, and packed rows
@@ -1015,7 +1070,7 @@ class TestStartup:
         "compositae.theorems",
     }
     LAZY = {"calculus.py", "funceq.py", "identities.py", "riordan.py", "_packed.py"}
-    RARE = {"_offpath.py", "_verify.py"}
+    RARE = {"_offpath.py", "_verify.py", "oracle.py"}
     CATALOG = {"catalog.py", "combinatorics.py"}
 
     def _cli_modules(self, *argv: str) -> set[str]:
@@ -1069,12 +1124,12 @@ class TestStartup:
             (
                 ("verify", "--identity", "funceq", "--g", "1,1"), 0,
                 {"identities.py", "_verify.py"},
-                {"calculus.py", "funceq.py", "riordan.py", "_offpath.py"} | CATALOG,
+                {"calculus.py", "funceq.py", "riordan.py"} | RARE - {"_verify.py"} | CATALOG,
             ),
             (
                 ("verify", "--identity", "lambert"), 0,
                 {"identities.py", "_verify.py"},
-                {"calculus.py", "funceq.py", "riordan.py", "_offpath.py"} | CATALOG,
+                {"calculus.py", "funceq.py", "riordan.py"} | RARE - {"_verify.py"} | CATALOG,
             ),
             (
                 ("composita", "--fn", "nosuch", "--n", "3"), 1,
@@ -1089,25 +1144,34 @@ class TestStartup:
             (
                 ("verify", "--identity", "derivative"), 0,
                 {"identities.py", "_verify.py"},
-                {"calculus.py", "funceq.py", "riordan.py", "_offpath.py"},
+                {"calculus.py", "funceq.py", "riordan.py"} | RARE - {"_verify.py"},
             ),
             (
                 ("verify", "--identity", "associativity", "--max-n", "3"), 0,
                 {"calculus.py", "identities.py", "_verify.py"},
-                {"funceq.py", "riordan.py", "_offpath.py"},
+                {"funceq.py", "riordan.py"} | RARE - {"_verify.py"},
             ),
-            (("composita", "--help"), 0, {"_offpath.py"}, LAZY | {"_verify.py"}),
-            (("composita", "--fn", "geometric"), 1, {"_offpath.py"}, LAZY | {"_verify.py"}),
+            (("composita", "--help"), 0, {"_offpath.py"}, LAZY | RARE - {"_offpath.py"}),
+            (
+                ("composita", "--fn", "geometric"), 1,
+                {"_offpath.py"},
+                LAZY | RARE - {"_offpath.py"},
+            ),
             (
                 ("composita", "--fn", "geometric", "--n", "1", "--output", os.devnull), 0,
                 {"_offpath.py"},
-                LAZY | {"_verify.py"},
+                LAZY | RARE - {"_offpath.py"},
+            ),
+            (
+                ("oracle", "--fn", "0,1,1", "--n", "6", "--k", "3"), 0,
+                {"oracle.py"},
+                LAZY | RARE - {"oracle.py"} | CATALOG,
             ),
         ],
         ids=[
             "composita", "composita-raw", "composita-packed", "composita-rational", "reciprocal", "reciprocal-raw", "solve-m2",
             "solve-m-1", "verify-funceq-raw", "lambert", "unknown-name", "malformed-raw",
-            "verify", "associativity", "help", "usage-error", "output",
+            "verify", "associativity", "help", "usage-error", "output", "oracle",
         ],
     )
     def test_call_runs_only_the_submodules_it_uses(self, argv, code, runs, skips):

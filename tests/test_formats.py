@@ -21,7 +21,6 @@ from compositae import cli
 from compositae._verify import record_line
 from compositae.cli import IDENTITY_NAMES
 from compositae.formats import (
-    parse_triangle_csv,
     series_csv,
     series_records,
     series_text,
@@ -30,6 +29,7 @@ from compositae.formats import (
     triangle_text,
 )
 from helpers import (
+    parse_triangle_csv,
     reference_triangle_csv,
     reference_triangle_records,
     reference_triangle_text,
