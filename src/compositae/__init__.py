@@ -67,7 +67,6 @@ _EXPORTS = {
         "CompositaTable",
         "composita_from_powers",
         "composita_from_series",
-        "series_from_composita",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -30,6 +30,13 @@ def build_parser():
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 
+        def print_help(self, file=None) -> None:
+            """Help goes through the CLI's stdout writer, which reports a
+            failed write (argparse's own writer drops it), and a failed
+            write exits 1."""
+            if not cli._write_stdout(self.format_help()[:-1]):  # print adds the "\n" back
+                self.exit(1)
+
     def integer(text: str) -> int:
         try:
             return parse_int(text)

@@ -3,19 +3,18 @@
 Where every scalar and row of a linear combination is an integer, a row
 can be packed into one ``int`` with a fixed-width signed slot per entry:
 a scalar times a row, or a sum of rows, is then one big-integer operation
-instead of one per entry.  There are two routines, one behind each of the
-row kernel's entry points: ``recurrence_rows`` behind
-``_rows.recurrence``, the Riordan recurrence, which builds both
+instead of one per entry.  There are two routines: ``recurrence_rows``
+behind ``_rows.recurrence``, the Riordan recurrence, which builds both
 ``riordan_build``'s arrays and ``composita_from_series``'s triangles, and
-``product_rows`` behind ``_rows.product``, the product of two
-lower-triangular tables, which forms ``composita_compose``.  Each
-returns the same canonical ``(nums, 1)`` rows that ``_rows.combine``
-would, or None where an entry could need a slot wider than 64 bytes
-(``combine`` is faster there), and the kernel then runs ``combine``.
+``product_rows`` behind ``calculus.composita_compose``, the product of two
+lower-triangular tables.  Each returns the same canonical ``(nums, 1)``
+rows that ``_rows.combine`` would, or None where an entry could need a
+slot wider than 64 bytes (``combine`` is faster there), and the caller
+then runs ``combine``.
 
-Only ``_rows`` imports this module, and only for integer inputs with
-enough terms per row and enough work (``_rows.tries_packed``), so that
-other calls do not compile it.
+Only ``_rows`` and ``calculus`` import this module, and only for integer
+inputs with enough terms per row and enough work (``_rows.tries_packed``),
+so that other calls do not compile it.
 """
 
 from __future__ import annotations

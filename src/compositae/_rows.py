@@ -10,14 +10,15 @@ the finished row with one gcd sweep.  That replaces one ``Fraction`` gcd
 and allocation per ``+=`` with a few per row.  A ``CompositaTable`` stores
 these rows as the kernel makes them.
 
-Tables are built through two entry points.  ``recurrence`` is the
-Riordan recurrence: it builds the array (G, F), and with G = F/x every
-composita triangle (the array shifted by one).  ``product``, the product
-of two lower-triangular tables, forms a composition.  Each one decides
-its own route: where every scalar and row is an integer and ``tries_packed``
-allows it, it tries ``_packed`` first, which packs each row into one big
-integer, and it runs ``combine`` otherwise or where ``_packed`` declines.
-No other module imports ``_packed``.
+Tables are built through one entry point, ``recurrence``, the Riordan
+recurrence: it builds the array (G, F), and with G = F/x every composita
+triangle (the array shifted by one).  Where every scalar is an integer and
+``tries_packed`` allows it, it tries ``_packed`` first, which packs each
+row into one big integer, and it runs ``combine`` otherwise or where
+``_packed`` declines.  The one other table that the package builds, the
+product of two triangles that forms a composition, is formed in its only
+caller, ``calculus.composita_compose``, which asks ``tries_packed`` too,
+so that one rule decides every route.
 
 Denominators are per row on purpose: one denominator for a whole table
 makes every entry carry the lcm of all of them, which loses badly on
@@ -58,7 +59,8 @@ PACKED_MIN_WORK = 30_000
 def tries_packed(terms: int, rows: int, packs_input: bool) -> bool:
     """Whether an integer table of ``rows`` rows, each the sum of at most
     ``terms`` nonzero terms, is tried on packed rows.  Only ``recurrence``
-    and ``product`` ask, so that one rule decides every route.
+    and ``calculus.composita_compose`` ask, so that one rule decides every
+    route.
     Unpacking an entry costs about as much as several terms of
     ``combine``, and a route that packs an input table as well as its own
     rows pays that twice (crossover in CHANGES.md)."""
@@ -124,34 +126,6 @@ def recurrence(g_terms: Scalars, f_terms: Scalars, n_max: int) -> tuple[Row, ...
     for n in range(n_max + 1):
         terms = [(num, den, rows[n - i], 1) for i, num, den in f_terms if i <= n]
         rows.append(combine([seeds.get(n, (0, 1, UNIT, 0)), *terms], n + 1))
-    return tuple(rows)
-
-
-def product(left: Sequence[Row], right: Sequence[Row]) -> tuple[Row, ...]:
-    """Rows of the lower-triangular product of two tables: row n is the
-    sum of ``left[n][k]`` times ``right[k]``, as wide as ``left[n]``.
-
-    The work is estimated as the nonzero entries of the densest left row
-    times the rows below the first, squared (row 0 is one scalar times
-    one row).  On ``combine`` each scalar is reduced first, so that the
-    row's denominator enters the lcm only as far as each entry needs it.
-    """
-    if all(den == 1 for _, den in left) and all(den == 1 for _, den in right):
-        densest = max(len(nums) - nums.count(0) for nums, _ in left)
-        if tries_packed(densest, len(left) - 1, True):
-            from ._packed import product_rows
-
-            packed = product_rows(left, right)
-            if packed is not None:
-                return packed
-    rows = []
-    for nums, den in left:
-        terms = []
-        for a, row in zip(nums, right):
-            if a:
-                g = gcd(a, den)
-                terms.append((a // g, den // g, row, 0))
-        rows.append(combine(terms, len(nums)))
     return tuple(rows)
 
 

@@ -8,16 +8,24 @@ built from the series 1/B by the composita recurrence.  The triangles of
 F + G, F * B, alpha * F and F(alpha * x) have no route here: each is
 ``composita_from_series`` of that series.  The paper's sum and product
 formulas are checks in ``theorems.py``, its reciprocal formula a sweep in
-``identities.py``.  Composition is the row kernel's table product
-(``_rows.product``, whose only caller it is), and the kernel picks its
-route.
+``identities.py``.  Composition is the paper's table product,
+T_{R(F)}(n, m) = sum_k T_F(n, k) T_R(k, m), formed here on the row
+kernel's rows: the kernel's ``_rows.tries_packed`` decides, as for every
+table, whether it is tried on packed rows (``_packed.product_rows``)
+before ``_rows.combine``.  Only the calls that compose compile it.
+
+The transforms that read a triangle (``compose_series``,
+``composita_compose`` and ``inverse_series``) refuse a Riordan array
+(base 0), whose rows start one index lower.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from ._rows import dot, product
+from . import _rows
+from ._rows import combine, dot
 from .errors import (
     DivisionByNonUnit,
     InsufficientOrder,
@@ -26,7 +34,7 @@ from .errors import (
     OrderMismatch,
 )
 from .series import PowerSeries
-from .triangle import CompositaTable, composita_from_series
+from .triangle import CompositaTable, _require_triangles, composita_from_series
 
 
 def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
@@ -35,6 +43,7 @@ def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
     a(0) = r(0) and a(n) = sum_{k=1}^{n} T(n, k) r(k); the result is
     truncated to the smaller of the two operand orders.
     """
+    _require_triangles("compose_series", tf)
     n_max = min(tf.order, r.order)
     tail = r.coeffs[1:]
     return PowerSeries((r.coeffs[0],) + tuple(dot(row, tail) for row in tf.int_rows[:n_max]))
@@ -43,11 +52,33 @@ def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
 def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
     """Triangle of R(F(x)) from the triangles of F (inner) and R (outer).
 
-    Row n of the result is the sum of T_F(n, k) times row k of T_R.
+    Row n of the result is the sum of T_F(n, k) times row k of T_R.  The
+    work is estimated as the nonzero entries of the densest row of T_F
+    times the rows below the first, squared (row 1 is one scalar times
+    one row).  On ``combine`` each scalar is reduced first, so that the
+    row's denominator enters the lcm only as far as each entry needs it.
     """
+    _require_triangles("composita_compose", tf, tr)
     if tf.order != tr.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tr.order}")
-    return CompositaTable._of(product(tf.int_rows, tr.int_rows), 1)
+    left, right = tf.int_rows, tr.int_rows
+    if all(den == 1 for _, den in left) and all(den == 1 for _, den in right):
+        densest = max(len(nums) - nums.count(0) for nums, _ in left)
+        if _rows.tries_packed(densest, len(left) - 1, True):
+            from ._packed import product_rows
+
+            packed = product_rows(left, right)
+            if packed is not None:
+                return CompositaTable._of(packed, 1)
+    rows = []
+    for nums, den in left:
+        terms = []
+        for a, row in zip(nums, right):
+            if a:
+                g = gcd(a, den)
+                terms.append((a // g, den // g, row, 0))
+        rows.append(combine(terms, len(nums)))
+    return CompositaTable._of(tuple(rows), 1)
 
 
 def reciprocal_composita(b: PowerSeries, order: int) -> CompositaTable:
@@ -75,6 +106,7 @@ def inverse_series(f: PowerSeries, tf: CompositaTable) -> PowerSeries:
 
     a(1) = 1/f(1) and a(n) = -(1/f(1)^n) sum_{k=1}^{n-1} T(n, k) a(k).
     """
+    _require_triangles("inverse_series", tf)
     if f.coeffs[0] != 0:
         raise NonzeroConstantTerm("only series vanishing at 0 can be inverted")
     if f.order < 1 or f.coeffs[1] == 0:

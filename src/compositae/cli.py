@@ -54,12 +54,12 @@ options run.  What loads when:
   the tests and ``scripts/verify_catalog.py`` evaluate) and
   ``dataclasses`` (the value types are plain slotted classes).
 
-``main()`` writes and flushes its output and returns the exit code; a
-stdout that cannot be written is reported in one line and exits 1 (a
-reader that has gone away, silently).  The process entry, ``run()`` in
-``__main__``, then ends the process with ``os._exit``, without the
-interpreter's teardown; ``main()`` itself returns normally, since it also
-runs inside long-lived processes.
+``main()`` writes and flushes its output (argparse's help too) and returns
+the exit code; a stdout that cannot be written is reported in one line and
+exits 1 (a reader that has gone away, silently).  The process entry,
+``run()`` in ``__main__``, then ends the process with ``os._exit``, without
+the interpreter's teardown; ``main()`` itself returns normally, since it
+also runs inside long-lived processes.
 """
 
 from __future__ import annotations
@@ -362,13 +362,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         try:
             args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
-        except SystemExit as exc:
-            code = int(exc.code or 0)
-            # Help went to stdout (to stderr if fd 1 is closed): flush it
-            # here, where a failed write is reported.
-            if code == 0 and sys.stdout is not None and not _write_stdout(None):
-                return 1
-            return code
+        except SystemExit as exc:  # help (written by _write_stdout) or a usage error
+            return int(exc.code or 0)
     try:
         text, code = _HANDLERS[args.subcommand](args)
     except UnknownFunction as exc:
@@ -396,18 +391,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code if _write_stdout(text) else 1
 
 
-def _write_stdout(text: Optional[str]) -> bool:
-    """Print ``text``, if any, and flush stdout, so that a failed write
-    fails here and not at exit.  If it fails, say why on stderr (not for a
-    closed pipe: the reader is gone), point stdout's file descriptor at
-    devnull so that no later flush fails again with what is left in its
-    buffer, and return False."""
+def _write_stdout(text: str) -> bool:
+    """Print ``text`` (a result, or argparse's help) and flush stdout, so
+    that a failed write fails here and not at exit.  If it fails, say why
+    on stderr (not for a closed pipe: the reader is gone), point stdout's
+    file descriptor at devnull so that no later flush fails again with
+    what is left in its buffer, and return False."""
     stdout = sys.stdout
     try:
         if stdout is None:  # fd 1 was closed when the interpreter started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        if text is not None:
-            print(text)
+        print(text)
         stdout.flush()
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 from ._record import Record
 from .errors import DivisionByNonUnit, InsufficientOrder, OrderMismatch
 from .series import PowerSeries
-from .triangle import CompositaTable
+from .triangle import CompositaTable, _require_triangles
 
 Fault = tuple[int, int, Fraction]
 Failure = tuple[tuple[int, ...], Fraction, Fraction]
@@ -146,6 +146,7 @@ def check_derivative_identity(f: PowerSeries, tf: CompositaTable) -> IdentityRep
     """n * T(n, m) = m * sum_{k=1}^{n-m+1} k f(k) T(n-k, m-1) for n >= m > 1.
 
     Entry m - 2 of the sum of k f(k) * row(n - k) is the sum for (n, m)."""
+    _require_triangles("check_derivative_identity", tf)
     order = tf.order
     name, rng = "derivative", f"1 < m <= n <= {order}"
     kf = [(k, k * c.numerator, c.denominator) for k in range(1, order) if (c := f.coeffs[k])]
@@ -212,6 +213,7 @@ def check_funceq_identity(g: CompositaTable, m: int, max_n: int, max_r: int) -> 
 
     Entry (p, q) of g is [x^(p-q)] G^q, whose denominator depends on p - q:
     so the factors g(r+k, r) are read as subdiagonal k over its own lcm."""
+    _require_triangles("check_funceq_identity", g)
     if m < 1:
         raise ValueError("the identity is stated for m >= 1")
     needed = (m + 1) * max_n + max_r
@@ -263,6 +265,7 @@ def check_reciprocal_identity(
     Every entry of ``table`` is compared with the formula.  ``fault`` =
     (n, m, delta) adds delta to the formula's value at (n, m).
     """
+    _require_triangles("check_reciprocal_identity", table)
     b0 = b.coeffs[0]
     if b0 == 0:
         raise DivisionByNonUnit("reciprocal needs a series with nonzero constant term")

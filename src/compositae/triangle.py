@@ -17,6 +17,10 @@ Two construction routes are provided here:
                              (n, k) is [x^n] (F^(k+1) / x) = T(n+1, k+1),
 * ``composita_from_powers``- direct coefficient extraction from F^k.
 
+Column 1 of a triangle is F itself (from f(1)); the transforms that read
+a triangle (``calculus``, and the sweeps of ``identities`` that take one)
+refuse a Riordan array through ``_require_triangles``.
+
 The third, independent route, ``oracle.composita_oracle``, enumerates
 the compositions themselves (exponential; a ground truth for tests up to
 roughly n = 14).  No production route runs it, so it lives in its own
@@ -126,6 +130,14 @@ def _require_composable(f: PowerSeries) -> None:
         )
 
 
+def _require_triangles(caller: str, *tables: CompositaTable) -> None:
+    """Refuse a Riordan array where ``caller`` reads composita triangles:
+    its rows start at n = 0, so read as a triangle every entry would
+    shift by one."""
+    if any(table.base != 1 for table in tables):
+        raise ValueError(f"{caller} needs a composita triangle (a table with base 1)")
+
+
 def _table_order(f: PowerSeries, order: int | None) -> int:
     """The order of the triangle to build from ``f``: ``order``, or by
     default ``f.order``, after checking that ``f`` is composable and known
@@ -168,8 +180,3 @@ def composita_from_powers(f: PowerSeries, order: int | None = None) -> Composita
         if k < n_max:
             power = power * base
     return CompositaTable(tuple(tuple(row) for row in rows))
-
-
-def series_from_composita(table: CompositaTable) -> PowerSeries:
-    """Recover the source series from the first column (constant term 0)."""
-    return PowerSeries((Fraction(0),) + table.column(1))

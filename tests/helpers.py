@@ -12,7 +12,8 @@ the round-trip tests use, reads numbers with the package's own grammar
 (``parse_int``, ``parse_rational``), which it is meant to share.
 ``route`` and ``takes_packed_rows`` at the end compute nothing: they pick
 or observe the route (packed rows or ``combine``) that the package takes
-for an integer table.
+for an integer table.  ``refuses_riordan_array`` expects the one refusal
+of a Riordan array where a composita triangle is read.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from unittest.mock import patch
 
+import pytest
 from hypothesis import strategies as st
 
 from compositae import CompositaTable, IdentityReport, PowerSeries, _packed, _rows
@@ -310,10 +312,11 @@ def parse_triangle_csv(text: str) -> CompositaTable:
 @contextmanager
 def route(packed: bool):
     """Send every integer input with a nonzero term to packed rows (any
-    slot width), or every input to ``combine``: the kernel's entry points
-    (``_rows.recurrence``, behind every triangle and Riordan array, and
-    ``_rows.product``, behind every composition) are the only callers of
-    ``_rows.tries_packed``, so one patch of it routes every table."""
+    slot width), or every input to ``combine``: ``_rows.recurrence``,
+    behind every triangle and Riordan array, and
+    ``calculus.composita_compose``, behind every composition, are the only
+    callers of ``_rows.tries_packed``, and both read it from the module
+    when they run, so one patch of it routes every table."""
     tries = (lambda terms, rows, packs_input: terms > 0) if packed else (lambda *args: False)
     with patch.object(_rows, "tries_packed", tries), patch.object(_packed, "LIMIT", float("inf")):
         yield
@@ -336,3 +339,10 @@ def takes_packed_rows(build) -> bool:
             stack.enter_context(patch.object(_packed, name, spy(getattr(_packed, name))))
         build()
     return any(made)
+
+
+def refuses_riordan_array(caller: str):
+    """Expect ``caller``'s refusal of a table with base 0."""
+    return pytest.raises(
+        ValueError, match=rf"^{caller} needs a composita triangle \(a table with base 1\)$"
+    )

@@ -24,10 +24,10 @@ from compositae import (
     check_reciprocal_identity,
     check_sum_identity,
     reciprocal_composita,
-    series_from_composita,
+    riordan_build,
 )
 from compositae.combinatorics import binomial, kronecker_delta
-from helpers import fibonacci_list, series_strategy, small_fraction
+from helpers import fibonacci_list, refuses_riordan_array, series_strategy, small_fraction
 
 X = PowerSeries.of([0, 1], order=8)
 
@@ -226,7 +226,7 @@ class TestReciprocal:
         sin = catalog_series(make_spec("sin"), 9)
         sin_over_x = PowerSeries(sin.coeffs[1:])
         t = reciprocal_composita(sin_over_x, 8)
-        column = series_from_composita(t)
+        column = PowerSeries((0,) + t.column(1))
         direct = X * X / sin.truncate(8)  # loses one order to the x-shift
         assert column.truncate(direct.order) == direct
 
@@ -239,7 +239,7 @@ class TestReciprocal:
         if b.coeffs[0] == 0:
             b = b + PowerSeries.one(b.order)
         t = reciprocal_composita(b, b.order + 1)
-        a = PowerSeries(series_from_composita(t).coeffs[1:])  # strip the x factor
+        a = PowerSeries(t.column(1))  # column 1 is x * A, read from a(0)
         assert a * b == PowerSeries.one(b.order)
 
     @given(b=series_strategy(min_order=0, max_order=7, coeffs=small_fraction))
@@ -294,3 +294,31 @@ class TestInverseSeries:
         got = composita_compose(tinv, tf)
         for nn, mm, value in got.entries():
             assert value == kronecker_delta(nn, mm)
+
+
+class TestRiordanArraysAreRefused:
+    """A Riordan array (base 0) starts one row lower than a triangle.  Read
+    as a triangle, the array (1 + x, x/(1 - x)) gave the inverse of
+    x/(1 - x) as 1, -1, 2, -4, 8, -16 (it is 1, -1, 1, -1, 1), R(F) as
+    1, 1, 1, 0, 0, 0 (all ones) and a product of base 1 and order 6, so
+    each transform refuses one before any work."""
+
+    F = PowerSeries.of([0] + [1] * 5)
+    G = PowerSeries.of([1, 1], order=5)
+
+    def array(self):
+        return riordan_build(self.G, self.F)
+
+    def test_compose_series(self):
+        with refuses_riordan_array("compose_series"):
+            compose_series(self.G, self.array())
+
+    def test_inverse_series(self):
+        with refuses_riordan_array("inverse_series"):
+            inverse_series(self.F, self.array())
+
+    def test_composita_compose(self):
+        r, tf = self.array(), composita_from_series(self.F)
+        for pair in ((r, r), (r, tf), (tf, r), (r, tf.truncated(3))):
+            with refuses_riordan_array("composita_compose"):  # before the orders are compared
+                composita_compose(*pair)

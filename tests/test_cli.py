@@ -619,6 +619,13 @@ class TestVerify:
         assert code in (0, 3)
 
 
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 class TestOutputFailures:
     @pytest.mark.parametrize(
         "where, code",
@@ -695,13 +702,38 @@ class TestOutputFailures:
         ],
     )
     def test_failed_stdout_write_is_one_error_line(self, capsys, monkeypatch, stdout, message):
-        class Full(io.StringIO):
-            def write(self, text):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        monkeypatch.setattr(sys, "stdout", Full() if stdout else None)
+        monkeypatch.setattr(sys, "stdout", _FullStdout() if stdout else None)
         code = main(["composita", "--fn", "geometric", "--n", "3"])
         assert (code, capsys.readouterr().err) == (1, f"error: cannot write stdout: {message}\n")
+
+    @pytest.mark.parametrize("stdout, message", [
+        ("full", "No space left on device"),
+        (None, "Bad file descriptor"),
+    ])
+    @pytest.mark.parametrize("argv", [("--help",), ("composita", "--help")])
+    def test_failed_help_write_is_one_error_line(self, capsys, monkeypatch, argv, stdout, message):
+        # argparse's own writer drops a failed write; help goes through the
+        # CLI's writer instead, so it fails like any other output
+        monkeypatch.setattr(sys, "stdout", _FullStdout() if stdout else None)
+        code = main(list(argv))
+        assert (code, capsys.readouterr().err) == (1, f"error: cannot write stdout: {message}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_help_on_a_full_device_exits_1_with_one_line(self, buffered):
+        # unbuffered, the write itself fails; buffered, the flush after it
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "compositae", "--help"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert (done.returncode, done.stderr) == (
+            1, "error: cannot write stdout: No space left on device\n"
+        )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_stdout_on_a_full_device_exits_1_with_one_line(self):
@@ -1059,11 +1091,12 @@ class TestStartup:
     The parser and the ``--output`` writer (``_offpath``) run only for
     help, usage errors and ``--output``; the sweeps (``_verify``) only for
     ``verify``; the composition-sum oracle (``oracle``) only for ``oracle``;
-    ``calculus`` only for the subcommands and sweeps that use
-    it and for ``solve`` with m < 0; ``catalog`` only for a catalog name and for the
-    list of names after an unknown designator, ``combinatorics`` for
-    no call that names raw coefficient lists alone, and packed rows
-    (``_packed``) only for an integer table with enough work."""
+    ``calculus`` only for ``compose``, ``inverse``, ``reciprocal`` and the
+    associativity and inverse sweeps (``solve`` runs ``funceq`` alone, for
+    any m); ``catalog`` only for a catalog name and for the list of names
+    after an unknown designator; ``combinatorics`` for no call (only
+    ``theorems`` imports it); and packed rows (``_packed``) only for an
+    integer table with enough work."""
 
     HEAVY = {
         "argparse", "gettext", "locale", "dataclasses", "inspect", "json",

@@ -35,7 +35,7 @@ from compositae import (
     reciprocal_composita,
     riordan_build,
 )
-from helpers import route, series_strategy, small_fraction, small_int_fraction
+from helpers import refuses_riordan_array, route, series_strategy, small_fraction, small_int_fraction
 
 
 def table_for(name: str, order: int):
@@ -358,3 +358,36 @@ class TestChecked:
             b, reciprocal_composita(b, 12), fault=(4, 2, Fraction(1))
         )
         assert report.checked == 1 + 2 + 3 + 2
+
+
+class TestRiordanArraysAreRefused:
+    """The sweeps that read a triangle refuse a Riordan array (base 0),
+    whose rows start one index lower, before any work: read as a
+    triangle, the derivative sweep reported a false counterexample and the
+    reciprocal sweep failed inside ``math.comb``.  The associativity and
+    inverse sweeps refuse one through ``composita_compose``."""
+
+    F = PowerSeries.of([0] + [1] * 5)
+    G = PowerSeries.of([1, 1], order=5)
+
+    def array(self):
+        return riordan_build(self.G, self.F)
+
+    def test_derivative(self):
+        with refuses_riordan_array("check_derivative_identity"):
+            check_derivative_identity(self.F, self.array())
+
+    def test_funceq(self):
+        with refuses_riordan_array("check_funceq_identity"):
+            check_funceq_identity(self.array(), 1, 1, 1)
+
+    def test_reciprocal(self):
+        with refuses_riordan_array("check_reciprocal_identity"):
+            check_reciprocal_identity(self.G, self.array())
+
+    def test_associativity_and_inverse(self):
+        r = self.array()
+        with refuses_riordan_array("composita_compose"):
+            check_associativity(r, r, r)
+        with refuses_riordan_array("composita_compose"):
+            check_inverse_identity(r, r)

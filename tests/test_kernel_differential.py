@@ -37,7 +37,7 @@ from compositae import (
     riordan_build,
 )
 from compositae._packed import LIMIT, Slots, product_rows
-from compositae._rows import combine, dot, fractions_of, product, to_row
+from compositae._rows import combine, dot, fractions_of, to_row
 
 from helpers import compose_plain, convolve, power_coeffs, route, takes_packed_rows
 
@@ -310,7 +310,6 @@ class TestPackedRows:
         left = (((1, 3), 1), ((2,), 1), ((0, 1, -1), 1))
         expected = (((1, 15), 1), ((2,), 1), ((0, -2, -4), 1))
         assert product_rows(left, right) == expected
-        assert both_routes(lambda: product(left, right)) == expected
 
     def test_a_large_g_term_bounds_only_its_own_row(self):
         # G is 1 below x^N and about 2^400 at x^N, over geometric at N = 120.
