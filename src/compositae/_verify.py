@@ -51,9 +51,8 @@ def _verify_derivative(args: SimpleNamespace, order: int) -> identities.Identity
 
 
 def _verify_inverse(args: SimpleNamespace, order: int) -> identities.IdentityReport:
-    f = _series(_one_function(args, "x_exp"), order)
-    table = composita_from_series(f, order)
-    inv = calculus.inverse_series(f, table)
+    table = composita_from_series(_series(_one_function(args, "x_exp"), order), order)
+    inv = calculus.inverse_series(table)
     inv_table = _perturbed(composita_from_series(inv, order), args.perturb)
     return identities.check_inverse_identity(table, inv_table)
 
@@ -70,8 +69,8 @@ def _verify_funceq(args: SimpleNamespace, order: int) -> identities.IdentityRepo
 
 def _verify_reciprocal(args: SimpleNamespace, order: int) -> identities.IdentityReport:
     b = _series(args.b or "sin_over_x", order - 1)
-    table = calculus.reciprocal_composita(b, order)
-    return identities.check_reciprocal_identity(b, table, fault=args.perturb)
+    table = _perturbed(calculus.reciprocal_composita(b, order), args.perturb)
+    return identities.check_reciprocal_identity(b, table)
 
 
 # identity -> (--max-n when not given, the input flags it reads, sweep).  A
@@ -79,7 +78,9 @@ def _verify_reciprocal(args: SimpleNamespace, order: int) -> identities.Identity
 # sweep builds its tables to the order it is given: --max-n, except that
 # funceq reads the triangle of x*G to (m + 1) * max_n + max_r, and refuses a
 # triangle of more than triangle.MAX_TABLE_ENTRIES entries before it builds
-# one.  --perturb indexes into that table.
+# one.  --perturb indexes into that table: every sweep that reads a table
+# gets it with the fault planted (``_perturbed``), and only associativity
+# (its intermediate product) and Lambert (no table) take it as ``fault``.
 INPUT_FLAGS = ("--fn", "--g", "--m", "--max-r", "--b")
 SWEEPS = {
     "associativity": (8, ("--fn",), _verify_associativity),

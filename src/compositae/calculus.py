@@ -16,7 +16,8 @@ before ``_rows.combine``.  Only the calls that compose compile it.
 
 The transforms that read a triangle (``compose_series``,
 ``composita_compose`` and ``inverse_series``) refuse a Riordan array
-(base 0), whose rows start one index lower.
+(base 0), whose rows start one index lower.  ``inverse_series`` reads
+f(1) off the triangle, as T(1, 1), so it takes the triangle alone.
 """
 
 from __future__ import annotations
@@ -26,15 +27,9 @@ from math import gcd
 
 from . import _rows
 from ._rows import combine, dot
-from .errors import (
-    DivisionByNonUnit,
-    InsufficientOrder,
-    NonInvertible,
-    NonzeroConstantTerm,
-    OrderMismatch,
-)
+from .errors import DivisionByNonUnit, InsufficientOrder, NonInvertible, OrderMismatch
 from .series import PowerSeries
-from .triangle import CompositaTable, _require_triangles, composita_from_series
+from .triangle import CompositaTable, _require_base, composita_from_series
 
 
 def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
@@ -43,7 +38,7 @@ def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
     a(0) = r(0) and a(n) = sum_{k=1}^{n} T(n, k) r(k); the result is
     truncated to the smaller of the two operand orders.
     """
-    _require_triangles("compose_series", tf)
+    _require_base("compose_series", 1, tf)
     n_max = min(tf.order, r.order)
     tail = r.coeffs[1:]
     return PowerSeries((r.coeffs[0],) + tuple(dot(row, tail) for row in tf.int_rows[:n_max]))
@@ -58,7 +53,7 @@ def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
     one row).  On ``combine`` each scalar is reduced first, so that the
     row's denominator enters the lcm only as far as each entry needs it.
     """
-    _require_triangles("composita_compose", tf, tr)
+    _require_base("composita_compose", 1, tf, tr)
     if tf.order != tr.order:
         raise OrderMismatch(f"orders differ: {tf.order} vs {tr.order}")
     left, right = tf.int_rows, tr.int_rows
@@ -101,18 +96,17 @@ def reciprocal_composita(b: PowerSeries, order: int) -> CompositaTable:
     return composita_from_series(a.times_x(), order)
 
 
-def inverse_series(f: PowerSeries, tf: CompositaTable) -> PowerSeries:
-    """Compositional inverse A with A(F(x)) = x, from F's triangle.
+def inverse_series(tf: CompositaTable) -> PowerSeries:
+    """Compositional inverse A with A(F(x)) = x, from F's triangle alone.
 
-    a(1) = 1/f(1) and a(n) = -(1/f(1)^n) sum_{k=1}^{n-1} T(n, k) a(k).
+    With f(1) = T(1, 1): a(1) = 1/f(1) and
+    a(n) = -(1/f(1)^n) sum_{k=1}^{n-1} T(n, k) a(k).
     """
-    _require_triangles("inverse_series", tf)
-    if f.coeffs[0] != 0:
-        raise NonzeroConstantTerm("only series vanishing at 0 can be inverted")
-    if f.order < 1 or f.coeffs[1] == 0:
+    _require_base("inverse_series", 1, tf)
+    f1 = tf[1, 1]
+    if f1 == 0:
         raise NonInvertible("compositional inversion needs f(1) != 0")
-    f1 = f.coeffs[1]
-    out = [Fraction(0), Fraction(1) / f1]
+    out = [Fraction(0), 1 / f1]
     for n, row in enumerate(tf.int_rows[1:], start=2):
         out.append(-dot(row, out[1:]) / f1 ** n)
     return PowerSeries(tuple(out))

@@ -44,14 +44,14 @@ options run.  What loads when:
   attribute from it.  So ``composita`` runs none of the last four,
   ``solve`` runs ``funceq`` alone (for any m; it never compiles
   ``calculus``), and only ``verify`` runs ``identities`` (of the sweeps,
-  only associativity and inverse run ``calculus``).  A raw coefficient
-  list ("1,1") is read by ``series.raw_coefficients``, the grammar the
-  catalog's parser also uses, and expanded by ``_series``, so ``solve --g
-  1,1`` runs no ``catalog``.  These modules are placed in ``sys.modules``
+  only associativity, inverse and reciprocal run ``calculus``).  A raw
+  coefficient list ("1,1") is read by ``series.raw_coefficients``, the
+  grammar the catalog's parser also uses, and expanded by ``_series``, so
+  ``solve --g 1,1`` runs no ``catalog``.  These modules are placed in ``sys.modules``
   rather than imported inside the handlers because ``perfbench/tracing.py``
   looks each span module up there right after ``import compositae.cli``;
 * never: ``theorems`` (the paper's closed forms and theorems, which only
-  the tests and ``scripts/verify_catalog.py`` evaluate) and
+  the tests evaluate) and
   ``dataclasses`` (the value types are plain slotted classes).
 
 ``main()`` writes and flushes its output (argparse's help too) and returns
@@ -175,9 +175,8 @@ def _cmd_compose(args: SimpleNamespace) -> tuple[str, int]:
 
 def _cmd_inverse(args: SimpleNamespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
-    f = _series(args.fn, order)
-    table = composita_from_series(f, order)
-    inv = calculus.inverse_series(f, table)
+    table = composita_from_series(_series(args.fn, order), order)
+    inv = calculus.inverse_series(table)
     return _render_series(inv.coeffs[1:], args.format, start=1), 0
 
 

@@ -2,11 +2,12 @@
 the six sweeps that ``compositae verify`` runs.
 
 Every checker computes both sides of its identity independently and
-reports the first disagreement and how many entries it compared.  Where
-exact arithmetic makes an identity impossible to break by perturbing the
-*inputs* (both groupings of a triple product are computed from the same
-three tables), the checker takes a ``fault`` that corrupts one side's
-intermediate, which is how the tests prove the comparisons are live.
+reports the first disagreement and how many entries it compared.  A
+sweep that reads a table is shown live by corrupting that table.  Only
+associativity and Lambert take a ``fault``, because no input table can
+carry one: the associativity fault corrupts the intermediate product
+(both groupings of a triple product are computed from the same three
+tables), and the Lambert identity has no table at all.
 
 The reciprocal sweep is the paper's formula for an object the library
 computes by another route: it compares the production table it is given.
@@ -37,7 +38,7 @@ from typing import Callable, Optional, Sequence
 from ._record import Record
 from .errors import DivisionByNonUnit, InsufficientOrder, OrderMismatch
 from .series import PowerSeries
-from .triangle import CompositaTable, _require_triangles
+from .triangle import CompositaTable, _require_base
 
 Fault = tuple[int, int, Fraction]
 Failure = tuple[tuple[int, ...], Fraction, Fraction]
@@ -146,7 +147,7 @@ def check_derivative_identity(f: PowerSeries, tf: CompositaTable) -> IdentityRep
     """n * T(n, m) = m * sum_{k=1}^{n-m+1} k f(k) T(n-k, m-1) for n >= m > 1.
 
     Entry m - 2 of the sum of k f(k) * row(n - k) is the sum for (n, m)."""
-    _require_triangles("check_derivative_identity", tf)
+    _require_base("check_derivative_identity", 1, tf)
     order = tf.order
     name, rng = "derivative", f"1 < m <= n <= {order}"
     kf = [(k, k * c.numerator, c.denominator) for k in range(1, order) if (c := f.coeffs[k])]
@@ -213,7 +214,7 @@ def check_funceq_identity(g: CompositaTable, m: int, max_n: int, max_r: int) -> 
 
     Entry (p, q) of g is [x^(p-q)] G^q, whose denominator depends on p - q:
     so the factors g(r+k, r) are read as subdiagonal k over its own lcm."""
-    _require_triangles("check_funceq_identity", g)
+    _require_base("check_funceq_identity", 1, g)
     if m < 1:
         raise ValueError("the identity is stated for m >= 1")
     needed = (m + 1) * max_n + max_r
@@ -239,9 +240,7 @@ def check_funceq_identity(g: CompositaTable, m: int, max_n: int, max_r: int) -> 
     return IdentityReport(name, rng, checked)
 
 
-def check_reciprocal_identity(
-    b: PowerSeries, table: CompositaTable, fault: Optional[Fault] = None
-) -> IdentityReport:
+def check_reciprocal_identity(b: PowerSeries, table: CompositaTable) -> IdentityReport:
     """The paper's formula for the triangle of x*A(x), A(x) B(x) = 1.
 
     Entry (n, n) is b0^(-n); below the diagonal, expanding
@@ -262,10 +261,10 @@ def check_reciprocal_identity(
     whose k = 0 and j = 0 terms give the diagonal (P_0 is [d = 0]) and whose
     inner sum is taken once per (d, k).
 
-    Every entry of ``table`` is compared with the formula.  ``fault`` =
-    (n, m, delta) adds delta to the formula's value at (n, m).
+    Every entry of ``table`` (lhs) is compared with the formula (rhs), so
+    a planted fault is ``table.with_entry(...)``.
     """
-    _require_triangles("check_reciprocal_identity", table)
+    _require_base("check_reciprocal_identity", 1, table)
     b0 = b.coeffs[0]
     if b0 == 0:
         raise DivisionByNonUnit("reciprocal needs a series with nonzero constant term")
@@ -287,8 +286,6 @@ def check_reciprocal_identity(
         sums, den = inner[n - m]
         num = q_pow[m] * sum(comb(m + k - 1, k) * s for k, s in enumerate(sums))
         den *= p_pow[n]
-        if fault is not None and fault[:2] == (n, m):
-            num, den = (Fraction(num, den) + fault[2]).as_integer_ratio()
         if lhs.numerator * den != num * lhs.denominator:
             return IdentityReport(name, rng, checked, ((n, m), lhs, Fraction(num, den)))
     return IdentityReport(name, rng, checked)

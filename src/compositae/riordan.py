@@ -19,7 +19,7 @@ from typing import Sequence
 from ._rows import dot, recurrence, scalars
 from .errors import InsufficientOrder
 from .series import CoeffLike, PowerSeries, as_rational
-from .triangle import CompositaTable, _table_order
+from .triangle import CompositaTable, _require_base, _table_order
 
 
 def riordan_build(g: PowerSeries, f: PowerSeries) -> CompositaTable:
@@ -39,8 +39,7 @@ def riordan_build(g: PowerSeries, f: PowerSeries) -> CompositaTable:
 def riordan_apply(r: CompositaTable, b: Sequence[CoeffLike]) -> tuple[Fraction, ...]:
     """Sequence a(n) = sum_{k=0}^{n} R(n, k) b(k): the coefficients of
     G(x) * B(F(x))."""
-    if r.base != 0:
-        raise ValueError("riordan_apply needs a Riordan array (a table with base 0)")
+    _require_base("riordan_apply", 0, r)
     if len(b) < r.order + 1:
         raise InsufficientOrder(f"b needs {r.order + 1} terms, got {len(b)}")
     values = [as_rational(v) for v in b]

@@ -2,9 +2,9 @@
 
 No CLI subcommand imports this module: the CLI builds every triangle by
 the recurrence, and these formulas are a second, independent route that
-the tests and ``scripts/verify_catalog.py`` compare it with.  This is the
-one module that knows which catalog entries have a closed form: a catalog
-spec's ``closed_form`` property imports it and asks ``closed_form_formula``.
+the tests compare it with.  This is the one module that knows which
+catalog entries have a closed form: a catalog spec's ``closed_form``
+property imports it and asks ``closed_form_formula``.
 
 * Closed-form composita triangles for the catalog entries (polynomials,
   trigonometric and hyperbolic functions, logs and exponentials,
@@ -18,7 +18,9 @@ spec's ``closed_form`` property imports it and asks ``closed_form_formula``.
 * The sum, product and Riordan-shift theorems, the Riordan array formula
   and the closed-form check,
   each comparing the production table it is given with the formula, so
-  a planted fault is ``table.with_entry(...)``.
+  a planted fault is ``table.with_entry(...)``.  Each refuses a table of
+  the wrong base (a triangle where it reads a Riordan array, or the
+  reverse) before any work.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .combinatorics import (
 from .errors import InsufficientOrder, NoClosedForm, OrderMismatch
 from .identities import IdentityReport, _powers, _scaled, _sweep
 from .series import PowerSeries
-from .triangle import CompositaTable
+from .triangle import CompositaTable, _require_base
 
 ClosedForm = Callable[[int, int], Fraction]
 
@@ -310,7 +312,7 @@ def closed_form_formula(name: str, parameters: Sequence[Fraction] = ()) -> Optio
 
 
 def default_instances() -> list[FunctionSpec]:
-    """Canonical parameter choices used by sweeping tests and scripts."""
+    """Canonical parameter choices of the catalog entries, for the tests' sweeps."""
     one = Fraction(1)
     two = Fraction(2)
     return [
@@ -369,6 +371,7 @@ def check_sum_identity(
     the binomial expansion of (F + G)^k read off at x^n.  Every entry of
     ``t_sum`` is compared with the formula over the triangles of F and G.
     """
+    _require_base("check_sum_identity", 1, tf, tg, t_sum)
     if not tf.order == tg.order == t_sum.order:
         raise OrderMismatch(f"orders differ: {tf.order}, {tg.order}, {t_sum.order}")
 
@@ -393,6 +396,7 @@ def check_product_identity(
     of column k of F's triangle with B^k over one denominator; B is needed
     to order ``tf.order - 1``.
     """
+    _require_base("check_product_identity", 1, tf, t_prod)
     order = tf.order
     if t_prod.order != order:
         raise OrderMismatch(f"orders differ: {order} vs {t_prod.order}")
@@ -414,6 +418,8 @@ def check_riordan_identity(rio: CompositaTable, t_xf: CompositaTable) -> Identit
 
     ``rio`` is the array (base 0) and ``t_xf`` the triangle of xF.
     """
+    _require_base("check_riordan_identity", 0, rio)
+    _require_base("check_riordan_identity", 1, t_xf)
     if t_xf.order < rio.order + 1:
         raise InsufficientOrder(
             f"the triangle of xF is needed to order {rio.order + 1}, got {t_xf.order}"
@@ -431,6 +437,8 @@ def check_riordan_formula(rio: CompositaTable, g: PowerSeries, tf: CompositaTabl
     (base 0) is compared with the formula, a convolution of G with column
     k of F's triangle over one denominator; G is needed to ``rio.order``.
     """
+    _require_base("check_riordan_formula", 0, rio)
+    _require_base("check_riordan_formula", 1, tf)
     order = rio.order
     if tf.order != order:
         raise OrderMismatch(f"orders differ: {order} vs {tf.order}")
@@ -451,6 +459,7 @@ def check_riordan_formula(rio: CompositaTable, g: PowerSeries, tf: CompositaTabl
 def check_closed_form(spec: FunctionSpec, table: CompositaTable) -> IdentityReport:
     """The catalog's closed form against ``table``, the triangle of the
     spec's series: lhs is the table's entry, rhs the closed form's."""
+    _require_base("check_closed_form", 1, table)
     formula = _formula_of(spec)
     rng = f"{spec.label()}, 1 <= k <= n <= {table.order}"
     return _sweep("closed_form", rng, table, formula)

@@ -17,9 +17,10 @@ Two construction routes are provided here:
                              (n, k) is [x^n] (F^(k+1) / x) = T(n+1, k+1),
 * ``composita_from_powers``- direct coefficient extraction from F^k.
 
-Column 1 of a triangle is F itself (from f(1)); the transforms that read
-a triangle (``calculus``, and the sweeps of ``identities`` that take one)
-refuse a Riordan array through ``_require_triangles``.
+Column 1 of a triangle is F itself (from f(1)).  Every function that
+reads a table of one base (the transforms of ``calculus``, the sweeps of
+``identities`` that take a triangle, ``riordan_apply`` and the checks of
+``theorems``) refuses a table of the other through ``_require_base``.
 
 The third, independent route, ``oracle.composita_oracle``, enumerates
 the compositions themselves (exponential; a ground truth for tests up to
@@ -130,12 +131,14 @@ def _require_composable(f: PowerSeries) -> None:
         )
 
 
-def _require_triangles(caller: str, *tables: CompositaTable) -> None:
-    """Refuse a Riordan array where ``caller`` reads composita triangles:
-    its rows start at n = 0, so read as a triangle every entry would
+def _require_base(caller: str, base: int, *tables: CompositaTable) -> None:
+    """Refuse a table whose ``base`` is not the one ``caller`` reads: the
+    rows of a Riordan array (base 0) start one index below those of a
+    composita triangle (base 1), so read as the other every entry would
     shift by one."""
-    if any(table.base != 1 for table in tables):
-        raise ValueError(f"{caller} needs a composita triangle (a table with base 1)")
+    if any(table.base != base for table in tables):
+        kind = "a composita triangle" if base else "a Riordan array"
+        raise ValueError(f"{caller} needs {kind} (a table with base {base})")
 
 
 def _table_order(f: PowerSeries, order: int | None) -> int:

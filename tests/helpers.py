@@ -12,8 +12,9 @@ the round-trip tests use, reads numbers with the package's own grammar
 (``parse_int``, ``parse_rational``), which it is meant to share.
 ``route`` and ``takes_packed_rows`` at the end compute nothing: they pick
 or observe the route (packed rows or ``combine``) that the package takes
-for an integer table.  ``refuses_riordan_array`` expects the one refusal
-of a Riordan array where a composita triangle is read.
+for an integer table.  ``refuses_wrong_base`` expects the one refusal
+of a table of the wrong base: a Riordan array where a composita
+triangle is read, or the reverse.
 """
 from __future__ import annotations
 
@@ -198,7 +199,7 @@ def reference_funceq(g: CompositaTable, m: int, max_n: int, max_r: int) -> Ident
     return IdentityReport(name, rng, checked)
 
 
-def reference_reciprocal(b: PowerSeries, table: CompositaTable, fault=None) -> IdentityReport:
+def reference_reciprocal(b: PowerSeries, table: CompositaTable) -> IdentityReport:
     """The paper's O(N^4) negative-binomial sum for the triangle of x*A(x), A B = 1."""
     b0 = b.coeffs[0]
     if b0 == 0:
@@ -240,8 +241,6 @@ def reference_reciprocal(b: PowerSeries, table: CompositaTable, fault=None) -> I
             sign_k = -1 if k % 2 else 1
             rhs += sign_k * math.comb(m + k - 1, m - 1) * inner
         rhs = b0**-m if d == 0 else rhs / b0**m
-        if fault is not None and fault[:2] == (n, m):
-            rhs += fault[2]
         if lhs != rhs:
             return IdentityReport(name, rng, checked, ((n, m), lhs, rhs))
     return IdentityReport(name, rng, checked)
@@ -341,8 +340,11 @@ def takes_packed_rows(build) -> bool:
     return any(made)
 
 
-def refuses_riordan_array(caller: str):
-    """Expect ``caller``'s refusal of a table with base 0."""
+def refuses_wrong_base(caller: str, base: int = 1):
+    """Expect ``caller``'s refusal of a table whose base is not ``base``:
+    a Riordan array where it reads a composita triangle (base 1), or the
+    reverse (base 0)."""
+    kind = "a composita triangle" if base else "a Riordan array"
     return pytest.raises(
-        ValueError, match=rf"^{caller} needs a composita triangle \(a table with base 1\)$"
+        ValueError, match=rf"^{caller} needs {kind} \(a table with base {base}\)$"
     )

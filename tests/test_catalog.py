@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import importlib.util
 import math
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +22,6 @@ from compositae import (
     registry_names,
 )
 from compositae.combinatorics import stirling_first_unsigned
-from compositae import theorems
-from compositae.theorems import closed_form_formula
 
 TRIG_NAMES = {"sin", "x_cos", "tan", "arctan", "sinh", "x_cosh", "arcsin"}
 
@@ -249,7 +245,7 @@ class TestClosedForms:
         ids=lambda s: s.label(),
     )
     def test_matches_recurrence(self, spec):
-        order = 8 if spec.name in TRIG_NAMES else 10
+        order = 30 if spec.name in TRIG_NAMES else 40
         report = check_closed_form(spec, table_of(spec, order))
         assert report.verified, report.first_failure
         assert report.checked == order * (order + 1) // 2
@@ -349,50 +345,3 @@ class TestVerification:
     def test_fraction_parameters_verify(self):
         spec = make_spec("poly3", [Fraction(1, 2), -1, Fraction(3, 4)])
         assert check_closed_form(spec, table_of(spec, 9)).verified
-
-    def test_catalog_series_matches_composita_route(self):
-        for spec in default_instances():
-            if spec.closed_form is None:
-                continue
-            order = 7
-            series = catalog_series(spec, order)
-            table = composita_from_series(series, order)
-            for n, k, value in table.entries():
-                assert catalog_closed_form(spec, n, k) == value, (spec.label(), n, k)
-
-
-def _load_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_catalog.py"
-    spec = importlib.util.spec_from_file_location("verify_catalog", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestVerifyCatalogScript:
-    def test_every_entry_verifies(self, capsys):
-        script = _load_script()
-        assert script.main(["--poly-order", "6", "--trig-order", "5"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        labels = [s.label() for s in default_instances()]
-        assert [line.split()[0] for line in lines[:-1]] == labels
-        skipped = [line.split()[0] for line in lines if line.endswith("skipped (no closed form)")]
-        assert skipped == ["sin_over_x"]
-        assert lines[labels.index("arcsin")] == "arcsin           N=5   ok"
-        assert lines[labels.index("radical:2")] == "radical:2        N=6   ok"
-        assert lines[-1] == "0 mismatching entries"
-
-    def test_wrong_closed_form_exits_1(self, capsys, monkeypatch):
-        script = _load_script()
-        right = closed_form_formula("geometric")
-
-        def wrong(n, k):
-            return right(n, k) + ((n, k) == (4, 2))
-
-        monkeypatch.setitem(theorems._FIXED, "geometric", wrong)
-        monkeypatch.setattr(script, "default_instances", lambda: [make_spec("geometric")])
-        assert script.main(["--poly-order", "6"]) == 1
-        assert capsys.readouterr().out.splitlines() == [
-            "geometric        N=6   MISMATCH at (4,2): closed form 4, recurrence 3",
-            "1 mismatching entry",
-        ]

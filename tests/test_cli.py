@@ -301,6 +301,11 @@ class TestSeriesCommands:
         code, _, err = run(capsys, "inverse", "--fn", "0,0,1", "--order", "5")
         assert code == 2
 
+    def test_inverse_refuses_a_nonzero_constant_when_it_builds_the_triangle(self, capsys):
+        code, out, err = run(capsys, "inverse", "--fn", "1,1", "--order", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: compositae are defined only for series with zero constant term\n"
+
     def test_compose_fibonacci(self, capsys):
         code, out, _ = run(
             capsys, "compose", "--r", "geometric", "--fn", "0,1,1", "--n", "6"
@@ -399,7 +404,7 @@ class TestVerify:
         "inverse": ("4,2,1", "counterexample at (0,4,2): lhs=1 rhs=0"),
         "lambert": ("3,2,1", "counterexample at (3,2): lhs=25 rhs=26"),
         "funceq": ("3,2,1", "counterexample at (1,1): lhs=3/2 rhs=1"),
-        "reciprocal": ("4,2,1", "counterexample at (4,2): lhs=1/3 rhs=4/3"),
+        "reciprocal": ("4,2,1", "counterexample at (4,2): lhs=4/3 rhs=1/3"),
     }
 
     def test_sweep_table_keys_are_the_identity_choices(self):
@@ -592,7 +597,7 @@ class TestVerify:
             capsys, "verify", "--identity", "reciprocal", "--perturb", "4,2,1"
         )
         assert code == 3
-        assert out == "counterexample at (4,2): lhs=1/3 rhs=4/3\n"
+        assert out == "counterexample at (4,2): lhs=4/3 rhs=1/3\n"
 
     @pytest.mark.parametrize(
         "identity, extra, limit",
@@ -1092,8 +1097,8 @@ class TestStartup:
     help, usage errors and ``--output``; the sweeps (``_verify``) only for
     ``verify``; the composition-sum oracle (``oracle``) only for ``oracle``;
     ``calculus`` only for ``compose``, ``inverse``, ``reciprocal`` and the
-    associativity and inverse sweeps (``solve`` runs ``funceq`` alone, for
-    any m); ``catalog`` only for a catalog name and for the list of names
+    associativity, inverse and reciprocal sweeps (``solve`` runs ``funceq``
+    alone, for any m); ``catalog`` only for a catalog name and for the list of names
     after an unknown designator; ``combinatorics`` for no call (only
     ``theorems`` imports it); and packed rows (``_packed``) only for an
     integer table with enough work."""

@@ -19,14 +19,16 @@ from compositae import (
     check_riordan_formula,
     check_riordan_identity,
     compose_series,
+    composita_from_powers,
     composita_from_series,
     default_instances,
     make_spec,
     riordan_apply,
     riordan_build,
 )
+from compositae import riordan, triangle
 from compositae.combinatorics import binomial
-from helpers import series_strategy
+from helpers import refuses_wrong_base, series_strategy
 
 
 def ones(order):
@@ -160,7 +162,7 @@ class TestApply:
 
     def test_composita_triangle_rejected(self):
         # rows of a base-1 table would pair T(n, k) with b(k - 1)
-        with pytest.raises(ValueError, match="base 0"):
+        with refuses_wrong_base("riordan_apply", 0):
             riordan_apply(composita_from_series(geometric(4), 4), [Fraction(1)] * 6)
 
     @given(
@@ -180,10 +182,14 @@ class TestApply:
 
 
 def shifted_pair(f, order):
-    """The (F, xF) array to ``order`` and the triangle of xF to ``order + 1``."""
+    """The (F, xF) array to ``order`` and the triangle of xF to ``order + 1``.
+
+    The array and ``composita_from_series`` run one recurrence, which a
+    comparison of the two could not check, so the triangle is read off
+    the powers of xF instead."""
     base = f.truncate(order)
     xf = base.times_x()
-    return riordan_build(base, xf.truncate(order)), composita_from_series(xf, order + 1)
+    return riordan_build(base, xf.truncate(order)), composita_from_powers(xf, order + 1)
 
 
 class TestCompositaCheck:
@@ -211,6 +217,22 @@ class TestCompositaCheck:
     @given(f=series_strategy(min_order=5, max_order=8))
     def test_holds_for_arbitrary_series(self, f):
         assert check_riordan_identity(*shifted_pair(f, f.order)).verified
+
+    def test_a_fault_in_the_shared_recurrence_is_caught(self, monkeypatch):
+        # the last row's first entry + 1, in the recurrence behind both
+        # riordan_build and composita_from_series: with the triangle of xF
+        # from the recurrence too, both sides would carry it and agree
+        def faulty(real):
+            def recurrence(*args):
+                *rows, (nums, den) = real(*args)
+                return (*rows, ((nums[0] + den, *nums[1:]), den))
+
+            return recurrence
+
+        for module in (riordan, triangle):
+            monkeypatch.setattr(module, "recurrence", faulty(module.recurrence))
+        report = check_riordan_identity(*shifted_pair(ones(8), 8))
+        assert report.first_failure == ((8, 0), Fraction(2), Fraction(1))
 
     def test_detects_a_broken_pairing(self):
         # Pair tan with the triangle of x*sin instead of x*tan: the shifted
