@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 
 from . import cli
 from .series import parse_int

@@ -24,15 +24,18 @@ Denominators are per row on purpose: one denominator for a whole table
 makes every entry carry the lcm of all of them, which loses badly on
 inputs such as x*e^x whose entries have factorial denominators.
 
-``Fraction`` values are converted at the boundary: ``to_row`` and
-``scalars`` on the way in, ``fractions_of`` on the way out (for a caller
-that reads a table's entries), and ``dot`` for the sum of a row's entries
-times ``Fraction`` values.
+A ``PowerSeries`` stores one row of this form too, so the triangle
+builders read a series' coefficients as integers: ``scalars`` takes the
+nonzero entries of a row, and ``to_row`` makes the row of a list of
+``(numerator, denominator)`` pairs.  ``Fraction`` values are built only
+at the boundary, by ``fraction`` (one entry), ``fractions_of`` (a row,
+for a caller that reads a table's or a series' entries) and ``dot`` (the
+sum of a row's entries times ``Fraction`` values), so a call that reads
+no entry never imports ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -67,21 +70,54 @@ def tries_packed(terms: int, rows: int, packs_input: bool) -> bool:
     return terms >= (12 if packs_input else 5) and terms * rows * rows >= PACKED_MIN_WORK
 
 
-def to_row(values: Sequence[Fraction]) -> Row:
-    """The canonical row holding ``values``."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+def canonical(nums: Sequence[int], den: int) -> Row:
+    """The canonical row of the entries ``nums[j] / den`` (``den`` > 0)."""
+    g = gcd(den, *nums)
+    if g > 1:
+        return tuple([v // g for v in nums]), den // g
+    return tuple(nums), den
 
 
-def scalars(values: Sequence[Fraction]) -> Scalars:
-    """(index, numerator, denominator) of each nonzero value."""
-    return [(i, v.numerator, v.denominator) for i, v in enumerate(values) if v]
+def to_row(pairs: Sequence[tuple[int, int]]) -> Row:
+    """The canonical row of the values ``num / den`` of ``pairs`` (each
+    ``den`` > 0).  Reduced pairs give the least common denominator at
+    once; others are reduced by the row's gcd."""
+    den = lcm(*(d for _, d in pairs))
+    return canonical([n * (den // d) for n, d in pairs], den)
+
+
+def scalars(row: Row, width: int | None = None) -> Scalars:
+    """(index, numerator, denominator) of each nonzero entry among the
+    first ``width`` (by default all) of ``row``, reduced with one gcd
+    each: the row's denominator is shared by all its entries, and left
+    unreduced it would enlarge every lcm of ``combine`` and turn integer
+    entries away from packed rows."""
+    nums, den = row
+    out = []
+    for i, v in enumerate(nums[:width]):
+        if v:
+            g = gcd(v, den)
+            out.append((i, v // g, den // g))
+    return out
+
+
+def fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)``.  The first call imports ``fractions`` and
+    rebinds this name to ``Fraction`` itself, so that a caller that reads
+    entries one by one (through ``_rows.fraction``) runs the import
+    statement once, not once per entry, where it would cost as much as
+    building the entry."""
+    global fraction
+    from fractions import Fraction
+
+    fraction = Fraction
+    return Fraction(num, den)
 
 
 def fractions_of(row: Row) -> tuple[Fraction, ...]:
     """The row's entries as reduced ``Fraction`` values."""
     nums, den = row
-    return tuple(Fraction(v, den) for v in nums)
+    return tuple([fraction(v, den) for v in nums])
 
 
 def combine(terms: Iterable[Term], width: int) -> Row:
@@ -101,10 +137,7 @@ def combine(terms: Iterable[Term], width: int) -> Row:
             nums = nums[: width - shift]
             end = width
         acc[shift:end] = map(add, acc[shift:end], map(mul, nums, repeat(scale)))
-    g = gcd(den, *acc)
-    if g > 1:
-        return tuple([v // g for v in acc]), den // g
-    return tuple(acc), den
+    return canonical(acc, den)
 
 
 def recurrence(g_terms: Scalars, f_terms: Scalars, n_max: int) -> tuple[Row, ...]:
@@ -135,4 +168,4 @@ def dot(row: Row, values: Iterable[Fraction]) -> Fraction:
     nums, den = row
     live = [(a * v.numerator, v.denominator) for a, v in zip(nums, values) if a]
     common = lcm(*(b for _, b in live))
-    return Fraction(sum(a * (common // b) for a, b in live), den * common)
+    return fraction(sum(a * (common // b) for a, b in live), den * common)

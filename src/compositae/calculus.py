@@ -40,8 +40,9 @@ def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
     """
     _require_base("compose_series", 1, tf)
     n_max = min(tf.order, r.order)
-    tail = r.coeffs[1:]
-    return PowerSeries((r.coeffs[0],) + tuple(dot(row, tail) for row in tf.int_rows[:n_max]))
+    coeffs = r.coeffs
+    tail = coeffs[1:]
+    return PowerSeries((coeffs[0],) + tuple(dot(row, tail) for row in tf.int_rows[:n_max]))
 
 
 def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
@@ -85,7 +86,7 @@ def reciprocal_composita(b: PowerSeries, order: int) -> CompositaTable:
     entries (a negative binomial sum over the composita of x * B, O(N^4))
     is kept as a check: ``identities.check_reciprocal_identity``.
     """
-    if b.coeffs[0] == 0:
+    if b.int_row[0][0] == 0:
         raise DivisionByNonUnit("reciprocal needs a series with nonzero constant term")
     if order < 1:
         raise ValueError("a composita table needs order >= 1")

@@ -17,16 +17,22 @@ it, compiles that module.
 The CLI loads this module only for a designator that names an entry and
 for the list of names after an unknown designator: a raw coefficient list
 is read by ``series.raw_coefficients`` and expanded without it.
+
+The generators work on integer pairs and store the series' integer row,
+so expanding an entry without parameters builds no ``Fraction`` (``tan``,
+a series quotient, is the exception).  A spec's parameters are
+``Fraction`` values: a parameterised spec, and a raw one that
+``parse_function_spec`` makes, imports ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from ._record import Record
 from .errors import UnknownFunction
-from .series import CoeffLike, PowerSeries, as_rational, parse_rational, raw_coefficients
+from .series import CoeffLike, Pair, PowerSeries, as_rational, parse_rational, raw_coefficients
 
 
 class FunctionSpec(Record):
@@ -63,19 +69,21 @@ class FunctionSpec(Record):
 
 
 def _term_ratio_series(
-    first: int, value: CoeffLike, step: int, ratio: Callable[[int], tuple[int, int]]
+    first: int, value: Pair, step: int, ratio: Callable[[int], tuple[int, int]]
 ) -> Callable[[int], PowerSeries]:
     # a hypergeometric term: c(first) = value, c(n + step) = c(n) * p/q for
-    # (p, q) = ratio(n), and every other coefficient 0.  A step builds one
-    # Fraction, reduced once, not Fraction(p, q) and then a product.
+    # (p, q) = ratio(n), q > 0, and every other coefficient 0.  Each step
+    # reduces the integer pair of c(n + step) with one gcd.
     def gen(order: int) -> PowerSeries:
-        out = [Fraction(0)] * (order + 1)
-        term = as_rational(value)
+        out = [(0, 1)] * (order + 1)
+        num, den = value
         for n in range(first, order + 1, step):
-            out[n] = term
+            out[n] = num, den
             p, q = ratio(n)
-            term = Fraction(term.numerator * p, term.denominator * q)
-        return PowerSeries(tuple(out))
+            num, den = num * p, den * q
+            g = gcd(num, den)
+            num, den = num // g, den // g
+        return PowerSeries.from_pairs(out)
 
     return gen
 
@@ -88,12 +96,12 @@ def _tan_series(order: int) -> PowerSeries:
 
 def _fib_series(order: int) -> PowerSeries:
     # x/(1 - x - x^2), Fibonacci numbers from index 1
-    out = [Fraction(0)] * (order + 1)
-    prev, cur = Fraction(0), Fraction(1)
+    out = [(0, 1)] * (order + 1)
+    prev, cur = 0, 1
     for n in range(1, order + 1):
-        out[n] = cur
+        out[n] = cur, 1
         prev, cur = cur, prev + cur
-    return PowerSeries(tuple(out))
+    return PowerSeries.from_pairs(out)
 
 
 # ---------------------------------------------------------------------------
@@ -103,28 +111,28 @@ def _fib_series(order: int) -> PowerSeries:
 # c(n + step)/c(n) = p/q, listed with its coefficient c(n)
 _FIXED: dict[str, Callable[[int], PowerSeries]] = {
     # x/(1-x): 1
-    "geometric": _term_ratio_series(1, 1, 1, lambda n: (1, 1)),
+    "geometric": _term_ratio_series(1, (1, 1), 1, lambda n: (1, 1)),
     # x*e^x: 1/(n-1)!
-    "x_exp": _term_ratio_series(1, 1, 1, lambda n: (1, n)),
+    "x_exp": _term_ratio_series(1, (1, 1), 1, lambda n: (1, n)),
     # ln(1+x): (-1)^(n+1)/n
-    "log1p": _term_ratio_series(1, 1, 1, lambda n: (-n, n + 1)),
+    "log1p": _term_ratio_series(1, (1, 1), 1, lambda n: (-n, n + 1)),
     # e^x - 1: 1/n!
-    "expm1": _term_ratio_series(1, 1, 1, lambda n: (1, n + 1)),
+    "expm1": _term_ratio_series(1, (1, 1), 1, lambda n: (1, n + 1)),
     # sin(x), odd n: (-1)^((n-1)/2)/n!
-    "sin": _term_ratio_series(1, 1, 2, lambda n: (-1, (n + 1) * (n + 2))),
+    "sin": _term_ratio_series(1, (1, 1), 2, lambda n: (-1, (n + 1) * (n + 2))),
     # x*cos(x), odd n: (-1)^((n-1)/2)/(n-1)!
-    "x_cos": _term_ratio_series(1, 1, 2, lambda n: (-1, n * (n + 1))),
+    "x_cos": _term_ratio_series(1, (1, 1), 2, lambda n: (-1, n * (n + 1))),
     "tan": _tan_series,
     # arctan(x), odd n: (-1)^((n-1)/2)/n
-    "arctan": _term_ratio_series(1, 1, 2, lambda n: (-n, n + 2)),
+    "arctan": _term_ratio_series(1, (1, 1), 2, lambda n: (-n, n + 2)),
     # arcsin(x), odd n = 2k+1: C(2k,k)/(4^k*(2k+1))
-    "arcsin": _term_ratio_series(1, 1, 2, lambda n: (n * n, (n + 1) * (n + 2))),
+    "arcsin": _term_ratio_series(1, (1, 1), 2, lambda n: (n * n, (n + 1) * (n + 2))),
     # sinh(x), odd n: 1/n!
-    "sinh": _term_ratio_series(1, 1, 2, lambda n: (1, (n + 1) * (n + 2))),
+    "sinh": _term_ratio_series(1, (1, 1), 2, lambda n: (1, (n + 1) * (n + 2))),
     # x*cosh(x), odd n: 1/(n-1)!
-    "x_cosh": _term_ratio_series(1, 1, 2, lambda n: (1, n * (n + 1))),
+    "x_cosh": _term_ratio_series(1, (1, 1), 2, lambda n: (1, n * (n + 1))),
     # sin(x)/x, even n: (-1)^(n/2)/(n+1)!
-    "sin_over_x": _term_ratio_series(0, 1, 2, lambda n: (-1, (n + 2) * (n + 3))),
+    "sin_over_x": _term_ratio_series(0, (1, 1), 2, lambda n: (-1, (n + 2) * (n + 3))),
     "fib": _fib_series,
 }
 
@@ -172,9 +180,11 @@ def parse_function_spec(text: str) -> FunctionSpec:
     """Parse a designator: a catalog name, 'name:p1,p2,...', or a raw
     comma-separated coefficient list such as '0,1,1' (in the grammar of
     ``series.raw_coefficients``), which is read as a polynomial."""
-    coeffs = raw_coefficients(text)
-    if coeffs is not None:
-        return FunctionSpec("raw", coeffs)
+    pairs = raw_coefficients(text)
+    if pairs is not None:
+        from fractions import Fraction
+
+        return FunctionSpec("raw", [Fraction(*pair) for pair in pairs])
     text = text.strip()
     if ":" in text:
         name, _, arg_text = text.partition(":")
@@ -210,7 +220,7 @@ def catalog_series(spec: FunctionSpec, order: int) -> PowerSeries:
         if name == "radical":
             # 1 - (1-x)^(1/m): c(1) = 1/m, c(n + 1) = c(n) * (n - 1/m)/(n + 1)
             m = int(params[0])
-            series = _term_ratio_series(1, Fraction(1, m), 1, lambda n: (n * m - 1, m * (n + 1)))
+            series = _term_ratio_series(1, (1, m), 1, lambda n: (n * m - 1, m * (n + 1)))
             return series(order)
         positions = _PARAMETERIZED[name]
         coeffs = [0] * (positions[-1] + 1)

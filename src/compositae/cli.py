@@ -31,6 +31,14 @@ options run.  What loads when:
 
 * every call: this module, ``series``, ``triangle``, ``formats`` (record
   lines are written without ``json``) and the small modules they import;
+* where a ``Fraction`` is built: ``fractions`` (with ``decimal`` and
+  ``numbers``).  Series and tables store integer rows, designators are
+  read into integer pairs and the writers print integer rows, so
+  ``composita`` on a raw list or on a catalog name without parameters
+  (but ``tan``, a series quotient), ``riordan`` without ``--b`` and
+  ``solve`` with m >= 0 never import it; ``compose``, ``inverse``,
+  ``reciprocal``, ``riordan --b``, ``solve`` with m < 0, ``verify``,
+  ``oracle`` and a parameterised designator do;
 * help, a usage error, or ``--output``: ``_offpath``, which holds the
   argparse parser and the ``--output`` writer; only the parser imports
   ``argparse`` (with ``gettext`` and ``locale``);
@@ -51,7 +59,8 @@ options run.  What loads when:
   rather than imported inside the handlers because ``perfbench/tracing.py``
   looks each span module up there right after ``import compositae.cli``;
 * never: ``theorems`` (the paper's closed forms and theorems, which only
-  the tests evaluate) and
+  the tests evaluate), ``_arith`` (sums, products and powers of series,
+  which only the tests and the benchmark's checks run) and
   ``dataclasses`` (the value types are plain slotted classes).
 
 ``main()`` writes and flushes its output (argparse's help too) and returns
@@ -68,10 +77,10 @@ import errno
 import importlib.util
 import os
 import sys
-from fractions import Fraction
 from types import ModuleType, SimpleNamespace
 from typing import Callable, Optional
 
+from ._rows import Row, to_row
 from .errors import CompositaeError, UnknownFunction
 from .formats import (
     series_csv,
@@ -130,10 +139,10 @@ def _series(designator: str, order: int) -> PowerSeries:
     """The series ``designator`` names, to ``order``; a raw coefficient list
     is read as a polynomial, as ``catalog.parse_function_spec`` does, without
     the catalog."""
-    coeffs = raw_coefficients(designator)
-    if coeffs is None:
+    pairs = raw_coefficients(designator)
+    if pairs is None:
         return catalog.catalog_series(catalog.parse_function_spec(designator), order)
-    return PowerSeries.of(coeffs[: order + 1], order=order)
+    return PowerSeries.from_pairs(pairs, order=order)
 
 
 def _render_triangle(table, fmt: str) -> str:
@@ -144,12 +153,12 @@ def _render_triangle(table, fmt: str) -> str:
     return triangle_text(table)
 
 
-def _render_series(values, fmt: str, start: int = 0) -> str:
+def _render_series(row: Row, fmt: str, start: int = 0) -> str:
     if fmt == "csv":
-        return series_csv(values, start=start)
+        return series_csv(row, start=start)
     if fmt == "records":
-        return series_records(values, start=start)
-    return series_text(values)
+        return series_records(row, start=start)
+    return series_text(row)
 
 
 def _require_order(value: int, flag: str) -> int:
@@ -170,14 +179,14 @@ def _cmd_compose(args: SimpleNamespace) -> tuple[str, int]:
     r = _series(args.r, n)
     f = _series(args.fn, n)
     table = composita_from_series(f, n)
-    return _render_series(calculus.compose_series(r, table).coeffs, args.format), 0
+    return _render_series(calculus.compose_series(r, table).int_row, args.format), 0
 
 
 def _cmd_inverse(args: SimpleNamespace) -> tuple[str, int]:
     order = _require_order(args.order, "--order")
     table = composita_from_series(_series(args.fn, order), order)
-    inv = calculus.inverse_series(table)
-    return _render_series(inv.coeffs[1:], args.format, start=1), 0
+    nums, den = calculus.inverse_series(table).int_row
+    return _render_series((nums[1:], den), args.format, start=1), 0
 
 
 def _cmd_reciprocal(args: SimpleNamespace) -> tuple[str, int]:
@@ -193,7 +202,7 @@ def _cmd_solve(args: SimpleNamespace) -> tuple[str, int]:
     solution = funceq.solve_functional_equation(g, args.m, order)
     if args.table:
         return _render_triangle(solution.a_table, args.format), 0
-    return _render_series(solution.a_series.coeffs, args.format), 0
+    return _render_series(solution.a_series.int_row, args.format), 0
 
 
 def _cmd_riordan(args: SimpleNamespace) -> tuple[str, int]:
@@ -203,7 +212,8 @@ def _cmd_riordan(args: SimpleNamespace) -> tuple[str, int]:
     table = riordan.riordan_build(g, f)
     if args.b is not None:
         b = _series(args.b, n)
-        return _render_series(riordan.riordan_apply(table, b.coeffs), args.format), 0
+        values = riordan.riordan_apply(table, b.coeffs)
+        return _render_series(to_row([v.as_integer_ratio() for v in values]), args.format), 0
     return _render_triangle(table, args.format), 0
 
 

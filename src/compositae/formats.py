@@ -3,9 +3,11 @@
 Three shapes for triangles (plain rows, CSV, JSON-record lines) and the
 same three for coefficient sequences.  Values always render as exact
 rationals: "p/q", or bare "p" for integers, the text of ``str(Fraction)``.
-A triangle is printed from its stored integer rows: a row whose
-denominator is 1 prints its numerators, any other row reduces each entry
-with one gcd, and no ``Fraction`` is built.  A record line is written
+A triangle is printed from its stored integer rows, and a sequence from
+one integer row ``(nums, den)`` (``_rows``), such as a series'
+``int_row``, through the one routine ``_texts``: a row whose denominator
+is 1 prints its numerators, any other row reduces each entry with one
+gcd, and no ``Fraction`` is built.  A record line is written
 directly, not through ``json``, whose import would cost every records
 call a few milliseconds: it holds only ints and the ASCII text of a
 rational, so it is byte-for-byte what ``json.dumps`` makes of the same
@@ -16,10 +18,10 @@ tests round-trip ``triangle_csv`` through is ``parse_triangle_csv`` in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
+from ._rows import Row
 from .triangle import CompositaTable
 
 
@@ -50,17 +52,19 @@ def triangle_records(table: CompositaTable) -> str:
     return "\n".join(f'{{"n": {n}, "k": {k}, "value": "{v}"}}' for n, k, v in _cells(table))
 
 
-def series_text(values: Sequence[Fraction]) -> str:
-    return ",".join(str(v) for v in values)
+def series_text(row: Row) -> str:
+    """The entries of ``row``, comma-separated."""
+    return ",".join(_texts(*row))
 
 
-def series_csv(values: Sequence[Fraction], start: int = 0) -> str:
+def series_csv(row: Row, start: int = 0) -> str:
+    """The entries of ``row`` under the header n,value, numbered from ``start``."""
     lines = ["n,value"]
-    lines.extend(f"{n},{v}" for n, v in enumerate(values, start=start))
+    lines.extend(f"{n},{v}" for n, v in enumerate(_texts(*row), start=start))
     return "\n".join(lines)
 
 
-def series_records(values: Sequence[Fraction], start: int = 0) -> str:
+def series_records(row: Row, start: int = 0) -> str:
     return "\n".join(
-        f'{{"n": {n}, "value": "{v!s}"}}' for n, v in enumerate(values, start=start)
+        f'{{"n": {n}, "value": "{v}"}}' for n, v in enumerate(_texts(*row), start=start)
     )

@@ -44,8 +44,13 @@ class FuncEqSolution(Record):
 
     @property
     def a_series(self) -> PowerSeries:
-        """The coefficients a(0)..a(order), read off column 1 of ``a_table``."""
-        return PowerSeries(self.a_table.column(1))
+        """The coefficients a(0)..a(order), read off column 1 of ``a_table``:
+        the first entry of each stored row, reduced, with no ``Fraction``."""
+        column = []
+        for nums, den in self.a_table.int_rows:
+            g = gcd(nums[0], den)
+            column.append((nums[0] // g, den // g))
+        return PowerSeries.from_pairs(column)
 
 
 def _power_table(g: PowerSeries, count: int) -> list[Row]:
@@ -55,7 +60,7 @@ def _power_table(g: PowerSeries, count: int) -> list[Row]:
     truncated at G's order, over the nonzero coefficients of G only.
     """
     width = g.order + 1
-    g_terms = scalars(g.coeffs)
+    g_terms = scalars(g.int_row)
     rows: list[Row] = [((1,) + (0,) * (width - 1), 1)]
     for _ in range(count):
         prev = rows[-1]
@@ -83,7 +88,7 @@ def solve_functional_equation(g: PowerSeries, m: int, order: int) -> FuncEqSolut
     ``triangle.MAX_TABLE_ENTRIES`` entries, estimated as
     (max(|m|, 1) * order + 1) * (order + 1), raises ValueError.
     """
-    if g.coeffs[0] == 0:
+    if g.int_row[0][0] == 0:
         raise ZeroConstantTerm("G must have a nonzero constant term")
     if order < 0:
         raise ValueError("order must be >= 0")

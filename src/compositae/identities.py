@@ -150,7 +150,8 @@ def check_derivative_identity(f: PowerSeries, tf: CompositaTable) -> IdentityRep
     _require_base("check_derivative_identity", 1, tf)
     order = tf.order
     name, rng = "derivative", f"1 < m <= n <= {order}"
-    kf = [(k, k * c.numerator, c.denominator) for k in range(1, order) if (c := f.coeffs[k])]
+    coeffs = f.coeffs
+    kf = [(k, k * c.numerator, c.denominator) for k in range(1, order) if (c := coeffs[k])]
     rows = tf.int_rows  # rows[n - 1] is row n
     checked = 0
     for n in range(2, order + 1):

@@ -13,7 +13,6 @@ one is the triangle of xF).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from ._rows import dot, recurrence, scalars
@@ -32,7 +31,7 @@ def riordan_build(g: PowerSeries, f: PowerSeries) -> CompositaTable:
     n_max = _table_order(f, None)
     if g.order < n_max:
         raise InsufficientOrder(f"g is needed to order {n_max}, got {g.order}")
-    g_terms, f_terms = (scalars(s.coeffs[: n_max + 1]) for s in (g, f))
+    g_terms, f_terms = (scalars(s.int_row, n_max + 1) for s in (g, f))
     return CompositaTable._of(recurrence(g_terms, f_terms, n_max), 0)
 
 

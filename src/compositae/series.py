@@ -1,51 +1,87 @@
 """Truncated formal power series over exact rationals.
 
-A series stores its coefficients c(0), ..., c(N) next to the truncation
-order N, and every binary operation truncates its result to the smaller
-of the two operand orders, so comparisons are always well defined.
-Coefficients are ``fractions.Fraction`` values throughout; nothing in
-this package ever rounds.
+A series stores its coefficients c(0), ..., c(N) as one canonical integer
+row ``int_row = (nums, den)``, the form of the row kernel ``_rows`` and of
+a ``CompositaTable``'s rows: c(n) is ``nums[n] / den`` with one positive
+denominator and ``gcd(den, *nums) == 1``, so equal series store equal
+rows.  ``coeffs`` builds the ``fractions.Fraction`` values on each read,
+at O(N) a read, and ``series[n]`` builds one; the triangle builders read
+the row itself, so a call that builds a table from integer pairs never
+imports ``fractions``.  Series arithmetic is plain ``Fraction`` code over
+``coeffs``, a route that shares no code with the kernel's ``combine``.
+The quotient and the derivative, which CLI calls run (``reciprocal``,
+``solve`` with m < 0, ``tan``), are here; sums, products, powers and the
+integral, which only the tests and the benchmark's checks run, are in
+``_arith``, which a process compiles on their first use.  Every binary
+operation truncates its result to the smaller of the two operand orders,
+so comparisons are always well defined.  Nothing in this package ever
+rounds.
 
 The comma-separated text format ("0,1,1/2") is read here, by
 ``raw_coefficients``, the one grammar of the command line interface and of
-the catalog's raw designators.
+the catalog's raw designators; ``parse_pair`` reads each coefficient
+straight into an integer pair.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
+from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
+from . import _rows
 from ._record import Record
+from ._rows import Row, canonical, fractions_of, to_row
 from .errors import DivisionByNonUnit, UnknownFunction
 
-CoeffLike = Union[Fraction, int, str]
+CoeffLike = Union["Fraction", int, str]
+
+# (numerator, denominator) of one rational, the denominator positive
+Pair = tuple[int, int]
 
 
 def as_rational(value: CoeffLike) -> Fraction:
     """Coerce ints and 'p/q' strings to Fraction; Fractions pass through.
-    A string is read in the CLI's grammar (``parse_rational``).  A float
+    A string is read in the CLI's grammar (``parse_pair``).  A float
     raises TypeError: it would be stored as its binary expansion
     (0.1 as 3602879701896397/36028797018963968), not the number meant."""
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return parse_rational(value)
+        return Fraction(*parse_pair(value))
     if isinstance(value, float):
         raise TypeError(f"{value!r} is a float; pass a str such as '1/10' or a Fraction")
     return Fraction(value)
 
 
-class PowerSeries(Record):
-    """A power series truncated at ``order = len(coeffs) - 1``."""
+def as_pair(value: CoeffLike) -> Pair:
+    """``as_rational(value)`` as a reduced pair; an int or a str is read
+    without building a ``Fraction``.  A caller that holds a ``Fraction``
+    has imported ``fractions``, so it is found in ``sys.modules`` rather
+    than imported for each value."""
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, str):
+        return parse_pair(value)
+    fractions = sys.modules.get("fractions")
+    if fractions is None or not isinstance(value, fractions.Fraction):
+        value = as_rational(value)
+    return value.numerator, value.denominator
 
-    __slots__ = ("coeffs",)
-    coeffs: tuple[Fraction, ...]
+
+class PowerSeries(Record):
+    """A power series truncated at ``order``, stored as one canonical
+    integer row ``int_row = (nums, den)`` of ``order + 1`` entries."""
+
+    __slots__ = ("int_row",)
+    int_row: Row
 
     def __init__(self, coeffs: Sequence[CoeffLike]) -> None:
         if not coeffs:
             raise ValueError("a power series needs at least the constant coefficient")
-        self._fill(tuple(as_rational(c) for c in coeffs))
+        self._fill(to_row([as_pair(c) for c in coeffs]))
 
     # -- construction -------------------------------------------------
 
@@ -56,34 +92,45 @@ class PowerSeries(Record):
         With ``order`` given, the coefficient list is zero padded or cut
         to exactly that order; padding reads the input as a polynomial.
         """
-        coeffs = [as_rational(v) for v in values]
+        return cls.from_pairs([as_pair(v) for v in values], order)
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[Pair], order: int | None = None) -> PowerSeries:
+        """``of`` for coefficients given as (numerator, denominator) pairs,
+        each denominator positive, such as ``raw_coefficients`` reads."""
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
-            if len(coeffs) < order + 1:
-                coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-            else:
-                coeffs = coeffs[: order + 1]
-        return cls(tuple(coeffs))
+            pairs = list(pairs[: order + 1]) + [(0, 1)] * (order + 1 - len(pairs))
+        if not pairs:
+            raise ValueError("a power series needs at least the constant coefficient")
+        return cls._of(to_row(pairs))
 
     @classmethod
     def zero(cls, order: int) -> PowerSeries:
-        return cls.of([], order=order)
+        return cls.from_pairs([], order=order)
 
     @classmethod
     def one(cls, order: int) -> PowerSeries:
-        return cls.of([1], order=order)
+        return cls.from_pairs([(1, 1)], order=order)
 
     # -- basic access --------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """c(0), ..., c(order) as ``Fraction`` values, built on each read:
+        read it once per function, not in a loop."""
+        return fractions_of(self.int_row)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.int_row[0]) - 1
 
     def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient index {n} outside truncation order {self.order}")
-        return self.coeffs[n]
+        nums, den = self.int_row
+        return _rows.fraction(nums[n], den)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
@@ -91,68 +138,53 @@ class PowerSeries(Record):
     def truncate(self, order: int) -> PowerSeries:
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} series to order {order}")
-        return PowerSeries(self.coeffs[: order + 1])
+        nums, den = self.int_row
+        return PowerSeries._of(canonical(nums[: order + 1], den))
 
     def extended(self, order: int) -> PowerSeries:
         """Zero-pad up to ``order``; only exact when the tail really is zero."""
         if order < self.order:
             raise ValueError("extended() cannot shrink a series; use truncate()")
-        return PowerSeries.of(self.coeffs, order=order)
+        nums, den = self.int_row
+        return PowerSeries._of((nums + (0,) * (order - self.order), den))
 
     # -- ring operations ------------------------------------------------
+    # Sums, products, powers and the integral, which no CLI call runs, are
+    # in ``_arith``, compiled on their first use.
 
     def __add__(self, other: PowerSeries) -> PowerSeries:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        from ._arith import add
+
+        return add(self, other)
 
     def __sub__(self, other: PowerSeries) -> PowerSeries:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        from ._arith import subtract
+
+        return subtract(self, other)
 
     def __neg__(self) -> PowerSeries:
-        return PowerSeries(tuple(-c for c in self.coeffs))
+        nums, den = self.int_row
+        return PowerSeries._of((tuple([-v for v in nums]), den))
 
     def __mul__(self, other: Union[PowerSeries, CoeffLike]) -> PowerSeries:
-        if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            out = []
-            for i in range(n + 1):
-                acc = Fraction(0)
-                for j in range(i + 1):
-                    a = self.coeffs[j]
-                    if a:
-                        acc += a * other.coeffs[i - j]
-                out.append(acc)
-            return PowerSeries(tuple(out))
-        scalar = as_rational(other)
-        return PowerSeries(tuple(c * scalar for c in self.coeffs))
+        from ._arith import multiply
+
+        return multiply(self, other)
 
     def __rmul__(self, other: CoeffLike) -> PowerSeries:
         return self.__mul__(other)
 
     def __pow__(self, k: int) -> PowerSeries:
         """Binary exponentiation; k must be a nonnegative integer."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers take a nonnegative integer exponent")
-        result = PowerSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        from ._arith import power
+
+        return power(self, k)
 
     def __truediv__(self, other: Union[PowerSeries, CoeffLike]) -> PowerSeries:
         if isinstance(other, PowerSeries):
             return _divide(self, other)
         scalar = as_rational(other)
-        return PowerSeries(tuple(c / scalar for c in self.coeffs))
+        return _exact([c / scalar for c in self.coeffs])
 
     # -- calculus -------------------------------------------------------
 
@@ -160,68 +192,109 @@ class PowerSeries(Record):
         """Formal derivative; the truncation order drops by one."""
         if self.order == 0:
             return PowerSeries.zero(0)
-        return PowerSeries(tuple((n + 1) * self.coeffs[n + 1] for n in range(self.order)))
+        coeffs = self.coeffs
+        return _exact([n * coeffs[n] for n in range(1, len(coeffs))])
 
     def integral(self) -> PowerSeries:
         """Formal antiderivative with zero constant term; order grows by one."""
-        out = [Fraction(0)]
-        out.extend(self.coeffs[n] / (n + 1) for n in range(self.order + 1))
-        return PowerSeries(tuple(out))
+        from ._arith import integral
+
+        return integral(self)
 
     def times_x(self) -> PowerSeries:
         """Multiply by x exactly; order grows by one."""
-        return PowerSeries((Fraction(0),) + self.coeffs)
+        nums, den = self.int_row
+        return PowerSeries._of(((0,) + nums, den))
+
+
+def _exact(values: Sequence[Fraction]) -> PowerSeries:
+    """The series of ``Fraction`` (or int) coefficients ``values``."""
+    return PowerSeries._of(to_row([v.as_integer_ratio() for v in values]))
 
 
 def _divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    if b.coeffs[0] == 0:
+    b_nums, b_den = b.int_row
+    if b_nums[0] == 0:
         # A shared leading power of x cancels exactly: x/(e^x - 1) is a
         # perfectly good series even though the divisor has no unit term.
-        shift = next((i for i, c in enumerate(b.coeffs) if c), None)
+        shift = next((i for i, c in enumerate(b_nums) if c), None)
         if shift is None:
             raise DivisionByNonUnit("division by the zero series")
-        if any(a.coeffs[i] for i in range(min(shift, a.order + 1))) or a.order < shift:
+        a_nums, a_den = a.int_row
+        if any(a_nums[:shift]) or a.order < shift:
             raise DivisionByNonUnit("series division needs a unit constant term in the divisor")
         return _divide(
-            PowerSeries(a.coeffs[shift:]),
-            PowerSeries(b.coeffs[shift:]),
+            PowerSeries._of(canonical(a_nums[shift:], a_den)),
+            PowerSeries._of(canonical(b_nums[shift:], b_den)),
         )
-    n = min(a.order, b.order)
-    unit = b.coeffs[0]
+    x, y = a.coeffs, b.coeffs
+    unit = y[0]
     out: list[Fraction] = []
-    for i in range(n + 1):
-        acc = a.coeffs[i]
+    for i in range(min(len(x), len(y))):
+        acc = x[i]
         for j in range(i):
             c = out[j]
             if c:
-                acc -= c * b.coeffs[i - j]
+                acc -= c * y[i - j]
         out.append(acc / unit)
-    return PowerSeries(tuple(out))
+    return _exact(out)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse one coefficient: 'p/q', a bare integer or a decimal, in ASCII
-    digits with an optional sign.
+def parse_pair(text: str) -> Pair:
+    """Read one coefficient into a reduced pair (numerator, denominator),
+    the denominator positive, without building a ``Fraction``.
 
-    Exponent notation ('1e5') is refused before any value is built, so
-    that text such as '1e100000000' cannot make a huge integer.  So are
-    '_' and non-ASCII text, which ``Fraction`` reads differently from one
-    Python version to the next ('1_0' is 10 from 3.11 on) and which take
-    digits from other scripts ('٣' is 3).
+    The grammar, the same on every supported Python: optional whitespace,
+    an optional sign, then either ASCII digits, '/' and ASCII digits (a
+    fraction), or ASCII digits with an optional '.' and more digits (a
+    decimal, one side of the point possibly empty), then optional
+    whitespace.  Text that does not match is refused with the message
+    ``Fraction`` gives it, and a zero denominator as such.  ``Fraction``
+    itself reads text differently from one Python version to the next,
+    which is why it is not used:
+
+    * exponent notation ('1e5') is refused before any value is built, so
+      that text such as '1e100000000' cannot make a huge integer;
+    * '_' and non-ASCII text are refused: ``Fraction`` reads '1_0' as 10
+      from 3.11 on, and digits from other scripts ('٣' as 3);
+    * spaces around '/' are refused: ``Fraction`` reads '1 / 2' from 3.12
+      on.
     """
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted: {text!r}")
     _refuse_separators_and_non_ascii(text)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator: {text!r}") from exc
+    body = text.strip()
+    sign = body[:1]
+    if sign in ("+", "-"):
+        body = body[1:]
+    whole, slash, den_text = body.partition("/")
+    if slash:
+        if not (whole.isdigit() and den_text.isdigit()):
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        num, den = int(whole), int(den_text)
+        if den == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+    else:
+        whole, _, decimals = body.partition(".")
+        if not (whole or decimals) or not all(p.isdigit() for p in (whole, decimals) if p):
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        den = 10 ** len(decimals)
+        num = int(whole or "0") * den + int(decimals or "0")
+    g = gcd(num, den)
+    return (-num // g if sign == "-" else num // g), den // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """``parse_pair(text)`` as a ``Fraction``."""
+    from fractions import Fraction
+
+    return Fraction(*parse_pair(text))
 
 
 def parse_int(text: str) -> int:
     """Parse one integer (a CLI order or index, a CSV row or column): ASCII
     digits with an optional sign.  '_' and non-ASCII text are refused as in
-    ``parse_rational``; ``int`` alone reads '1_0' as 10 and '٣' as 3."""
+    ``parse_pair``; ``int`` alone reads '1_0' as 10 and '٣' as 3."""
     _refuse_separators_and_non_ascii(text)
     return int(text)
 
@@ -236,15 +309,15 @@ def _refuse_separators_and_non_ascii(text: str) -> None:
 _NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz_0123456789")
 
 
-def raw_coefficients(text: str) -> list[Fraction] | None:
+def raw_coefficients(text: str) -> list[Pair] | None:
     """The coefficients of a raw designator such as '0,1,1' (a polynomial,
-    index 0 first), or None when ``text`` names a catalog entry ('name' or
-    'name:p1,p2,...').
+    index 0 first) as reduced integer pairs (``parse_pair``), or None when
+    ``text`` names a catalog entry ('name' or 'name:p1,p2,...').
 
     This is the one grammar of raw designators: ``catalog.parse_function_spec``
     reads them with it, and so does the CLI, which expands a raw list
     without loading the catalog.  Empty text and a list whose parts do not
-    parse (see ``parse_rational``) raise ``UnknownFunction``.
+    parse (see ``parse_pair``) raise ``UnknownFunction``.
     """
     text = text.strip()
     if not text:
@@ -252,7 +325,7 @@ def raw_coefficients(text: str) -> list[Fraction] | None:
     if ":" in text or (set(text) <= _NAME_CHARS and not text[0].isdigit()):
         return None
     try:
-        return [parse_rational(p) for p in text.split(",")]
+        return [parse_pair(p) for p in text.split(",")]
     except ValueError as exc:
         raise UnknownFunction(
             f"not a catalog name or coefficient list: {text!r} ({exc})"

@@ -15,7 +15,9 @@ Two construction routes are provided here:
                              which picks packed rows or ``combine``) as
                              the Riordan array (F/x, F), whose entry
                              (n, k) is [x^n] (F^(k+1) / x) = T(n+1, k+1),
-* ``composita_from_powers``- direct coefficient extraction from F^k.
+* ``composita_from_powers``- direct coefficient extraction from F^k,
+                             the powers built by plain ``Fraction``
+                             products.
 
 Column 1 of a triangle is F itself (from f(1)).  Every function that
 reads a table of one base (the transforms of ``calculus``, the sweeps of
@@ -30,13 +32,13 @@ module, which a CLI call compiles only for the ``oracle`` subcommand.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from . import _rows
 from ._record import Record
 from ._rows import Row, fractions_of, recurrence, scalars, to_row
 from .errors import InsufficientOrder, NonzeroConstantTerm
-from .series import PowerSeries, as_rational
+from .series import PowerSeries, as_pair
 
 
 class CompositaTable(Record):
@@ -52,7 +54,8 @@ class CompositaTable(Record):
     constructor takes ``Fraction``, ``int`` or ``str`` entries; the
     producers hand in kernel rows through ``_of``.  ``rows``, an
     entry, a row, a column and ``entries`` are read as ``Fraction``
-    values, built on each read.
+    values, built on each read (``_rows.fraction``); only these readers
+    import ``fractions``.
     """
 
     __slots__ = ("int_rows", "base")
@@ -68,7 +71,7 @@ class CompositaTable(Record):
                 raise ValueError(
                     f"row {offset + base} must carry exactly {offset + 1} entries, got {len(row)}"
                 )
-            int_rows.append(to_row([as_rational(v) for v in row]))
+            int_rows.append(to_row([as_pair(v) for v in row]))
         if not int_rows:
             raise ValueError("a table needs at least one row")
         self._fill(tuple(int_rows), base)
@@ -88,9 +91,9 @@ class CompositaTable(Record):
         if not base <= n < len(self.int_rows) + base:
             raise IndexError(f"row {n} outside table of order {self.order}")
         if k < base or k > n:
-            return Fraction(0)
+            return _rows.fraction(0, 1)
         nums, den = self.int_rows[n - base]
-        return Fraction(nums[k - base], den)
+        return _rows.fraction(nums[k - base], den)
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         if not self.base <= n <= self.order:
@@ -102,12 +105,12 @@ class CompositaTable(Record):
         base = self.base
         if not base <= k <= self.order:
             raise IndexError(f"column {k} outside table of order {self.order}")
-        return tuple(Fraction(nums[k - base], den) for nums, den in self.int_rows[k - base :])
+        return tuple(_rows.fraction(nums[k - base], den) for nums, den in self.int_rows[k - base :])
 
     def entries(self) -> Iterator[tuple[int, int, Fraction]]:
         for n, (nums, den) in enumerate(self.int_rows, self.base):
             for k, value in enumerate(nums, self.base):
-                yield n, k, Fraction(value, den)
+                yield n, k, _rows.fraction(value, den)
 
     def truncated(self, order: int) -> CompositaTable:
         if not self.base <= order <= self.order:
@@ -125,7 +128,7 @@ class CompositaTable(Record):
 
 
 def _require_composable(f: PowerSeries) -> None:
-    if f.coeffs[0] != 0:
+    if f.int_row[0][0] != 0:
         raise NonzeroConstantTerm(
             "compositae are defined only for series with zero constant term"
         )
@@ -167,19 +170,23 @@ def composita_from_series(f: PowerSeries, order: int | None = None) -> Composita
     0..N - 1 of the Riordan array (F/x, F), whose column k - 1 is
     F^k / x."""
     n_max = _table_order(f, order)
-    f_terms = scalars(f.coeffs[: n_max + 1])
+    f_terms = scalars(f.int_row, n_max + 1)
     return CompositaTable._of(recurrence([(i - 1, num, den) for i, num, den in f_terms], f_terms, n_max - 1), 1)
 
 
 def composita_from_powers(f: PowerSeries, order: int | None = None) -> CompositaTable:
-    """Build the triangle by reading coefficients off the powers F^k."""
+    """Build the triangle by reading coefficients off the powers F^k, each
+    the plain ``Fraction`` product of the last with F (``_arith.convolve``,
+    the product of two series)."""
+    from ._arith import convolve
+
     n_max = _table_order(f, order)
-    base = f if f.order == n_max else f.truncate(n_max)
-    rows = [[Fraction(0)] * (n + 1) for n in range(n_max)]
-    power = base
+    coeffs = f.coeffs[: n_max + 1]
+    rows = [[(0, 1)] * (n + 1) for n in range(n_max)]
+    power = coeffs
     for k in range(1, n_max + 1):
         for n in range(k, n_max + 1):
-            rows[n - 1][k - 1] = power.coeffs[n]
+            rows[n - 1][k - 1] = power[n].as_integer_ratio()
         if k < n_max:
-            power = power * base
-    return CompositaTable(tuple(tuple(row) for row in rows))
+            power = convolve(power, coeffs)
+    return CompositaTable._of(tuple(map(to_row, rows)), 1)

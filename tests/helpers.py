@@ -63,9 +63,10 @@ def power_coeffs(coeffs: list[Fraction], k: int, order: int) -> list[Fraction]:
 def compose_plain(r: PowerSeries, f: PowerSeries) -> PowerSeries:
     """R(F) by Horner's rule on PowerSeries arithmetic."""
     order = min(r.order, f.order)
-    acc = PowerSeries.of([r.coeffs[order]], order=order)
+    coeffs = r.coeffs
+    acc = PowerSeries.of([coeffs[order]], order=order)
     for k in range(order - 1, -1, -1):
-        acc = acc * f.truncate(order) + PowerSeries.of([r.coeffs[k]], order=order)
+        acc = acc * f.truncate(order) + PowerSeries.of([coeffs[k]], order=order)
     return acc
 
 
@@ -139,6 +140,7 @@ def reference_derivative(f: PowerSeries, tf: CompositaTable) -> IdentityReport:
     name = "derivative"
     order = tf.order
     rng = f"1 < m <= n <= {order}"
+    coeffs = f.coeffs
     checked = 0
     for n in range(2, order + 1):
         for m in range(2, n + 1):
@@ -146,7 +148,7 @@ def reference_derivative(f: PowerSeries, tf: CompositaTable) -> IdentityReport:
             lhs = n * tf[n, m]
             rhs = Fraction(0)
             for k in range(1, n - m + 2):
-                fk = f.coeffs[k]
+                fk = coeffs[k]
                 if fk:
                     rhs += k * fk * tf[n - k, m - 1]
             rhs *= m

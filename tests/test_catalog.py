@@ -21,7 +21,10 @@ from compositae import (
     parse_function_spec,
     registry_names,
 )
+from compositae._rows import to_row
+from compositae.catalog import _FIXED
 from compositae.combinatorics import stirling_first_unsigned
+from helpers import bernoulli_list, fibonacci_list
 
 TRIG_NAMES = {"sin", "x_cos", "tan", "arctan", "sinh", "x_cosh", "arcsin"}
 
@@ -236,6 +239,31 @@ def test_series_match_their_coefficient_formulas(designator):
     assert all(type(c) is Fraction for c in series.coeffs)
     for n, c in enumerate(series.coeffs):
         assert c == formula(n), (designator, n)
+
+
+def _tan_coefficient(n):
+    # tan x = sum over k >= 1 of (-1)^(k-1) 4^k (4^k - 1) B(2k) x^(2k-1) / (2k)!
+    if n % 2 == 0:
+        return 0
+    k = (n + 1) // 2
+    b = bernoulli_list(2 * k + 1)[2 * k]
+    return (-1) ** (k - 1) * 4**k * (4**k - 1) * b / math.factorial(2 * k)
+
+
+# every entry without parameters as a plain Fraction expansion
+PLAIN_EXPANSIONS = {
+    **{name: COEFFICIENT_FORMULAS[name] for name in _FIXED if name in COEFFICIENT_FORMULAS},
+    "fib": lambda n: ([0] + fibonacci_list(n))[n],
+    "tan": _tan_coefficient,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED))
+def test_fixed_entries_at_order_60_equal_plain_fraction_expansions(name):
+    expected = [Fraction(PLAIN_EXPANSIONS[name](n)) for n in range(61)]
+    series = catalog_series(make_spec(name), 60)
+    assert series.coeffs == tuple(expected)
+    assert series.int_row == to_row([v.as_integer_ratio() for v in expected])
 
 
 class TestClosedForms:

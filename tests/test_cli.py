@@ -908,6 +908,13 @@ class TestDesignatorGrammar:
             lambda: catalog_series(parse_function_spec(text), order)
         )
 
+    @pytest.mark.parametrize("fn", ["0,1 / 2", "0,1 /2", "0,1/ 2"])
+    def test_spaces_around_the_slash_are_refused_on_every_python(self, fn, capsys):
+        # Fraction reads '1 / 2' from Python 3.12 on; the grammar does not
+        assert main(["composita", "--fn", fn, "--n", "3"]) == 1
+        part = fn.split(",")[1]
+        assert f"(Invalid literal for Fraction: {part!r})" in capsys.readouterr().err
+
 
 def _fresh_stderr(code: str) -> str:
     """What ``code`` writes to stderr in a fresh interpreter."""
@@ -1100,8 +1107,9 @@ class TestStartup:
     associativity, inverse and reciprocal sweeps (``solve`` runs ``funceq``
     alone, for any m); ``catalog`` only for a catalog name and for the list of names
     after an unknown designator; ``combinatorics`` for no call (only
-    ``theorems`` imports it); and packed rows (``_packed``) only for an
-    integer table with enough work."""
+    ``theorems`` imports it); packed rows (``_packed``) only for an
+    integer table with enough work; and the sums, products and powers of
+    series (``_arith``) for no call."""
 
     HEAVY = {
         "argparse", "gettext", "locale", "dataclasses", "inspect", "json",
@@ -1215,13 +1223,51 @@ class TestStartup:
     def test_call_runs_only_the_submodules_it_uses(self, argv, code, runs, skips):
         ran = _package_files_run(*argv, code=code)
         assert {"cli.py", "triangle.py"} | runs <= ran
-        assert ran & (skips | {"theorems.py"}) == set()
+        assert ran & (skips | {"theorems.py", "_arith.py"}) == set()
 
     def test_plain_call_imports_no_heavy_module(self):
         bare = _modules_loaded("import sys")
         loaded = self._cli_modules("composita", "--fn", "geometric", "--n", "1")
         assert "compositae.cli" in loaded
         assert (loaded - bare) & self.HEAVY == set()
+
+    FRACTIONS = {"fractions", "decimal", "numbers"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("composita", "--fn", "geometric", "--n", "6"),
+            ("composita", "--fn", "0,1,1", "--n", "6", "--format", "csv"),
+            ("composita", "--fn", "0,1/2,1", "--n", "6", "--format", "records"),
+            ("riordan", "--g", "fib", "--fn", "geometric", "--n", "6"),
+            ("solve", "--g", "1,1", "--m", "2", "--order", "6"),
+            ("solve", "--g", "3/7,2/13", "--m", "0", "--order", "6", "--format", "records"),
+        ],
+        ids=["composita", "composita-raw", "composita-rational", "riordan", "solve-m2", "solve-m0"],
+    )
+    def test_call_on_integer_rows_imports_no_fractions(self, argv):
+        # these calls read their input into integer pairs and print stored
+        # rows: no Fraction is built, so fractions, decimal and numbers stay out
+        bare = _modules_loaded("import sys")
+        loaded = self._cli_modules(*argv)
+        assert (loaded - bare) & self.FRACTIONS == set()
+
+    def test_compose_still_imports_fractions(self):
+        # composition sums T(n, k) r(k) as Fraction values (_rows.dot)
+        loaded = self._cli_modules("compose", "--r", "fib", "--fn", "0,1,1", "--n", "5")
+        assert self.FRACTIONS <= loaded
+
+    def test_process_entry_imports_no_fractions(self):
+        # the real process entry (runpy and __main__), as the benchmark runs it
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "compositae",
+             "composita", "--fn", "geometric", "--n", "1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+        )
+        assert done.returncode == 0 and done.stdout == "1\n"
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert "compositae.cli" in imported
+        assert imported & {"fractions", "decimal"} == set()
 
     def test_help_goes_through_argparse(self):
         loaded = self._cli_modules("composita", "--help")

@@ -66,17 +66,22 @@ def test_triangle_records_are_json_lines():
 
 
 def test_series_text_is_comma_joined():
-    assert series_text([Fraction(1), Fraction(-1, 2), Fraction(3)]) == "1,-1/2,3"
+    assert series_text(((2, -1, 6), 2)) == "1,-1/2,3"
 
 
 def test_series_csv_start_offset():
-    out = series_csv([Fraction(5), Fraction(7)], start=1)
+    out = series_csv(((5, 7), 1), start=1)
     assert out == "n,value\n1,5\n2,7"
 
 
 def test_series_records_start_offset():
-    lines = series_records([Fraction(5)], start=3).splitlines()
+    lines = series_records(((5,), 1), start=3).splitlines()
     assert json.loads(lines[0]) == {"n": 3, "value": "5"}
+
+
+def test_series_writers_reduce_each_entry_of_a_row():
+    # the row need not be canonical: each entry is reduced on its own
+    assert series_text(((0, 2, -6, 4, 3), 4)) == "0,1/2,-3/2,1,3/4"
 
 
 def test_composita_csv_round_trip():
@@ -188,7 +193,8 @@ def test_triangle_records_equal_json_dumps(table):
 
 @given(values=st.lists(_exact, min_size=1, max_size=8), start=st.integers(-3, 2**70))
 def test_series_records_equal_json_dumps(values, start):
-    assert series_records(values, start=start) == "\n".join(
+    row = PowerSeries(values).int_row
+    assert series_records(row, start=start) == "\n".join(
         json.dumps({"n": n, "value": str(v)}) for n, v in enumerate(values, start=start)
     )
 

@@ -37,7 +37,7 @@ from compositae import (
     riordan_build,
 )
 from compositae._packed import LIMIT, Slots, product_rows
-from compositae._rows import combine, dot, fractions_of, to_row
+from compositae._rows import combine, dot, fractions_of, scalars, to_row
 
 from helpers import compose_plain, convolve, power_coeffs, route, takes_packed_rows
 
@@ -73,10 +73,14 @@ def _plain_triangle(coeffs: list[Fraction], order: int) -> list[list[Fraction]]:
     return [[columns[k - 1][n] for k in range(1, n + 1)] for n in range(1, order + 1)]
 
 
+def _pairs(values: list[Fraction]) -> list[tuple[int, int]]:
+    return [v.as_integer_ratio() for v in values]
+
+
 class TestKernel:
     @given(values=st.lists(COPRIME_DENOMINATORS, min_size=1, max_size=6))
     def test_rows_are_canonical(self, values):
-        nums, den = to_row(values)
+        nums, den = to_row(_pairs(values))
         assert fractions_of((nums, den)) == tuple(values)
         doubled = combine([(2, 1, (nums, den), 0), (-1, 1, (nums, den), 0)], len(values))
         assert doubled == (nums, den)
@@ -90,10 +94,26 @@ class TestKernel:
     def test_dot_matches_fraction_sum(self, scalars, values):
         # dot takes the scalars as one canonical row
         expected = sum((s * v for s, v in zip(scalars, values)), Fraction(0))
-        assert dot(to_row(scalars), values) == expected
+        assert dot(to_row(_pairs(scalars)), values) == expected
+
+    @given(
+        values=st.lists(COPRIME_DENOMINATORS, min_size=1, max_size=6),
+        scale=st.integers(min_value=1, max_value=12),
+    )
+    def test_unreduced_pairs_give_the_canonical_row(self, values, scale):
+        # to_row reduces the row when the pairs are not reduced
+        unreduced = [(n * scale, d * scale) for n, d in _pairs(values)]
+        assert to_row(unreduced) == to_row(_pairs(values))
+
+    @given(values=st.lists(COPRIME_DENOMINATORS, min_size=1, max_size=6))
+    def test_scalars_are_reduced_nonzero_entries(self, values):
+        # one denominator for the row, one reduced pair for each entry
+        expected = [(i, *v.as_integer_ratio()) for i, v in enumerate(values) if v]
+        assert scalars(to_row(_pairs(values))) == expected
+        assert scalars(to_row(_pairs(values)), 2) == [t for t in expected if t[0] < 2]
 
     def test_shifted_terms_are_cut_to_width(self):
-        row = to_row([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+        row = to_row([(1, 2), (1, 3), (1, 4)])
         nums, den = combine([(3, 1, row, 2), (1, 5, row, 4)], 4)
         assert fractions_of((nums, den)) == (0, 0, Fraction(3, 2), 1)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from compositae import (
     as_rational,
 )
 from compositae.formats import series_text
-from compositae.series import raw_coefficients
+from compositae.series import parse_pair, raw_coefficients
 from helpers import exp_coeffs, series_strategy
 
 
@@ -190,12 +192,12 @@ class TestTextFormat:
     """The coefficient-list grammar, read by ``raw_coefficients`` alone."""
 
     def test_parse_fractions_and_padding(self):
-        s = PowerSeries.of(raw_coefficients("0,1/2,-3"), order=4)
+        s = PowerSeries.from_pairs(raw_coefficients("0,1/2,-3"), order=4)
         assert s.coeffs == (0, Fraction(1, 2), -3, 0, 0)
 
     def test_roundtrip(self):
         s = S(1, Fraction(-2, 3), 0, 5)
-        assert PowerSeries.of(raw_coefficients(series_text(s.coeffs))) == s
+        assert PowerSeries.from_pairs(raw_coefficients(series_text(s.int_row))) == s
 
     @pytest.mark.parametrize("text", ["", "1,,2", "1,a", "1/0", "1e3", "0,1_0"])
     def test_malformed_input(self, text):
@@ -220,7 +222,101 @@ class TestTextFormat:
          (".5", Fraction(1, 2)), ("7.", Fraction(7))],
     )
     def test_accepts_signs_fractions_and_decimals(self, text, value):
-        assert raw_coefficients(text) == [value]
+        assert raw_coefficients(text) == [value.as_integer_ratio()]
+
+
+    # Fraction reads spaces around '/' from Python 3.12 on; the grammar
+    # refuses them on every version, with the message of 3.10 and 3.11.
+    @pytest.mark.parametrize("text", ["0,1 / 2", "0,1 /2", "0,1/ 2", "0,1\t/2", "3 / 4"])
+    def test_rejects_spaces_around_the_slash(self, text):
+        with pytest.raises(UnknownFunction, match="Invalid literal for Fraction"):
+            raw_coefficients(text)
+
+
+# Texts over the characters of the grammar, in every position: a random
+# mix, and texts built on the grammar's own shape so that many are read.
+_GRAMMAR_CHARS = "0123456789+-./ \t"
+_DIGITS = st.text("0123456789", max_size=4)
+_SHAPED = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "+", "-"]),
+    _DIGITS,
+    st.sampled_from(["", "/", ".", " /", "/ "]),
+    _DIGITS,
+    st.sampled_from(["", " ", "\n"]),
+)
+_COEFFICIENT_TEXTS = st.text(_GRAMMAR_CHARS, max_size=8) | _SHAPED
+
+
+def _fraction_reads_alike_everywhere(text: str) -> bool:
+    # spaces around '/' are the one difference left among these characters
+    return re.search(r"\s/|/\s", text) is None
+
+
+class TestReader:
+    """``parse_pair`` against ``Fraction(text)`` on texts that every
+    supported Python reads alike."""
+
+    @given(text=_COEFFICIENT_TEXTS.filter(_fraction_reads_alike_everywhere))
+    def test_reads_what_fraction_reads(self, text):
+        try:
+            expected = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="^zero denominator: "):
+                parse_pair(text)
+            return
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                parse_pair(text)
+            assert str(refused.value) == str(exc)
+            return
+        assert parse_pair(text) == expected.as_integer_ratio()
+
+    @given(value=st.fractions(max_denominator=10**6))
+    def test_reads_the_text_of_every_fraction(self, value):
+        assert parse_pair(str(value)) == value.as_integer_ratio()
+        assert parse_pair(f" {value}\t") == value.as_integer_ratio()
+
+
+_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+class TestStoredRow:
+    """A series stores one canonical integer row, whatever its inputs were."""
+
+    @given(values=st.lists(_RATIONALS, min_size=1, max_size=9))
+    def test_int_str_and_fraction_inputs_store_one_row(self, values):
+        built = [
+            PowerSeries(values),
+            PowerSeries([str(v) for v in values]),
+            PowerSeries([v.numerator if v.denominator == 1 else v for v in values]),
+            PowerSeries.of([str(v) for v in values]),
+        ]
+        first = built[0]
+        for series in built:
+            assert series == first
+            assert hash(series) == hash(first)
+            assert series.coeffs == tuple(values)
+            assert pickle.loads(pickle.dumps(series)) == series
+        nums, den = first.int_row
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert all(type(c) is Fraction for c in first.coeffs)
+
+    @given(values=st.lists(_RATIONALS, min_size=2, max_size=9), data=st.data())
+    def test_truncate_keeps_the_row_canonical(self, values, data):
+        order = data.draw(st.integers(0, len(values) - 1))
+        series = PowerSeries(values).truncate(order)
+        assert series == PowerSeries(values[: order + 1])
+        nums, den = series.int_row
+        assert math.gcd(den, *nums) == 1
+
+    def test_getitem_builds_one_fraction(self):
+        s = S(0, Fraction(1, 2), Fraction(-3, 4))
+        assert s.int_row == ((0, 2, -3), 4)
+        assert (s[0], s[1], s[2]) == (0, Fraction(1, 2), Fraction(-3, 4))
+        with pytest.raises(IndexError):
+            s[-1]
 
 
 @given(a=series_strategy(), b=series_strategy(), c=series_strategy())

@@ -75,7 +75,7 @@ CASES = {
 }
 
 FIELDS = {
-    "PowerSeries": ("coeffs",),
+    "PowerSeries": ("int_row",),
     "CompositaTable": ("int_rows", "base"),
     "CompositaTable(base=0)": ("int_rows", "base"),
     "FunctionSpec": ("name", "parameters"),
@@ -85,6 +85,7 @@ FIELDS = {
 
 # values derived from the fields, and so not stored
 DERIVED = {
+    "PowerSeries": ("coeffs", "order"),
     "CompositaTable": ("rows", "order"),
     "CompositaTable(base=0)": ("rows", "order"),
     "FuncEqSolution": ("a_series",),
