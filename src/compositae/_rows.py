@@ -27,11 +27,13 @@ inputs such as x*e^x whose entries have factorial denominators.
 A ``PowerSeries`` stores one row of this form too, so the triangle
 builders read a series' coefficients as integers: ``scalars`` takes the
 nonzero entries of a row, and ``to_row`` makes the row of a list of
-``(numerator, denominator)`` pairs.  ``Fraction`` values are built only
-at the boundary, by ``fraction`` (one entry), ``fractions_of`` (a row,
-for a caller that reads a table's or a series' entries) and ``dot`` (the
-sum of a row's entries times ``Fraction`` values), so a call that reads
-no entry never imports ``fractions``.
+``(numerator, denominator)`` pairs.  The transforms that read a table
+times a coefficient vector (composition, inversion, a Riordan array
+applied to a sequence) sum each row with ``dot``, which takes and returns
+integer pairs.  ``Fraction`` values are built only at the boundary, by
+``fraction`` (one entry) and ``fractions_of`` (a row, for a caller that
+reads a table's or a series' entries), so a call that reads no entry
+never imports ``fractions``.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ def canonical(nums: Sequence[int], den: int) -> Row:
 
 def to_row(pairs: Sequence[tuple[int, int]]) -> Row:
     """The canonical row of the values ``num / den`` of ``pairs`` (each
-    ``den`` > 0).  Reduced pairs give the least common denominator at
-    once; others are reduced by the row's gcd."""
+    ``den`` nonzero; a negative one moves its sign to the numerator, since
+    ``lcm`` is positive).  Reduced pairs give the least common denominator
+    at once; others are reduced by the row's gcd."""
     den = lcm(*(d for _, d in pairs))
     return canonical([n * (den // d) for n, d in pairs], den)
 
@@ -162,10 +165,13 @@ def recurrence(g_terms: Scalars, f_terms: Scalars, n_max: int) -> tuple[Row, ...
     return tuple(rows)
 
 
-def dot(row: Row, values: Iterable[Fraction]) -> Fraction:
-    """Sum of ``nums[j] / den * values[j]`` over the row's entries and
-    ``values`` paired, over one lcm of the values' denominators."""
+def dot(row: Row, values: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of ``nums[j] / den * values[j]`` over the row's entries and the
+    ``(numerator, denominator)`` pairs of ``values`` paired, as one integer
+    pair over the row's denominator times one lcm of the values'
+    denominators (each nonzero, of either sign).  The pair is not reduced;
+    an all-zero row gives ``(0, den)``."""
     nums, den = row
-    live = [(a * v.numerator, v.denominator) for a, v in zip(nums, values) if a]
-    common = lcm(*(b for _, b in live))
-    return fraction(sum(a * (common // b) for a, b in live), den * common)
+    live = [(a * v, d) for a, (v, d) in zip(nums, values) if a]
+    common = lcm(*(d for _, d in live))
+    return sum([a * (common // d) for a, d in live]), den * common

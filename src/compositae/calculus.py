@@ -18,15 +18,17 @@ The transforms that read a triangle (``compose_series``,
 ``composita_compose`` and ``inverse_series``) refuse a Riordan array
 (base 0), whose rows start one index lower.  ``inverse_series`` reads
 f(1) off the triangle, as T(1, 1), so it takes the triangle alone.
+``compose_series`` and ``inverse_series`` sum each stored row against
+integer pairs (``_rows.dot``, which returns an integer pair) and build
+no ``Fraction``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from . import _rows
-from ._rows import combine, dot
+from ._rows import combine, dot, to_row
 from .errors import DivisionByNonUnit, InsufficientOrder, NonInvertible, OrderMismatch
 from .series import PowerSeries
 from .triangle import CompositaTable, _require_base, composita_from_series
@@ -39,10 +41,9 @@ def compose_series(r: PowerSeries, tf: CompositaTable) -> PowerSeries:
     truncated to the smaller of the two operand orders.
     """
     _require_base("compose_series", 1, tf)
-    n_max = min(tf.order, r.order)
-    coeffs = r.coeffs
-    tail = coeffs[1:]
-    return PowerSeries((coeffs[0],) + tuple(dot(row, tail) for row in tf.int_rows[:n_max]))
+    nums, den = r.int_row
+    tail = [(v, den) for v in nums[1:]]
+    return PowerSeries.from_pairs([(nums[0], den)] + [dot(row, tail) for row in tf.int_rows[: r.order]])
 
 
 def composita_compose(tf: CompositaTable, tr: CompositaTable) -> CompositaTable:
@@ -100,14 +101,19 @@ def reciprocal_composita(b: PowerSeries, order: int) -> CompositaTable:
 def inverse_series(tf: CompositaTable) -> PowerSeries:
     """Compositional inverse A with A(F(x)) = x, from F's triangle alone.
 
-    With f(1) = T(1, 1): a(1) = 1/f(1) and
-    a(n) = -(1/f(1)^n) sum_{k=1}^{n-1} T(n, k) a(k).
+    With f(1) = T(1, 1) = p/q: a(1) = q/p and
+    a(n) = -(q/p)^n sum_{k=1}^{n-1} T(n, k) a(k).  Each a(k) is kept as
+    a reduced integer pair, so every row's sum takes one small lcm: a(1)
+    as (q, p), whose denominator has the sign of f(1), and each later one
+    reduced by ``to_row`` (one gcd, a positive denominator).
     """
     _require_base("inverse_series", 1, tf)
-    f1 = tf[1, 1]
-    if f1 == 0:
+    (p,), q = tf.int_rows[0]
+    if p == 0:
         raise NonInvertible("compositional inversion needs f(1) != 0")
-    out = [Fraction(0), 1 / f1]
+    out = [(0, 1), (q, p)]
     for n, row in enumerate(tf.int_rows[1:], start=2):
-        out.append(-dot(row, out[1:]) / f1 ** n)
-    return PowerSeries(tuple(out))
+        num, den = dot(row, out[1:])
+        (num,), den = to_row([(-num * q**n, den * p**n)])
+        out.append((num, den))
+    return PowerSeries.from_pairs(out)

@@ -33,12 +33,13 @@ options run.  What loads when:
   lines are written without ``json``) and the small modules they import;
 * where a ``Fraction`` is built: ``fractions`` (with ``decimal`` and
   ``numbers``).  Series and tables store integer rows, designators are
-  read into integer pairs and the writers print integer rows, so
-  ``composita`` on a raw list or on a catalog name without parameters
-  (but ``tan``, a series quotient), ``riordan`` without ``--b`` and
-  ``solve`` with m >= 0 never import it; ``compose``, ``inverse``,
-  ``reciprocal``, ``riordan --b``, ``solve`` with m < 0, ``verify``,
-  ``oracle`` and a parameterised designator do;
+  read into integer pairs, composition, inversion and ``riordan --b`` sum
+  stored rows against integer pairs, and the writers print integer rows,
+  so ``composita``, ``compose``, ``inverse`` and ``riordan`` (with or
+  without ``--b``) on raw lists or catalog names without parameters (but
+  ``tan``, a series quotient) and ``solve`` with m >= 0 never import it;
+  ``reciprocal``, ``solve`` with m < 0, ``verify``, ``oracle``, ``tan``
+  and a parameterised designator do;
 * help, a usage error, or ``--output``: ``_offpath``, which holds the
   argparse parser and the ``--output`` writer; only the parser imports
   ``argparse`` (with ``gettext`` and ``locale``);
@@ -80,7 +81,7 @@ import sys
 from types import ModuleType, SimpleNamespace
 from typing import Callable, Optional
 
-from ._rows import Row, to_row
+from ._rows import Row
 from .errors import CompositaeError, UnknownFunction
 from .formats import (
     series_csv,
@@ -211,9 +212,7 @@ def _cmd_riordan(args: SimpleNamespace) -> tuple[str, int]:
     f = _series(args.fn, n)
     table = riordan.riordan_build(g, f)
     if args.b is not None:
-        b = _series(args.b, n)
-        values = riordan.riordan_apply(table, b.coeffs)
-        return _render_series(to_row([v.as_integer_ratio() for v in values]), args.format), 0
+        return _render_series(riordan.riordan_apply(table, _series(args.b, n)).int_row, args.format), 0
     return _render_triangle(table, args.format), 0
 
 

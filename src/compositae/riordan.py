@@ -8,16 +8,16 @@ which builds every composita triangle as the array (F/x, F) and picks its
 route.  The paper's formulas stay as checks in ``theorems``:
 ``check_riordan_formula`` (each entry as a sum of g(i) times F's
 triangle) and ``check_riordan_identity`` (the (F, xF) array shifted by
-one is the triangle of xF).
+one is the triangle of xF).  ``riordan_apply`` takes and returns a
+series, summing each stored row against B's integer row (``_rows.dot``,
+which returns an integer pair), so it builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ._rows import dot, recurrence, scalars
 from .errors import InsufficientOrder
-from .series import CoeffLike, PowerSeries, as_rational
+from .series import PowerSeries
 from .triangle import CompositaTable, _require_base, _table_order
 
 
@@ -35,11 +35,12 @@ def riordan_build(g: PowerSeries, f: PowerSeries) -> CompositaTable:
     return CompositaTable._of(recurrence(g_terms, f_terms, n_max), 0)
 
 
-def riordan_apply(r: CompositaTable, b: Sequence[CoeffLike]) -> tuple[Fraction, ...]:
-    """Sequence a(n) = sum_{k=0}^{n} R(n, k) b(k): the coefficients of
-    G(x) * B(F(x))."""
+def riordan_apply(r: CompositaTable, b: PowerSeries) -> PowerSeries:
+    """The series a(n) = sum_{k=0}^{n} R(n, k) b(k), to R's order: the
+    coefficients of G(x) * B(F(x))."""
     _require_base("riordan_apply", 0, r)
-    if len(b) < r.order + 1:
-        raise InsufficientOrder(f"b needs {r.order + 1} terms, got {len(b)}")
-    values = [as_rational(v) for v in b]
-    return tuple(dot(row, values) for row in r.int_rows)
+    if b.order < r.order:
+        raise InsufficientOrder(f"b is needed to order {r.order}, got {b.order}")
+    nums, den = b.int_row
+    values = [(v, den) for v in nums]
+    return PowerSeries.from_pairs([dot(row, values) for row in r.int_rows])

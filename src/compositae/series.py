@@ -97,7 +97,8 @@ class PowerSeries(Record):
     @classmethod
     def from_pairs(cls, pairs: Sequence[Pair], order: int | None = None) -> PowerSeries:
         """``of`` for coefficients given as (numerator, denominator) pairs,
-        each denominator positive, such as ``raw_coefficients`` reads."""
+        such as ``raw_coefficients`` reads (each denominator nonzero; see
+        ``_rows.to_row``)."""
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")

@@ -1242,19 +1242,28 @@ class TestStartup:
             ("riordan", "--g", "fib", "--fn", "geometric", "--n", "6"),
             ("solve", "--g", "1,1", "--m", "2", "--order", "6"),
             ("solve", "--g", "3/7,2/13", "--m", "0", "--order", "6", "--format", "records"),
+            ("compose", "--r", "fib", "--fn", "0,1,1", "--n", "5"),
+            ("inverse", "--fn", "fib", "--order", "6"),
+            ("inverse", "--fn", "0,-3/11,2/13", "--order", "6", "--format", "csv"),
+            ("riordan", "--g", "1,2", "--fn", "geometric", "--n", "6", "--b", "1,-1"),
         ],
-        ids=["composita", "composita-raw", "composita-rational", "riordan", "solve-m2", "solve-m0"],
+        ids=[
+            "composita", "composita-raw", "composita-rational", "riordan", "solve-m2", "solve-m0",
+            "compose", "inverse", "inverse-rational-negative", "riordan-b",
+        ],
     )
     def test_call_on_integer_rows_imports_no_fractions(self, argv):
-        # these calls read their input into integer pairs and print stored
-        # rows: no Fraction is built, so fractions, decimal and numbers stay out
+        # these calls read their input into integer pairs, sum stored rows
+        # against integer pairs (_rows.dot) and print integer rows: no
+        # Fraction is built, so fractions, decimal and numbers stay out
         bare = _modules_loaded("import sys")
         loaded = self._cli_modules(*argv)
         assert (loaded - bare) & self.FRACTIONS == set()
 
-    def test_compose_still_imports_fractions(self):
-        # composition sums T(n, k) r(k) as Fraction values (_rows.dot)
-        loaded = self._cli_modules("compose", "--r", "fib", "--fn", "0,1,1", "--n", "5")
+    def test_a_series_quotient_still_imports_fractions(self):
+        # tan is sin/cos, a series quotient on Fraction values: the gate
+        # above can see fractions load
+        loaded = self._cli_modules("inverse", "--fn", "tan", "--order", "5")
         assert self.FRACTIONS <= loaded
 
     def test_process_entry_imports_no_fractions(self):

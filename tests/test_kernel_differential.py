@@ -89,21 +89,39 @@ class TestKernel:
 
     @given(
         scalars=st.lists(COPRIME_DENOMINATORS, min_size=1, max_size=6),
-        values=st.lists(SHARED_DENOMINATOR, min_size=1, max_size=6),
+        values=st.lists(
+            st.tuples(
+                st.integers(min_value=-8, max_value=8),
+                st.sampled_from([-12, -7, -6, -2, -1, 1, 2, 4, 6, 11, 13]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        scale=st.integers(min_value=1, max_value=6),
     )
-    def test_dot_matches_fraction_sum(self, scalars, values):
-        # dot takes the scalars as one canonical row
-        expected = sum((s * v for s, v in zip(scalars, values)), Fraction(0))
-        assert dot(to_row(_pairs(scalars)), values) == expected
+    def test_dot_matches_fraction_sum(self, scalars, values, scale):
+        # dot takes the scalars as one canonical row and the values as
+        # integer pairs, reduced or not (the scale), with denominators of
+        # either sign, and returns a pair with a positive denominator
+        expected = sum((s * Fraction(n, d) for s, (n, d) in zip(scalars, values)), Fraction(0))
+        row = to_row(_pairs(scalars))
+        for pairs in (values, [(n * scale, d * scale) for n, d in values]):
+            num, den = dot(row, pairs)
+            assert den > 0 and Fraction(num, den) == expected
+        # an all-zero row leaves no term: zero over the row's denominator
+        assert dot(to_row([(0, 1)] * len(values)), values) == (0, 1)
 
     @given(
         values=st.lists(COPRIME_DENOMINATORS, min_size=1, max_size=6),
         scale=st.integers(min_value=1, max_value=12),
     )
     def test_unreduced_pairs_give_the_canonical_row(self, values, scale):
-        # to_row reduces the row when the pairs are not reduced
+        # to_row reduces the row when the pairs are not reduced, and moves
+        # the sign of a negative denominator to the numerator
         unreduced = [(n * scale, d * scale) for n, d in _pairs(values)]
         assert to_row(unreduced) == to_row(_pairs(values))
+        negated = [(-n * scale, -d * scale) for n, d in _pairs(values)]
+        assert to_row(negated) == to_row(_pairs(values))
 
     @given(values=st.lists(COPRIME_DENOMINATORS, min_size=1, max_size=6))
     def test_scalars_are_reduced_nonzero_entries(self, values):

@@ -28,7 +28,14 @@ from compositae import (
 )
 from compositae import riordan, triangle
 from compositae.combinatorics import binomial
-from helpers import refuses_wrong_base, series_strategy
+from helpers import refuses_wrong_base, series_strategy, small_fraction
+
+
+# Small rationals, and the prime denominators of the benchmark's rational lists.
+RATIONAL = st.one_of(
+    small_fraction,
+    st.builds(Fraction, st.integers(min_value=-5, max_value=5), st.sampled_from([11, 13, 17])),
+)
 
 
 def ones(order):
@@ -144,41 +151,34 @@ class TestBuild:
 
 class TestApply:
     def test_binomial_transform_of_ones(self):
-        out = riordan_apply(pascal(7), [Fraction(1)] * 8)
-        assert out == tuple(Fraction(2) ** n for n in range(8))
+        # a B known further than the array is read to the array's order
+        out = riordan_apply(pascal(7), ones(9))
+        assert out == PowerSeries.of([2**n for n in range(8)])
 
     def test_picks_out_a_column(self):
-        b = [Fraction(0), Fraction(1)] + [Fraction(0)] * 6
-        out = riordan_apply(pascal(7), b)
-        assert out == tuple(Fraction(n) for n in range(8))
-
-    def test_a_float_term_is_refused(self):
-        with pytest.raises(TypeError, match="float"):
-            riordan_apply(pascal(2), [1, 0.5, 0])
+        out = riordan_apply(pascal(7), PowerSeries.of([0, 1], order=7))
+        assert out == PowerSeries.of(range(8))
 
     def test_short_sequence_rejected(self):
-        with pytest.raises(InsufficientOrder):
-            riordan_apply(pascal(4), [Fraction(1)] * 4)
+        with pytest.raises(InsufficientOrder, match="b is needed to order 4, got 3"):
+            riordan_apply(pascal(4), ones(3))
 
     def test_composita_triangle_rejected(self):
         # rows of a base-1 table would pair T(n, k) with b(k - 1)
         with refuses_wrong_base("riordan_apply", 0):
-            riordan_apply(composita_from_series(geometric(4), 4), [Fraction(1)] * 6)
+            riordan_apply(composita_from_series(geometric(4), 4), ones(5))
 
     @given(
-        g=series_strategy(min_order=6, max_order=6),
-        f=series_strategy(min_order=6, max_order=6, zero_constant=True),
-        b=st.lists(
-            st.integers(min_value=-3, max_value=3), min_size=7, max_size=7
-        ),
+        g=series_strategy(min_order=6, max_order=6, coeffs=RATIONAL),
+        f=series_strategy(min_order=6, max_order=6, zero_constant=True, coeffs=RATIONAL),
+        b=series_strategy(min_order=6, max_order=6, coeffs=RATIONAL),
     )
     def test_matches_composition_route(self, g, f, b):
-        # The table transform and G(x)*B(F(x)) are the same map.
+        # The table transform and G(x)*B(F(x)) are the same map, on the
+        # rational G, F and B that the CLI reads.
         tf = composita_from_series(f, 6)
         table = riordan_build(g, f)
-        b_series = PowerSeries.of([Fraction(v) for v in b], order=6)
-        direct = g * compose_series(b_series, tf)
-        assert riordan_apply(table, b_series.coeffs) == direct.coeffs
+        assert riordan_apply(table, b) == g * compose_series(b, tf)
 
 
 def shifted_pair(f, order):
