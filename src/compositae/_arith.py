@@ -1,9 +1,10 @@
 """The series arithmetic that no CLI call runs: sums, products, powers and
 the integral, in plain ``Fraction`` code over ``PowerSeries.coeffs``.
 
-Like the quotient and the derivative in ``series``, this is a route that
-shares no code with the row kernel's ``combine``, so that the tests and
-the benchmark's checks can compare the kernel with it.  The operators of
+This is a route that shares no code with the row kernel's ``combine``,
+so that the tests and the benchmark's checks can compare the kernel with
+it.  (The quotient and the derivative, which CLI calls run, work on the
+integer rows in ``series``.)  The operators of
 ``PowerSeries`` import these functions when they run, so a CLI call,
 which never sums or multiplies series, never compiles this module.
 """
@@ -13,7 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .series import CoeffLike, PowerSeries, _exact, as_rational
+from ._rows import to_row
+from .series import CoeffLike, PowerSeries, as_rational
+
+
+def _exact(values: Sequence[Fraction]) -> PowerSeries:
+    """The series of ``Fraction`` (or int) coefficients ``values``."""
+    return PowerSeries._of(to_row([v.as_integer_ratio() for v in values]))
 
 
 def add(a: PowerSeries, b: PowerSeries) -> PowerSeries:

@@ -19,8 +19,8 @@ for the list of names after an unknown designator: a raw coefficient list
 is read by ``series.raw_coefficients`` and expanded without it.
 
 The generators work on integer pairs and store the series' integer row,
-so expanding an entry without parameters builds no ``Fraction`` (``tan``,
-a series quotient, is the exception).  A spec's parameters are
+so expanding an entry without parameters builds no ``Fraction`` (``tan``
+is sin/cos, a series quotient on integer rows).  A spec's parameters are
 ``Fraction`` values: a parameterised spec, and a raw one that
 ``parse_function_spec`` makes, imports ``fractions``.
 """

@@ -34,12 +34,13 @@ options run.  What loads when:
 * where a ``Fraction`` is built: ``fractions`` (with ``decimal`` and
   ``numbers``).  Series and tables store integer rows, designators are
   read into integer pairs, composition, inversion and ``riordan --b`` sum
-  stored rows against integer pairs, and the writers print integer rows,
-  so ``composita``, ``compose``, ``inverse`` and ``riordan`` (with or
-  without ``--b``) on raw lists or catalog names without parameters (but
-  ``tan``, a series quotient) and ``solve`` with m >= 0 never import it;
-  ``reciprocal``, ``solve`` with m < 0, ``verify``, ``oracle``, ``tan``
-  and a parameterised designator do;
+  stored rows against integer pairs, series are divided and
+  differentiated on their integer rows, ``solve`` with m < 0 runs Miller's
+  power recurrence on integers, and the writers print integer rows, so
+  ``composita``, ``compose``, ``inverse``, ``reciprocal``, ``riordan``
+  (with or without ``--b``) and ``solve`` (for any m) on raw lists or
+  catalog names without parameters (``tan`` included) never import it;
+  ``verify``, ``oracle`` and a parameterised designator do;
 * help, a usage error, or ``--output``: ``_offpath``, which holds the
   argparse parser and the ``--output`` writer; only the parser imports
   ``argparse`` (with ``gettext`` and ``locale``);

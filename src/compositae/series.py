@@ -7,12 +7,15 @@ denominator and ``gcd(den, *nums) == 1``, so equal series store equal
 rows.  ``coeffs`` builds the ``fractions.Fraction`` values on each read,
 at O(N) a read, and ``series[n]`` builds one; the triangle builders read
 the row itself, so a call that builds a table from integer pairs never
-imports ``fractions``.  Series arithmetic is plain ``Fraction`` code over
-``coeffs``, a route that shares no code with the kernel's ``combine``.
-The quotient and the derivative, which CLI calls run (``reciprocal``,
-``solve`` with m < 0, ``tan``), are here; sums, products, powers and the
-integral, which only the tests and the benchmark's checks run, are in
-``_arith``, which a process compiles on their first use.  Every binary
+imports ``fractions``.  The quotient, the derivative and the division by
+a scalar, which CLI calls run (``reciprocal`` and ``tan``), are here and
+work on the integer rows: the quotient keeps its coefficients over one
+common denominator, reducing each new one with one gcd, so it builds no
+``Fraction`` either.  Sums, products, powers and the integral, which only
+the tests and the benchmark's checks run, are plain ``Fraction`` code over
+``coeffs`` in ``_arith``, which a process compiles on their first use; the
+tests keep the plain ``Fraction`` quotient as the reference that this one
+is compared with.  Every binary
 operation truncates its result to the smaller of the two operand orders,
 so comparisons are always well defined.  Nothing in this package ever
 rounds.
@@ -26,7 +29,8 @@ straight into an integer pair.
 from __future__ import annotations
 
 import sys
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import _rows
@@ -182,10 +186,9 @@ class PowerSeries(Record):
         return power(self, k)
 
     def __truediv__(self, other: Union[PowerSeries, CoeffLike]) -> PowerSeries:
-        if isinstance(other, PowerSeries):
-            return _divide(self, other)
-        scalar = as_rational(other)
-        return _exact([c / scalar for c in self.coeffs])
+        if not isinstance(other, PowerSeries):
+            other = PowerSeries.from_pairs([as_pair(other)], self.order)
+        return _divide(self, other)
 
     # -- calculus -------------------------------------------------------
 
@@ -193,8 +196,8 @@ class PowerSeries(Record):
         """Formal derivative; the truncation order drops by one."""
         if self.order == 0:
             return PowerSeries.zero(0)
-        coeffs = self.coeffs
-        return _exact([n * coeffs[n] for n in range(1, len(coeffs))])
+        nums, den = self.int_row
+        return PowerSeries._of(canonical([n * nums[n] for n in range(1, len(nums))], den))
 
     def integral(self) -> PowerSeries:
         """Formal antiderivative with zero constant term; order grows by one."""
@@ -208,37 +211,31 @@ class PowerSeries(Record):
         return PowerSeries._of(((0,) + nums, den))
 
 
-def _exact(values: Sequence[Fraction]) -> PowerSeries:
-    """The series of ``Fraction`` (or int) coefficients ``values``."""
-    return PowerSeries._of(to_row([v.as_integer_ratio() for v in values]))
-
-
 def _divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    b_nums, b_den = b.int_row
-    if b_nums[0] == 0:
-        # A shared leading power of x cancels exactly: x/(e^x - 1) is a
-        # perfectly good series even though the divisor has no unit term.
-        shift = next((i for i, c in enumerate(b_nums) if c), None)
-        if shift is None:
-            raise DivisionByNonUnit("division by the zero series")
-        a_nums, a_den = a.int_row
-        if any(a_nums[:shift]) or a.order < shift:
-            raise DivisionByNonUnit("series division needs a unit constant term in the divisor")
-        return _divide(
-            PowerSeries._of(canonical(a_nums[shift:], a_den)),
-            PowerSeries._of(canonical(b_nums[shift:], b_den)),
-        )
-    x, y = a.coeffs, b.coeffs
-    unit = y[0]
-    out: list[Fraction] = []
-    for i in range(min(len(x), len(y))):
-        acc = x[i]
-        for j in range(i):
-            c = out[j]
-            if c:
-                acc -= c * y[i - j]
-        out.append(acc / unit)
-    return _exact(out)
+    (a_nums, a_den), (b_nums, b_den) = a.int_row, b.int_row
+    # A shared leading power of x cancels exactly: x/(e^x - 1) is a
+    # perfectly good series even though the divisor has no unit term.
+    shift = next((i for i, c in enumerate(b_nums) if c), None)
+    if shift is None:
+        raise DivisionByNonUnit("division by the zero series")
+    if any(a_nums[:shift]) or a.order < shift:
+        raise DivisionByNonUnit("series division needs a unit constant term in the divisor")
+    a_nums, b_nums = a_nums[shift:], b_nums[shift:]
+    # q = a_nums / b_nums with its numerators over one common denominator,
+    # the lcm of those of its reduced coefficients (common // den carries
+    # the sign of b(0)); the quotient is q * b_den / a_den.
+    q: list[int] = []
+    common = 1
+    for i in range(min(len(a_nums), len(b_nums))):
+        num = a_nums[i] * common - sum(map(mul, q, b_nums[i:0:-1]))
+        g = gcd(num, common * b_nums[0])
+        den = common * b_nums[0] // g
+        scale = lcm(common, den) // common
+        if scale > 1:
+            q = [v * scale for v in q]
+            common *= scale
+        q.append(num // g * (common // den))
+    return PowerSeries._of(canonical([v * b_den for v in q], common * a_den))
 
 
 def parse_pair(text: str) -> Pair:

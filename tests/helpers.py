@@ -10,6 +10,8 @@ the reference triangle renderers print ``str(v)`` of the ``Fraction``
 entries of ``table.rows``.  ``parse_triangle_csv``, the CSV reader that
 the round-trip tests use, reads numbers with the package's own grammar
 (``parse_int``, ``parse_rational``), which it is meant to share.
+``reference_quotient`` is the plain ``Fraction`` long division that the
+series quotient on integer rows is compared with.
 ``route`` and ``takes_packed_rows`` at the end compute nothing: they pick
 or observe the route (packed rows or ``combine``) that the package takes
 for an integer table.  ``refuses_wrong_base`` expects the one refusal
@@ -68,6 +70,28 @@ def compose_plain(r: PowerSeries, f: PowerSeries) -> PowerSeries:
     for k in range(order - 1, -1, -1):
         acc = acc * f.truncate(order) + PowerSeries.of([coeffs[k]], order=order)
     return acc
+
+
+def reference_quotient(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """a / b by the plain ``Fraction`` long division, to the smaller order,
+    with the refusals of ``PowerSeries.__truediv__``: a leading power of x
+    that both share cancels; the zero divisor and any other divisor
+    without a unit term raise ``DivisionByNonUnit``."""
+    x, y = list(a.coeffs), list(b.coeffs)
+    if y[0] == 0:
+        shift = next((i for i, c in enumerate(y) if c), None)
+        if shift is None:
+            raise DivisionByNonUnit("division by the zero series")
+        if any(x[:shift]) or len(x) <= shift:
+            raise DivisionByNonUnit("series division needs a unit constant term in the divisor")
+        x, y = x[shift:], y[shift:]
+    out: list[Fraction] = []
+    for i in range(min(len(x), len(y))):
+        acc = x[i]
+        for j in range(i):
+            acc -= out[j] * y[i - j]
+        out.append(acc / y[0])
+    return PowerSeries(tuple(out))
 
 
 def catalan(n: int) -> Fraction:

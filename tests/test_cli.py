@@ -297,6 +297,16 @@ class TestSeriesCommands:
             " 599999997 entries; its cap is 1000000\n"
         )
 
+    def test_solve_refuses_a_huge_negative_m(self):
+        # no power table for m < 0, but the exponent |j| <= |m| * order of
+        # g0^|j| and gd^|j| is bounded by the same estimate, before any work
+        code, out, err = _module_call("solve", "--g", "3/7,2/13", "--m", "-99999999", "--order", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: solving with m=-99999999 to order 2 needs a power table of about"
+            " 599999997 entries; its cap is 1000000\n"
+        )
+
     def test_inverse_needs_linear_term(self, capsys):
         code, _, err = run(capsys, "inverse", "--fn", "0,0,1", "--order", "5")
         assert code == 2
@@ -1246,24 +1256,32 @@ class TestStartup:
             ("inverse", "--fn", "fib", "--order", "6"),
             ("inverse", "--fn", "0,-3/11,2/13", "--order", "6", "--format", "csv"),
             ("riordan", "--g", "1,2", "--fn", "geometric", "--n", "6", "--b", "1,-1"),
+            ("reciprocal", "--b", "sin_over_x", "--order", "6"),
+            ("reciprocal", "--b", "3/7,-2/13,5/17", "--order", "6", "--format", "csv"),
+            ("solve", "--g", "1,1", "--m", "-2", "--order", "6"),
+            ("solve", "--g", "3/7,2/13", "--m", "-1", "--order", "6", "--table"),
+            ("inverse", "--fn", "tan", "--order", "6"),
         ],
         ids=[
             "composita", "composita-raw", "composita-rational", "riordan", "solve-m2", "solve-m0",
-            "compose", "inverse", "inverse-rational-negative", "riordan-b",
+            "compose", "inverse", "inverse-rational-negative", "riordan-b", "reciprocal",
+            "reciprocal-rational", "solve-m-2", "solve-m-1-rational", "inverse-tan",
         ],
     )
     def test_call_on_integer_rows_imports_no_fractions(self, argv):
         # these calls read their input into integer pairs, sum stored rows
-        # against integer pairs (_rows.dot) and print integer rows: no
-        # Fraction is built, so fractions, decimal and numbers stay out
+        # against integer pairs (_rows.dot), divide and differentiate series
+        # on their integer rows (reciprocal, tan), solve m < 0 by Miller's
+        # recurrence on integers and print integer rows: no Fraction is
+        # built, so fractions, decimal and numbers stay out
         bare = _modules_loaded("import sys")
         loaded = self._cli_modules(*argv)
         assert (loaded - bare) & self.FRACTIONS == set()
 
-    def test_a_series_quotient_still_imports_fractions(self):
-        # tan is sin/cos, a series quotient on Fraction values: the gate
+    def test_a_parameterised_designator_still_imports_fractions(self):
+        # a catalog spec keeps its parameters as Fraction values: the gate
         # above can see fractions load
-        loaded = self._cli_modules("inverse", "--fn", "tan", "--order", "5")
+        loaded = self._cli_modules("composita", "--fn", "poly2:1,2", "--n", "5")
         assert self.FRACTIONS <= loaded
 
     def test_process_entry_imports_no_fractions(self):

@@ -22,7 +22,7 @@ from compositae import (
 )
 from compositae import funceq, triangle
 from compositae.combinatorics import binomial
-from helpers import catalan, gb, series_strategy
+from helpers import catalan, gb, reference_quotient, series_strategy
 
 
 def unit_series(g):
@@ -188,7 +188,7 @@ class TestSolver:
         if m >= 0:
             a_pow = a**m
         else:
-            a_pow = PowerSeries.one(order) / a ** (-m)
+            a_pow = reference_quotient(PowerSeries.one(order), a ** (-m))
         inner = PowerSeries.of([0, 1], order=order) * a_pow
         evaluated = compose_series(g, composita_from_series(inner, order))
         assert evaluated == a
@@ -236,6 +236,48 @@ class TestSolver:
             sol = solve_functional_equation(PowerSeries.of([1, 1], order=4 * 8), m, 8)
             for _, _, value in sol.a_table.entries():
                 assert value.denominator == 1
+
+
+_INTEGER_G = st.integers(min_value=-6, max_value=6)
+_RATIONAL_G = st.fractions(min_value=-6, max_value=6, max_denominator=20)
+
+
+@st.composite
+def _unit_g(draw, order):
+    """G to ``order`` with g(0) != 0, over integers or rationals (either
+    sign of g(0)), or the sparse 1 + x^2."""
+    family = draw(st.sampled_from(["integer", "rational", "1 + x^2"]))
+    if family == "1 + x^2":
+        return PowerSeries.of([1, 0, 1], order=order)
+    values = draw(st.lists(_INTEGER_G if family == "integer" else _RATIONAL_G,
+                           min_size=order + 1, max_size=order + 1))
+    values[0] = values[0] or draw(st.sampled_from([1, -1, 2, -3]))
+    return PowerSeries.of(values)
+
+
+class TestNegativeM:
+    """m < 0 reads a(d) = [x^d] G^j / j, j = 1 + m*d, off Miller's power
+    recurrence.  The reference is the paper's reduction through
+    reciprocals, built here from parts that share no code with it:
+    1 / solve(1/G, -m) by the m > 0 power table, with the plain
+    ``Fraction`` quotient of ``helpers.reference_quotient``."""
+
+    @given(data=st.data(), m=st.integers(min_value=-3, max_value=-1),
+           order=st.integers(min_value=0, max_value=12))
+    def test_matches_the_reciprocal_reduction(self, data, m, order):
+        g = data.draw(_unit_g(order))
+        one = PowerSeries.one(order)
+        inner = solve_functional_equation(reference_quotient(one, g), -m, order).a_series
+        expected = reference_quotient(one, inner)
+        sol = solve_functional_equation(g, m, order)
+        assert sol.a_series == expected
+        assert sol.a_table == composita_from_powers(expected.times_x(), order + 1)
+
+    @pytest.mark.parametrize("g", [[3, 5], [Fraction(-3, 7), Fraction(2, 13)], [1, 0, 1]])
+    def test_j_zero_is_the_log_term(self, g):
+        # m = -1, d = 1: j = 0, and a(1) = [x] log G = g(1)/g(0)
+        a = solve_functional_equation(PowerSeries.of(g, order=1), -1, 1).a_series
+        assert a.coeffs == (Fraction(g[0]), Fraction(g[1]) / g[0])
 
 
 def radical_composita(m: int, order: int) -> CompositaTable:

@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from compositae import (
@@ -18,7 +18,7 @@ from compositae import (
 )
 from compositae.formats import series_text
 from compositae.series import parse_pair, raw_coefficients
-from helpers import exp_coeffs, series_strategy
+from helpers import exp_coeffs, reference_quotient, series_strategy
 
 
 def S(*values, order=None):
@@ -169,6 +169,71 @@ class TestDivision:
     def test_zero_divisor_raises(self):
         with pytest.raises(DivisionByNonUnit):
             S(0, 1) / PowerSeries.zero(1)
+
+
+_ROW_FAMILIES = st.sampled_from([
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=40),
+])
+
+
+@st.composite
+def _operands(draw):
+    """A dividend and a divisor of one family (integers or rationals), each
+    of its own order, each after a leading power of x of its own: equal
+    ones cancel, and a divisor's longer one is refused."""
+    family = draw(_ROW_FAMILIES)
+
+    def side():
+        lead = draw(st.integers(min_value=0, max_value=3))
+        values = draw(st.lists(family, min_size=1, max_size=10))
+        return PowerSeries(tuple([Fraction(0)] * lead + values))
+
+    return side(), side()
+
+
+class TestQuotientAgainstReference:
+    """The quotient on integer rows against the plain ``Fraction`` long
+    division of ``helpers.reference_quotient``: the same series, stored
+    canonically, or the same refusal."""
+
+    @given(operands=_operands())
+    @example(operands=(S(1, 2, 3), S(-3, 1, 2)))
+    @example(operands=(S(0, 0, 1, 5), S(0, 0, Fraction(-2, 3), 7, 1)))
+    @example(operands=(S(0, 1, 2), S(0, 0, 1, 1)))
+    @example(operands=(S(1, 2), S(0, 0, 0)))
+    @example(operands=(S(0, 1), S(0, 1)))
+    @example(operands=(S(Fraction(3, 7), 1, 2, 3, 4, 5, 6), S(Fraction(-6, 5), Fraction(1, 9))))
+    def test_matches_the_fraction_long_division(self, operands):
+        a, b = operands
+        try:
+            expected = reference_quotient(a, b)
+        except DivisionByNonUnit as exc:
+            with pytest.raises(DivisionByNonUnit) as refused:
+                a / b
+            assert str(refused.value) == str(exc)
+            return
+        got = a / b
+        assert got == expected
+        nums, den = got.int_row
+        assert den > 0 and math.gcd(den, *nums) == 1
+
+    @given(
+        a=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=40), min_size=1, max_size=9),
+        scalar=st.fractions(min_value=-9, max_value=9, max_denominator=40).filter(bool),
+    )
+    def test_scalar_quotient_and_derivative_match_fraction_values(self, a, scalar):
+        series = PowerSeries(a)
+        for divisor in (scalar, str(scalar)):
+            quotient = series / divisor
+            assert quotient.coeffs == tuple(c / scalar for c in a)
+            assert math.gcd(quotient.int_row[1], *quotient.int_row[0]) == 1
+        expected = tuple(n * a[n] for n in range(1, len(a))) or (0,)
+        assert series.derivative().coeffs == expected
+
+    def test_scalar_zero_is_refused(self):
+        with pytest.raises(DivisionByNonUnit, match="^division by the zero series$"):
+            S(1, 2) / 0
 
 
 class TestCalculusOps:

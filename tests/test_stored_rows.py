@@ -34,7 +34,7 @@ from compositae import (
     solve_functional_equation,
 )
 from compositae import cli
-from helpers import compose_plain
+from helpers import compose_plain, reference_quotient
 
 INTEGERS = st.integers(min_value=-3, max_value=3).map(Fraction)
 RATIONALS = st.builds(
@@ -70,7 +70,7 @@ def _solve_plain(g: PowerSeries, m: int) -> PowerSeries:
     """A = G(x A^m) by fixed-point iteration, one coefficient per step."""
     a = PowerSeries.of([g.coeffs[0]], order=g.order)
     for _ in range(g.order):
-        power = a**m if m >= 0 else (PowerSeries.one(g.order) / a) ** -m
+        power = a**m if m >= 0 else reference_quotient(PowerSeries.one(g.order), a) ** -m
         a = compose_plain(g, power.times_x().truncate(g.order))
     return a
 
@@ -112,7 +112,7 @@ def test_riordan_array(data, order):
 @given(data=st.data(), order=ORDERS)
 def test_reciprocal_triangle(data, order):
     b = data.draw(series(order - 1, unit=True))
-    a = PowerSeries.one(order - 1) / b
+    a = reference_quotient(PowerSeries.one(order - 1), b)
     assert_stored_canonically(
         reciprocal_composita(b, order), composita_from_powers(a.times_x(), order)
     )
